@@ -17,8 +17,7 @@ consumers:
 * ``interleaved`` — columns merged in **global-id order**
   (``col_global``). Per-row summation order then matches the global
   CSR operator exactly, so :func:`distributed_spmv` is bit-identical
-  to ``A @ x`` — not merely close — which is what the sharded serving
-  layer's differential tests assert.
+  to ``A @ x`` — not merely close.
 
 Halo exchanges run off precomputed receive plans (one index-gather per
 neighbor rank), so each exchange also reports its message count and
@@ -28,7 +27,6 @@ byte volume for the observability layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -117,38 +115,6 @@ class RankDomain:
     def halo_bytes(self, dtype_bytes: int = 8) -> int:
         """Bytes received per exchange (one value per ghost)."""
         return self.n_ghost * dtype_bytes
-
-    @cached_property
-    def owned_block(self) -> CSRMatrix:
-        """The ``(n_owned, n_owned)`` diagonal block of the operator.
-
-        Equals the standalone brick operator
-        ``assemble_csr(StructuredGrid(brick_dims), stencil)`` exactly —
-        stencil weights depend only on the offset and boundary rows are
-        pure truncations, so the sharded block-Jacobi plans act on the
-        global matrix's own diagonal blocks.
-        """
-        m = self.matrix
-        rows = np.repeat(np.arange(self.n_owned), np.diff(m.indptr))
-        mask = m.indices < self.n_owned
-        return CSRMatrix.from_coo(COOMatrix(
-            rows[mask], m.indices[mask], m.data[mask].copy(),
-            (self.n_owned, self.n_owned)))
-
-    @cached_property
-    def coupling(self) -> CSRMatrix:
-        """The ``(n_owned, n_ghost)`` off-brick coupling block ``G``.
-
-        ``G @ ghost_values`` is the contribution of neighbor bricks to
-        this rank's rows — the term block-Jacobi SYMGS feeds back as a
-        right-hand-side correction between sweeps.
-        """
-        m = self.matrix
-        rows = np.repeat(np.arange(self.n_owned), np.diff(m.indptr))
-        mask = m.indices >= self.n_owned
-        return CSRMatrix.from_coo(COOMatrix(
-            rows[mask], m.indices[mask] - self.n_owned,
-            m.data[mask].copy(), (self.n_owned, self.n_ghost)))
 
 
 @dataclass
@@ -295,31 +261,6 @@ def halo_exchange(dist: DistributedProblem, x_locals: list) -> dict:
         values += r.n_ghost
     return {"values": values, "messages": messages,
             "bytes": values * dtype.itemsize}
-
-
-def halo_exchange_block(dist: DistributedProblem,
-                        X_locals: list) -> tuple[list, dict]:
-    """Block (multi-RHS) halo exchange: ``(n_owned, k)`` per rank in,
-    ``(n_ghost, k)`` ghost blocks out, plus per-rank volume stats.
-
-    Unlike :func:`halo_exchange` this does not touch the ranks'
-    ``ghost_values`` buffers, so concurrent sharded solves over the
-    same decomposition cannot interfere.
-    """
-    k = int(X_locals[0].shape[1])
-    dtype = X_locals[0].dtype
-    ghosts, per_rank_bytes = [], []
-    messages = 0
-    for r in dist.ranks:
-        g = np.zeros((r.n_ghost, k), dtype=dtype)
-        for owner, src, dst in r.recv_plan:
-            g[dst] = X_locals[owner][src]
-            messages += 1
-        ghosts.append(g)
-        per_rank_bytes.append(r.n_ghost * k * dtype.itemsize)
-    return ghosts, {"bytes": int(sum(per_rank_bytes)),
-                    "messages": messages, "k": k,
-                    "per_rank_bytes": per_rank_bytes}
 
 
 def interleave_full(r: RankDomain, x_owned: np.ndarray,

@@ -1,4 +1,4 @@
-"""Gateway benchmark: ``repro gateway-bench`` → BENCH_gateway.json.
+"""Gateway benchmark: ``bench all --only gateway`` → BENCH_gateway.json.
 
 Exercises the async front door end to end and reports the four claims
 the gateway makes:

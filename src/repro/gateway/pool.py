@@ -2,11 +2,10 @@
 
 A :class:`GatewayShard` owns one synchronous
 :class:`~repro.serve.service.SolveService` (or any submit/drain
-compatible frontend, e.g. a
-:class:`~repro.shard.service.ShardedSolveService`): because every
-shard owns its own :class:`~repro.serve.cache.PlanCache` and — when
-configured — its own fallback chain, shards are fully independent and
-elasticity reduces to lifecycle + work placement.
+compatible frontend): because every shard owns its own
+:class:`~repro.serve.cache.PlanCache` and — when configured — its own
+fallback chain, shards are fully independent and elasticity reduces
+to lifecycle + work placement.
 
 :class:`ElasticShardPool` scales the shard count against observed
 queue depth with **hysteresis**: a scale decision needs the pressure

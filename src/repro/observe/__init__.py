@@ -13,9 +13,9 @@ shared vocabulary for *what happened*:
   text;
 * :mod:`repro.observe.report` — per-phase self/total time + op-mix
   tables, canonical trace forms for the golden suite, and the
-  ``repro trace`` bench collection;
-* :mod:`repro.observe.schema_check` — ``BENCH_trace.json`` schema
-  validation (CI's ``trace-smoke`` gate).
+  ``trace`` bench collection (``repro bench all --only trace``);
+* :mod:`repro.observe.schema_check` — bench-report schema validation
+  (``BENCH_trace.json`` and every other ``BENCH_*.json``).
 
 See ``docs/observability.md`` for the span model, metric naming scheme
 and the golden-update workflow.

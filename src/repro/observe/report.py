@@ -1,16 +1,17 @@
-"""Trace reports: per-phase tables, canonical forms, ``repro trace``.
+"""Trace reports: per-phase tables and canonical forms.
 
-Three consumers share this module:
+Two consumers share this module:
 
-* the ``repro trace`` CLI, which runs a small serving workload under a
-  fresh :class:`~repro.observe.trace.Tracer` and emits
-  ``BENCH_trace.json`` (:func:`collect_bench_trace`);
+* the ``trace`` bench emitter (``repro bench all --only trace``),
+  which runs a small serving workload under a fresh
+  :class:`~repro.observe.trace.Tracer` and emits ``BENCH_trace.json``
+  (:func:`collect_bench_trace`), its ``table`` holding per-span-name
+  calls, total and self wall-clock, and the attributed op mix
+  (:func:`aggregate_spans`);
 * the golden-trace differential suite, which strips a trace down to
   its deterministic skeleton (:func:`canonical_trace`) before diffing
   against checked-in goldens — timings and span ids vary run to run,
-  topology / attributes / attributed op counts must not;
-* human eyes, via :func:`format_trace_table` — per-span-name calls,
-  total and self wall-clock, and the attributed op mix.
+  topology / attributes / attributed op counts must not.
 """
 
 from __future__ import annotations
@@ -95,21 +96,6 @@ def aggregate_spans(trace: dict) -> list:
             row["flops"] += counts["flops"]
             row["bytes"] += counts["bytes"]["total"]
     return list(rows.values())
-
-
-def format_trace_table(rows: list) -> str:
-    """Render aggregate rows as the CLI's per-phase table."""
-    from repro.utils.tables import format_table
-
-    body = [(r["name"], r["calls"],
-             f"{r['total_seconds'] * 1e3:.3f}",
-             f"{r['self_seconds'] * 1e3:.3f}",
-             r["vector_ops"], r["scalar_ops"],
-             f"{r['bytes'] / 1024:.1f}")
-            for r in rows]
-    return format_table(
-        ["span", "calls", "total ms", "self ms", "vops", "sops", "KiB"],
-        body, title="Trace phases (self/total time + op mix)")
 
 
 def collect_bench_trace(nx: int = 8, stencil: str = "27pt",

@@ -6,8 +6,8 @@ Two entry points:
   hand-written structural check mirroring its span tree (schema at
   ``tests/observe/bench_trace.schema.json``).
 * :func:`validate_report` — **generic** validation for any other
-  bench report (e.g. ``BENCH_shard.json`` against
-  ``tests/shard/bench_shard.schema.json``): the schema file's
+  bench report (e.g. ``BENCH_gateway.json`` against
+  ``tests/gateway/bench_gateway.schema.json``): the schema file's
   ``required`` keys and the ``schema`` id ``const`` are checked
   dependency-free, and the full ``jsonschema`` validation runs
   additionally when that package is importable — so validation never
@@ -17,8 +17,8 @@ Runnable as a module (dispatches on the report's ``schema`` id)::
 
     python -m repro.observe.schema_check BENCH_trace.json \\
         tests/observe/bench_trace.schema.json
-    python -m repro.observe.schema_check BENCH_shard.json \\
-        tests/shard/bench_shard.schema.json
+    python -m repro.observe.schema_check BENCH_gateway.json \\
+        tests/gateway/bench_gateway.schema.json
 """
 
 from __future__ import annotations

@@ -28,9 +28,7 @@ from .references import (
 from .registry import (
     REGISTRY,
     BenchEmitter,
-    add_common_bench_args,
     get_emitter,
-    resolve_common_kwargs,
     run_emitter,
 )
 
@@ -39,7 +37,6 @@ __all__ = [
     "CheckResult",
     "PerfCheck",
     "REGISTRY",
-    "add_common_bench_args",
     "compare",
     "default_checks",
     "evaluate_checks",
@@ -50,7 +47,6 @@ __all__ = [
     "machine_fingerprint",
     "machine_id",
     "ratchet",
-    "resolve_common_kwargs",
     "resolve_references",
     "run_bench_all",
     "run_emitter",

@@ -25,12 +25,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from repro.backends import DEFAULT_BACKEND
+
 from .checks import evaluate_checks
 from .default_checks import default_checks
 from .machine import machine_fingerprint
 from .machine import machine_id as _machine_id
 from .references import resolve_references, store_references
-from .registry import REGISTRY, run_emitter
+from .registry import DEFAULT_SEED, REGISTRY, run_emitter
 
 BENCH_ALL_SCHEMA = "dbsr-repro/bench-all/v1"
 
@@ -75,8 +77,8 @@ def _fault_plan(fault: str):
         delay_seconds=FAULT_DELAY_SECONDS),))
 
 
-def run_emitters(names, quick: bool = False, seed: int = 2024,
-                 backend: str = "numpy-fast", parallel: bool = False,
+def run_emitters(names, quick: bool = False, seed: int = DEFAULT_SEED,
+                 backend: str = DEFAULT_BACKEND, parallel: bool = False,
                  registry: dict | None = None) -> tuple:
     """Run the named emitters; returns ``(reports, elapsed)`` dicts.
 
@@ -163,8 +165,8 @@ def run_autotune_section(quick: bool = False,
     }
 
 
-def run_bench_all(quick: bool = False, seed: int = 2024,
-                  backend: str = "numpy-fast",
+def run_bench_all(quick: bool = False, seed: int = DEFAULT_SEED,
+                  backend: str = DEFAULT_BACKEND,
                   out: str | None = "BENCH_all.json",
                   emit_individual: bool = True,
                   only=None, skip=(), parallel: bool = False,

@@ -53,6 +53,9 @@ def default_checks() -> list:
                   **_TIME),
         PerfCheck("serve.batch.bitwise", "serve",
                   "batch_scaling.all_bitwise_equal", kind="gate"),
+        PerfCheck("serve.batch.value_bytes_decreasing", "serve",
+                  "batch_scaling.value_bytes_per_solve_decreasing",
+                  kind="gate"),
         # -- ILU serving ----------------------------------------------------
         PerfCheck("ilu.cold_compile.seconds", "ilu",
                   "repack.cold_compile_seconds", **_TIME),
@@ -68,6 +71,8 @@ def default_checks() -> list:
                   "repack.apply_bitwise_equals_csr_rung", kind="gate"),
         PerfCheck("ilu.sibling.isolated", "ilu",
                   "sibling_isolation.isolated", kind="gate"),
+        PerfCheck("ilu.service.no_failures", "ilu",
+                  "service.failed", kind="gate", equals=0),
         # -- chaos ----------------------------------------------------------
         PerfCheck("chaos.recovery_rate", "chaos",
                   "recovery_rate", kind="gate", equals=1.0),
@@ -75,13 +80,11 @@ def default_checks() -> list:
                   "bit_identical_rate", kind="gate", equals=1.0),
         PerfCheck("chaos.breaker_opened", "chaos",
                   "circuit_breaker.breaker_opened", kind="gate"),
+        PerfCheck("chaos.breaker_fails_fast", "chaos",
+                  "circuit_breaker.fails_fast_when_open", kind="gate"),
         # -- trace ----------------------------------------------------------
         PerfCheck("trace.n_spans", "trace", "n_spans",
                   lower=-0.1, upper=0.1, better=None),
-        # -- shard ----------------------------------------------------------
-        PerfCheck("shard.ok", "shard", "ok", kind="gate"),
-        PerfCheck("shard.hit_rate_min", "shard",
-                  "per_shard_hit_rate_min", **_RATE),
         # -- gateway --------------------------------------------------------
         PerfCheck("gateway.ok", "gateway", "ok", kind="gate"),
         PerfCheck("gateway.admission.rejected", "gateway",

@@ -1,12 +1,10 @@
 """Unified registry of every bench emitter in the repo.
 
-Eight subsystems each grew their own ``BENCH_*.json`` emitter across
-the PR stack; this registry is the single table describing all of them —
-how to import the collector lazily, which CLI command fronts it,
-where its artifact lands, which schema validates it, and the
-*full*/*quick* kwarg presets — so ``repro bench all`` (and the CI
-smoke job) can drive the whole fleet uniformly instead of shelling
-out to seven hand-rolled subcommands.
+Seven subsystems each own a ``BENCH_*.json`` emitter; this registry is
+the single table describing all of them — how to import the collector
+lazily, where its artifact lands, which schema validates it, and the
+*full*/*quick* kwarg presets. ``repro bench all`` (``--only <name>``
+for a subset) is the one entry point that drives them.
 
 Emitters marked ``exclusive`` mutate process-global state while they
 run (the trace emitter installs the global tracer; the chaos emitters
@@ -16,23 +14,17 @@ with any other emitter.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 from dataclasses import dataclass, field
 
-#: Common flags hoisted out of the per-command CLI handlers.
-COMMON_FLAGS = ("--out", "--seed", "--backend")
-
 DEFAULT_SEED = 2024
-DEFAULT_BACKEND = "numpy-fast"
 
 
 @dataclass(frozen=True)
 class BenchEmitter:
-    """One bench emitter: collector + CLI surface + presets."""
+    """One bench emitter: collector + artifact + presets."""
 
     name: str
-    cli_command: str
     out_default: str
     schema_path: str
     # Lazy "module:function" spec, imported at call time so the CLI
@@ -67,7 +59,6 @@ def register(emitter: BenchEmitter) -> BenchEmitter:
 
 register(BenchEmitter(
     name="runtime",
-    cli_command="bench-runtime",
     out_default="BENCH_runtime.json",
     schema_path="tests/runtime/bench_runtime.schema.json",
     collect="repro.runtime.metrics:collect_bench_runtime",
@@ -76,7 +67,6 @@ register(BenchEmitter(
 ))
 register(BenchEmitter(
     name="serve",
-    cli_command="serve-bench",
     out_default="BENCH_serve.json",
     schema_path="tests/serve/bench_serve.schema.json",
     collect="repro.serve.bench:collect_bench_serve",
@@ -85,7 +75,6 @@ register(BenchEmitter(
 ))
 register(BenchEmitter(
     name="chaos",
-    cli_command="chaos-bench",
     out_default="BENCH_chaos.json",
     schema_path="tests/resilience/bench_chaos.schema.json",
     collect="repro.resilience.chaos:collect_bench_chaos",
@@ -94,7 +83,6 @@ register(BenchEmitter(
 ))
 register(BenchEmitter(
     name="trace",
-    cli_command="trace",
     out_default="BENCH_trace.json",
     schema_path="tests/observe/bench_trace.schema.json",
     collect="repro.observe.report:collect_bench_trace",
@@ -102,16 +90,7 @@ register(BenchEmitter(
     exclusive=True,  # installs the process-global tracer
 ))
 register(BenchEmitter(
-    name="shard",
-    cli_command="shard-bench",
-    out_default="BENCH_shard.json",
-    schema_path="tests/shard/bench_shard.schema.json",
-    collect="repro.shard.bench:collect_bench_shard",
-    quick_kwargs={"nx": 6, "n_ranks": 8, "n_requests": 12},
-))
-register(BenchEmitter(
     name="gateway",
-    cli_command="gateway-bench",
     out_default="BENCH_gateway.json",
     schema_path="tests/gateway/bench_gateway.schema.json",
     collect="repro.gateway.bench:collect_bench_gateway",
@@ -119,7 +98,6 @@ register(BenchEmitter(
 ))
 register(BenchEmitter(
     name="ilu",
-    cli_command="ilu-bench",
     out_default="BENCH_ilu.json",
     schema_path="tests/serve/bench_ilu.schema.json",
     collect="repro.serve.ilu_bench:collect_bench_ilu",
@@ -128,7 +106,6 @@ register(BenchEmitter(
 ))
 register(BenchEmitter(
     name="gateway-chaos",
-    cli_command="gateway-chaos-bench",
     out_default="BENCH_gateway_chaos.json",
     schema_path="tests/supervise/bench_gateway_chaos.schema.json",
     collect="repro.supervise.bench:collect_bench_gateway_chaos",
@@ -172,35 +149,3 @@ def run_emitter(name: str, quick: bool = False,
         kwargs.update(overrides)
     return emitter.collector()(**kwargs)
 
-
-def add_common_bench_args(parser: argparse.ArgumentParser,
-                          emitter: BenchEmitter) -> None:
-    """Attach the hoisted ``--out/--seed/--backend`` flags.
-
-    Every bench subcommand gets the same three spellings; ``--backend``
-    only appears where the collector accepts one, so ``--help`` stays
-    honest.
-    """
-    parser.add_argument("--out", default=emitter.out_default,
-                        help=f"output path "
-                             f"(default {emitter.out_default})")
-    if emitter.supports_seed:
-        parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                            help="workload RNG seed "
-                                 f"(default {DEFAULT_SEED})")
-    if emitter.supports_backend:
-        parser.add_argument("--backend", default=DEFAULT_BACKEND,
-                            choices=("numpy-counted", "numpy-fast",
-                                     "numba"),
-                            help="kernel backend tier "
-                                 f"(default {DEFAULT_BACKEND})")
-
-
-def resolve_common_kwargs(emitter: BenchEmitter, args) -> dict:
-    """Map parsed common flags back onto collector kwargs."""
-    kwargs: dict = {}
-    if emitter.supports_seed:
-        kwargs["seed"] = args.seed
-    if emitter.supports_backend:
-        kwargs["backend"] = args.backend
-    return kwargs

@@ -10,7 +10,7 @@ Three cooperating layers (see ``docs/resilience.md``):
   DBSR → SELL → CSR ladder with per-fingerprint circuit breaking.
 
 :mod:`repro.resilience.chaos` scripts the whole loop into the
-``repro chaos-bench`` benchmark.
+``chaos`` bench emitter (``repro bench all --only chaos``).
 """
 
 from repro.resilience.errors import (

@@ -1,13 +1,14 @@
 """Chaos benchmark: inject faults, measure recovery, emit JSON.
 
-``repro chaos-bench`` runs a scripted set of fault scenarios against
-the self-healing fallback chain and reports, per scenario, whether the
-chain recovered, at which rung of the DBSR → SELL → CSR ladder it
-landed, whether the recovered solution is **bit-identical** to the
-clean execution of that rung, and the latency the recovery added over
-the clean solve. A final scenario drives an *unrecoverable* fault
-(persistent compile-time permutation scrambling) into the circuit
-breaker and asserts the breaker opens and then fails fast.
+The ``chaos`` bench emitter (``repro bench all --only chaos``) runs a
+scripted set of fault scenarios against the self-healing fallback
+chain and reports, per scenario, whether the chain recovered, at which
+rung of the DBSR → SELL → CSR ladder it landed, whether the recovered
+solution is **bit-identical** to the clean execution of that rung, and
+the latency the recovery added over the clean solve. A final scenario
+drives an *unrecoverable* fault (persistent compile-time permutation
+scrambling) into the circuit breaker and asserts the breaker opens
+and then fails fast.
 
 Determinism: every scenario uses a pinned ``bsize`` (no wall-clock
 autotune), a seeded RHS, and a seeded :class:`FaultPlan`, so reruns

@@ -5,7 +5,7 @@ The runtime layer makes performance *measurable*: a
 alive across every color sweep and CG iteration of a solve, merges
 per-worker op counters deterministically at color barriers, and times
 each phase; :mod:`repro.runtime.metrics` serializes the result to
-``BENCH_runtime.json`` (the ``repro bench-runtime`` CLI subcommand).
+``BENCH_runtime.json`` (``repro bench all --only runtime``).
 """
 
 from repro.runtime.metrics import (

@@ -5,7 +5,8 @@ sweeps, SpMV, SYMGS, and a PCG/V-cycle solve, all executed through a
 single :class:`~repro.runtime.session.SolverSession` — into a
 machine-readable report: per-kernel op mixes, per-stream bytes,
 wall-clock seconds and parallel-vs-sequential speedups, plus the
-session's per-phase ledger. ``repro bench-runtime`` serializes it to
+session's per-phase ledger. ``repro bench all --only runtime``
+serializes it to
 ``BENCH_runtime.json``, the seed of the repository's bench trajectory.
 
 Per-kernel op mixes come from the closed forms in

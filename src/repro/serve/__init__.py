@@ -20,7 +20,7 @@ The paper's one-time preprocessing (BMC reorder + DBSR conversion,
   plan with a split (structure hash, value digest) fingerprint, plus
   :func:`repack_ilu_plan` for bitwise value-only refreshes.
 * :mod:`repro.serve.bench` / :mod:`repro.serve.ilu_bench` — the
-  ``repro serve-bench`` / ``repro ilu-bench`` collections behind
+  ``serve`` / ``ilu`` bench emitters (``repro bench all``) behind
   ``BENCH_serve.json`` / ``BENCH_ilu.json``.
 """
 

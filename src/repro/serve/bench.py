@@ -1,7 +1,7 @@
 """Serving benchmark: cache amortization and multi-RHS byte scaling.
 
 Two measurements back the serving layer's claims, both emitted to
-``BENCH_serve.json`` by ``repro serve-bench``:
+``BENCH_serve.json`` by ``repro bench all --only serve``:
 
 1. **Plan-cache amortization** — a repeated-structure workload (many
    requests over few structures) through a :class:`SolveService`;

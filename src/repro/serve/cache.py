@@ -8,7 +8,7 @@ expensive reorder/convert/autotune pipeline runs on the first request
 of a structure and every subsequent request pays only the kernel cost.
 
 Counters (hits, misses, evictions, compiles, compile seconds) make the
-amortization measurable — ``repro serve-bench`` reports the hit rate
+amortization measurable — the ``serve`` bench reports the hit rate
 and the per-request amortized setup time straight from
 :meth:`PlanCache.stats`.
 

@@ -1,7 +1,7 @@
 """ILU serving benchmark: value-only repack amortization + gates.
 
-Emitted to ``BENCH_ilu.json`` by ``repro ilu-bench`` and evaluated by
-``repro bench all``. Four claims back the ILU serving tier:
+Emitted to ``BENCH_ilu.json`` and evaluated by ``repro bench all``
+(``--only ilu`` runs it alone). Four claims back the ILU serving tier:
 
 1. **Repack amortization** — a warm :meth:`PlanCache.refresh_values`
    (re-scatter DBSR values + numeric ILU(0) re-factorization) must be

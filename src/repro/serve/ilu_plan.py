@@ -467,7 +467,7 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray) -> ILUPlan:
     cold compile would, so the returned plan's matrix, factors and
     solves are **bitwise identical** to
     ``compile_ilu_plan(..., values=values)`` with the same resolved
-    ``bsize`` (the repack amortization gate of ``repro ilu-bench``).
+    ``bsize`` (the ``ilu.repack.amortized`` gate of ``repro bench all``).
     """
     np_dtype = plan.config.np_dtype
     values_src = np.asarray(values, dtype=np_dtype).reshape(-1).copy()

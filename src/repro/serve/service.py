@@ -378,7 +378,7 @@ class SolveService:
                         n_requests=len(entries))
             # One cache transaction per request: the first may compile,
             # coalesced followers count (and are served) as hits — the
-            # per-request hit rate is what serve-bench reports.
+            # per-request hit rate is what the serve bench reports.
             try:
                 lookups = [self._plan_for(e) for e in entries]
             except StaleValuesError as exc:

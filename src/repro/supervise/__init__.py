@@ -18,7 +18,8 @@ complementing the *plan*-tier resilience of :mod:`repro.resilience`
   low-weight admissions with a typed
   :class:`~repro.gateway.errors.BrownoutShed` carrying a retry hint.
 
-``repro gateway-chaos-bench`` (:mod:`repro.supervise.bench`) drives
+The ``gateway-chaos`` bench emitter (:mod:`repro.supervise.bench`,
+``repro bench all --only gateway-chaos``) drives
 all of it under armed fault plans and emits the schema-validated
 ``BENCH_gateway_chaos.json`` report.
 """

@@ -1,4 +1,4 @@
-"""Gateway chaos benchmark: ``repro gateway-chaos-bench``.
+"""Gateway chaos benchmark: ``repro bench all --only gateway-chaos``.
 
 Drives the supervised gateway through five phases and emits the
 schema-validated ``BENCH_gateway_chaos.json`` report:

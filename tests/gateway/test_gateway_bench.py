@@ -1,6 +1,7 @@
-"""gateway-bench report: gates, schema conformance, CLI wiring."""
+"""Gateway bench report: gates, schema conformance, CLI wiring."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.observe.schema_check import TraceSchemaError, validate_report
 
 pytestmark = pytest.mark.fast
 
-SCHEMA = "tests/gateway/bench_gateway.schema.json"
+SCHEMA = str(Path(__file__).with_name("bench_gateway.schema.json"))
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +66,14 @@ def test_scaling_round_trip_with_no_lost_columns(report):
     assert svc["expired_columns"] == 0
 
 
-def test_cli_gateway_bench_writes_valid_report(tmp_path, capsys):
+def test_cli_gateway_bench_writes_valid_report(tmp_path, monkeypatch):
     from repro.cli import main
 
-    out = tmp_path / "BENCH_gateway.json"
-    rc = main(["gateway-bench", "--nx", "5", "--requests", "12",
-               "--k-stream", "4", "--out", str(out)])
+    monkeypatch.chdir(tmp_path)
+    rc = main(["bench", "all", "--only", "gateway", "--quick",
+               "--no-autotune"])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "infeasible deadline rejected pre-compile: yes" in text
-    assert "elastic pool:" in text
-    validate_report(json.loads(out.read_text()), schema_path=SCHEMA)
+    report = json.loads((tmp_path / "BENCH_gateway.json").read_text())
+    assert report["admission"]["rejected"] is True
+    assert report["scaling"]["events"]
+    validate_report(report, schema_path=SCHEMA)

@@ -12,7 +12,6 @@ from repro.observe.report import (
     aggregate_spans,
     canonical_trace,
     collect_bench_trace,
-    format_trace_table,
 )
 from repro.observe.schema_check import (
     REQUIRED_KEYS,
@@ -117,13 +116,6 @@ def test_plan_execute_rows_carry_op_attribution(report):
     assert ex["vector_ops"] > 0
     assert ex["flops"] > 0
     assert ex["bytes"] > 0
-
-
-def test_format_trace_table_renders_all_rows(report):
-    text = format_trace_table(report["table"])
-    for row in report["table"]:
-        assert row["name"] in text
-    assert "vops" in text
 
 
 def test_canonical_trace_strips_nondeterminism(report):

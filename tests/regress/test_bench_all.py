@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.regress import PerfCheck, run_bench_all
+from repro.regress import PerfCheck, default_checks, run_bench_all
 from repro.regress.bench_all import BENCH_ALL_SCHEMA, summarize
 from repro.regress.references import store_references
 from repro.regress.registry import BenchEmitter
@@ -31,7 +31,7 @@ def _stub_registry(tmp_path):
                     "value": value * scale, "seed": seed}
 
         return BenchEmitter(
-            name=name, cli_command=name,
+            name=name,
             out_default=str(tmp_path / f"BENCH_{name}.json"),
             schema_path=_stub_schema(tmp_path, f"stub/{name}/v1"),
             collect=collect, quick_kwargs={"scale": 1},
@@ -95,7 +95,7 @@ def test_update_then_clean_then_regression(tmp_path):
     # Perturb one emitter beyond +50%: exit signal names the check.
     registry = _stub_registry(tmp_path)
     slow = {"beta": BenchEmitter(
-        name="beta", cli_command="beta",
+        name="beta",
         out_default=registry["beta"].out_default,
         schema_path=registry["beta"].schema_path,
         collect=lambda seed=2024, scale=1: {
@@ -121,7 +121,7 @@ def test_ratchet_via_update_never_loosens(tmp_path):
 def test_schema_invalid_report_clears_ok(tmp_path):
     registry = _stub_registry(tmp_path)
     bad = {"alpha": BenchEmitter(
-        name="alpha", cli_command="alpha",
+        name="alpha",
         out_default=registry["alpha"].out_default,
         schema_path=registry["alpha"].schema_path,
         collect=lambda seed=2024, scale=1: {
@@ -149,6 +149,49 @@ def test_quick_mode_references_are_separate(tmp_path):
     assert set(doc["values"]) == {"full", "quick"}
 
 
+def _gated_report(name, path, bad):
+    """A report passing every default check of emitter ``name``
+    except the gate on ``path``, which reads ``bad``."""
+    report = {"schema": f"stub/{name}/v1", "value": 0.0}
+    for check in default_checks():
+        if check.report != name:
+            continue
+        value = (1.0 if check.kind == "perf"
+                 else True if check.equals is None else check.equals)
+        if check.path == path:
+            value = bad
+        node = report
+        *parents, leaf = check.path.split(".")
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    return report
+
+
+@pytest.mark.parametrize("name,check,path,bad", [
+    ("serve", "serve.batch.value_bytes_decreasing",
+     "batch_scaling.value_bytes_per_solve_decreasing", False),
+    ("ilu", "ilu.service.no_failures", "service.failed", 1),
+    ("chaos", "chaos.breaker_fails_fast",
+     "circuit_breaker.fails_fast_when_open", False),
+])
+def test_former_subcommand_exit_gates_are_checks(tmp_path, name, check,
+                                                  path, bad):
+    """Each gate the removed per-bench subcommands enforced only in
+    their exit code is a named default check of `bench all`."""
+    registry = {name: BenchEmitter(
+        name=name, out_default=str(tmp_path / f"BENCH_{name}.json"),
+        schema_path=_stub_schema(tmp_path, f"stub/{name}/v1"),
+        collect=lambda seed=2024: _gated_report(name, path, bad))}
+    report = run_bench_all(
+        registry=registry, references_dir=tmp_path / "refs",
+        autotune=False, out=None, emit_individual=False,
+        machine_id="stub-1c-000000")
+    assert report["validation"] == {name: "valid"}
+    assert report["ok"] is False
+    assert report["regressions"] == [check]
+
+
 def test_committed_bench_all_is_schema_valid():
     """The golden merged artifact validates via schema_check."""
     from repro.observe.schema_check import validate_report
@@ -158,8 +201,8 @@ def test_committed_bench_all_is_schema_valid():
     report = json.loads(bench_all.read_text())
     validate_report(report, str(SCHEMA_PATH))
     assert set(report["reports"]) == {
-        "runtime", "serve", "ilu", "chaos", "trace", "shard",
-        "gateway", "gateway-chaos"}
+        "runtime", "serve", "ilu", "chaos", "trace", "gateway",
+        "gateway-chaos"}
     assert report["ok"]
     auto = report["autotune"]
     assert auto["gates"]["picks_match"]

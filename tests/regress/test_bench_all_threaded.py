@@ -26,7 +26,7 @@ def _timed_registry(tmp_path, intervals, lock, sleep=0.02):
             "properties": {"schema": {"const": f"stub/{name}/v1"}},
         }))
         return BenchEmitter(
-            name=name, cli_command=name,
+            name=name,
             out_default=str(tmp_path / f"BENCH_{name}.json"),
             schema_path=str(schema), collect=collect,
             exclusive=exclusive)

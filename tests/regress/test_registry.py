@@ -1,26 +1,21 @@
-"""The bench-emitter registry: completeness, presets, CLI hoisting."""
+"""The bench-emitter registry: completeness and presets."""
 
-import argparse
-import importlib
 from pathlib import Path
 
 import pytest
 
 from repro.regress.registry import (
-    COMMON_FLAGS,
     EMITTER_ORDER,
     REGISTRY,
     BenchEmitter,
-    add_common_bench_args,
     get_emitter,
-    resolve_common_kwargs,
     run_emitter,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-EXPECTED_EMITTERS = {"runtime", "serve", "chaos", "trace", "shard",
-                     "gateway", "ilu", "gateway-chaos"}
+EXPECTED_EMITTERS = {"runtime", "serve", "chaos", "trace", "gateway",
+                     "ilu", "gateway-chaos"}
 
 
 def test_registry_covers_all_emitters():
@@ -65,15 +60,6 @@ def test_global_state_emitters_are_exclusive():
     assert exclusive == {"trace", "chaos", "gateway-chaos"}
 
 
-def test_cli_commands_match_cli_parser():
-    from repro.cli import build_parser
-
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for emitter in REGISTRY.values():
-        assert emitter.cli_command in sub.choices, emitter.cli_command
-
-
 def test_get_emitter_unknown():
     with pytest.raises(KeyError):
         get_emitter("zzz")
@@ -87,7 +73,7 @@ def test_run_emitter_with_callable_and_overrides():
         return {"ok": True}
 
     table = {"fake": BenchEmitter(
-        name="fake", cli_command="fake", out_default="x.json",
+        name="fake", out_default="x.json",
         schema_path="nope.json", collect=fake,
         quick_kwargs={"nx": 2}, supports_backend=True)}
     report = run_emitter("fake", quick=True, seed=7,
@@ -105,49 +91,9 @@ def test_seed_backend_not_forwarded_when_unsupported():
         return {}
 
     table = {"fake": BenchEmitter(
-        name="fake", cli_command="fake", out_default="x.json",
+        name="fake", out_default="x.json",
         schema_path="nope.json", collect=fake,
         supports_seed=False, supports_backend=False)}
     run_emitter("fake", seed=7, backend="numba", registry=table)
     assert seen == {}
 
-
-def test_add_common_bench_args_flags():
-    for emitter in REGISTRY.values():
-        parser = argparse.ArgumentParser()
-        add_common_bench_args(parser, emitter)
-        flags = {a for action in parser._actions
-                 for a in action.option_strings}
-        assert "--out" in flags
-        assert ("--seed" in flags) == emitter.supports_seed
-        assert ("--backend" in flags) == emitter.supports_backend
-        assert flags - {"-h", "--help"} <= set(COMMON_FLAGS)
-        args = parser.parse_args([])
-        assert args.out == emitter.out_default
-        kwargs = resolve_common_kwargs(emitter, args)
-        if emitter.supports_seed:
-            assert kwargs["seed"] == 2024
-        if emitter.supports_backend:
-            assert kwargs["backend"] == "numpy-fast"
-
-
-def test_every_bench_cli_command_has_uniform_flags():
-    """The satellite pin: no bench subcommand hand-rolls --out/--seed."""
-    from repro.cli import build_parser
-
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for emitter in REGISTRY.values():
-        sp = sub.choices[emitter.cli_command]
-        flags = {a for action in sp._actions
-                 for a in action.option_strings}
-        assert "--out" in flags, emitter.cli_command
-        if emitter.supports_seed:
-            assert "--seed" in flags, emitter.cli_command
-        if emitter.supports_backend:
-            assert "--backend" in flags, emitter.cli_command
-        defaults = {action.dest: action.default
-                    for action in sp._actions}
-        assert defaults.get("out") == emitter.out_default
-        if emitter.supports_seed:
-            assert defaults.get("seed") == 2024

@@ -1,4 +1,4 @@
-"""Tests for bench-runtime metrics collection and JSON emission."""
+"""Tests for runtime bench metrics collection and JSON emission."""
 
 import json
 

@@ -1,6 +1,7 @@
-"""gateway-chaos-bench report: gates, schema conformance, CLI wiring."""
+"""Gateway chaos bench report: gates, schema conformance, CLI wiring."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.supervise.bench import collect_bench_gateway_chaos
 
 pytestmark = [pytest.mark.fast, pytest.mark.chaos]
 
-SCHEMA = "tests/supervise/bench_gateway_chaos.schema.json"
+SCHEMA = str(Path(__file__).with_name("bench_gateway_chaos.schema.json"))
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +85,16 @@ def test_brownout_sheds_typed_and_recovers(report):
     assert b["resolution"]["no_lost_columns"] is True
 
 
-def test_cli_gateway_chaos_bench_writes_valid_report(tmp_path, capsys):
+def test_cli_gateway_chaos_bench_writes_valid_report(tmp_path,
+                                                     monkeypatch):
     from repro.cli import main
 
-    out = tmp_path / "BENCH_gateway_chaos.json"
-    rc = main(["gateway-chaos-bench", "--nx", "5", "--requests", "6",
-               "--out", str(out)])
+    monkeypatch.chdir(tmp_path)
+    rc = main(["bench", "all", "--only", "gateway-chaos", "--quick",
+               "--no-autotune"])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "crash storm:" in text
-    assert "brownout:" in text
-    validate_report(json.loads(out.read_text()), schema_path=SCHEMA)
+    report = json.loads(
+        (tmp_path / "BENCH_gateway_chaos.json").read_text())
+    assert report["crash_storm"]["recovery_rate"] == 1.0
+    assert report["brownout"]["transitions"]
+    validate_report(report, schema_path=SCHEMA)

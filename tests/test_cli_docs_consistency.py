@@ -26,7 +26,7 @@ def _subcommands():
 def test_parser_exposes_known_commands():
     names = _subcommands()
     # Spot-check the anchors; the full list may grow.
-    for expected in ("hpcg", "solve", "bench-runtime", "serve-bench"):
+    for expected in ("hpcg", "solve", "figures", "bench"):
         assert expected in names
 
 
@@ -66,27 +66,3 @@ def test_bench_all_documented():
                    "references/", "ratchet"):
         assert needle in text, f"docs/regression.md misses {needle!r}"
 
-
-def test_bench_subcommands_use_registry_flags():
-    """Satellite pin: the shared --out/--seed/--backend flags come
-    from the registry helper, with uniform help text and defaults."""
-    from repro.regress.registry import REGISTRY
-
-    parser = cli.build_parser()
-    action = [a for a in parser._actions
-              if isinstance(a, argparse._SubParsersAction)][0]
-    for emitter in REGISTRY.values():
-        sp = action.choices[emitter.cli_command]
-        by_flag = {opt: a for a in sp._actions
-                   for opt in a.option_strings}
-        assert by_flag["--out"].default == emitter.out_default
-        assert "output path" in by_flag["--out"].help
-        if emitter.supports_seed:
-            assert by_flag["--seed"].default == 2024
-            assert "seed" in by_flag["--seed"].help
-        else:
-            assert "--seed" not in by_flag
-        if emitter.supports_backend:
-            assert by_flag["--backend"].default == "numpy-fast"
-        else:
-            assert "--backend" not in by_flag
