@@ -213,8 +213,9 @@ class NumbaBackend(KernelBackend):
     def is_available(cls) -> bool:
         return numba_available()
 
-    # Buffer prep mirrors repro.serve.batch: RHS-major padded buffers,
-    # one dtype for the whole kernel (numpy's promotion, applied once).
+    # Buffer prep: RHS-major padded buffers so each lane loop walks one
+    # contiguous row, one dtype for the whole kernel (numpy's
+    # promotion, applied once).
     @staticmethod
     def _dbsr_args(matrix, dtype):
         blk_ptr = np.ascontiguousarray(matrix.blk_ptr, dtype=np.int64)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.base import KernelBackend
+from repro.kernels.sptrsv_sell import sptrsv_sell_lower, sptrsv_sell_upper
+from repro.serve import batch
 from repro.simd.engine import VectorEngine
 
 
@@ -39,41 +41,25 @@ class NumpyCountedBackend(KernelBackend):
         return engine
 
     def sptrsv_dbsr_multi(self, matrix, Bp, diag, forward):
-        from repro.serve.batch import (
-            sptrsv_dbsr_lower_multi_counted,
-            sptrsv_dbsr_upper_multi_counted,
-        )
-
-        kern = sptrsv_dbsr_lower_multi_counted if forward \
-            else sptrsv_dbsr_upper_multi_counted
+        kern = batch.sptrsv_dbsr_lower_multi_counted if forward \
+            else batch.sptrsv_dbsr_upper_multi_counted
         engine = self._engine(matrix.bsize, matrix.values.dtype)
         return kern(matrix, Bp, engine, diag=diag)
 
     def spmv_dbsr_multi(self, matrix, Bp):
-        from repro.serve.batch import spmv_dbsr_multi_counted
-
         engine = self._engine(matrix.bsize, matrix.values.dtype)
-        return spmv_dbsr_multi_counted(matrix, Bp, engine)
+        return batch.spmv_dbsr_multi_counted(matrix, Bp, engine)
 
     def symgs_dbsr_multi(self, matrix, diag, X, Bp):
-        from repro.serve.batch import symgs_dbsr_multi_counted
-
         engine = self._engine(matrix.bsize, matrix.values.dtype)
-        return symgs_dbsr_multi_counted(matrix, diag, X, Bp, engine)
+        return batch.symgs_dbsr_multi_counted(matrix, diag, X, Bp, engine)
 
     def ilu_apply_dbsr_multi(self, factors, Bp):
-        from repro.serve.batch import ilu_apply_dbsr_multi_counted
-
         m = factors.matrix
         engine = self._engine(m.bsize, m.values.dtype)
-        return ilu_apply_dbsr_multi_counted(factors, Bp, engine)
+        return batch.ilu_apply_dbsr_multi_counted(factors, Bp, engine)
 
     def sptrsv_sell_multi(self, sell, Bp, diag, forward):
-        from repro.kernels.sptrsv_sell import (
-            sptrsv_sell_lower,
-            sptrsv_sell_upper,
-        )
-
         kern = sptrsv_sell_lower if forward else sptrsv_sell_upper
         # One engine accumulates across all k columns so the tally
         # equals sptrsv_sell_counts(...).scaled(k).

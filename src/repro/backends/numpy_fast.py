@@ -1,10 +1,12 @@
 """``numpy-fast`` tier: allocation-hoisted, branch-free numpy kernels.
 
-The default serving tier. Delegates to the batched kernels of
-:mod:`repro.serve.batch` (RHS-major padded buffers, one tile-value
-load per sweep shared by all ``k`` columns) and the ``engine=None``
-fast path of the SELL sweeps. Bit-identity with the ``numpy-counted``
-twin is pinned by ``tests/backends`` and the golden-trace suite.
+The default tier, for served plans and for every single-vector DBSR
+caller (which run it at ``k = 1``). Delegates to the block kernels of
+:mod:`repro.serve.batch` (padded ``(n + 2*bsize, k)`` buffers, one
+tile-value load per sweep shared by all ``k`` columns) and the
+``engine=None`` fast path of the SELL sweeps. Bit-identity with the
+``numpy-counted`` twin is pinned by ``tests/backends`` and the
+golden-trace suite.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.base import KernelBackend
+from repro.kernels.sptrsv_sell import sptrsv_sell_lower, sptrsv_sell_upper
+from repro.serve import batch
 
 
 class NumpyFastBackend(KernelBackend):
@@ -20,31 +24,17 @@ class NumpyFastBackend(KernelBackend):
     name = "numpy-fast"
 
     def sptrsv_dbsr_multi(self, matrix, Bp, diag, forward):
-        from repro.serve.batch import (
-            sptrsv_dbsr_lower_multi,
-            sptrsv_dbsr_upper_multi,
-        )
-
-        kern = sptrsv_dbsr_lower_multi if forward \
-            else sptrsv_dbsr_upper_multi
+        kern = batch.sptrsv_dbsr_lower_multi if forward \
+            else batch.sptrsv_dbsr_upper_multi
         return kern(matrix, Bp, diag=diag)
 
     def spmv_dbsr_multi(self, matrix, Bp):
-        from repro.serve.batch import spmv_dbsr_multi
-
-        return spmv_dbsr_multi(matrix, Bp)
+        return batch.spmv_dbsr_multi(matrix, Bp)
 
     def symgs_dbsr_multi(self, matrix, diag, X, Bp):
-        from repro.serve.batch import symgs_dbsr_multi
-
-        return symgs_dbsr_multi(matrix, diag, X, Bp)
+        return batch.symgs_dbsr_multi(matrix, diag, X, Bp)
 
     def sptrsv_sell_multi(self, sell, Bp, diag, forward):
-        from repro.kernels.sptrsv_sell import (
-            sptrsv_sell_lower,
-            sptrsv_sell_upper,
-        )
-
         kern = sptrsv_sell_lower if forward else sptrsv_sell_upper
         out = np.empty_like(Bp)
         for j in range(Bp.shape[1]):
@@ -52,6 +42,4 @@ class NumpyFastBackend(KernelBackend):
         return out
 
     def ilu_apply_dbsr_multi(self, factors, Bp):
-        from repro.serve.batch import ilu_apply_dbsr_multi
-
-        return ilu_apply_dbsr_multi(factors, Bp)
+        return batch.ilu_apply_dbsr_multi(factors, Bp)

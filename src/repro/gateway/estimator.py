@@ -112,7 +112,7 @@ class ServiceTimeEstimator:
                  k: int) -> OpCounter:
         """DBSR-shaped multi-RHS counter from geometry alone.
 
-        Mirrors :func:`repro.kernels.counts.sptrsv_dbsr_multi_counts`
+        Mirrors :func:`repro.kernels.counts.sptrsv_dbsr_counts`
         with tile/row counts *estimated* (``tiles ≈ nnz/bsize``): one
         value load per tile serves all ``k`` columns, vector traffic
         scales with ``k``.

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends import resolve_backend
 from repro.formats.dbsr import DBSRMatrix
 from repro.simd.counters import OpCounter
 from repro.utils.validation import require
@@ -309,56 +310,15 @@ def ilu0_refactorize_dbsr(matrix: DBSRMatrix,
                           dia_ptr=matrix.dia_ptr.copy())
 
 
-def ilu0_apply_dbsr(factors: DBSRILUFactors, r: np.ndarray,
-                    counter: OpCounter | None = None) -> np.ndarray:
+def ilu0_apply_dbsr(factors: DBSRILUFactors,
+                    r: np.ndarray) -> np.ndarray:
     """Apply the block ILU(0) preconditioner: solve ``L U z = r``.
 
     Two Algorithm-2 sweeps over the factored skeleton: a forward
     unit-lower solve over tiles before ``dia_ptr`` and a backward solve
-    over the diagonal + upper tiles.
+    over the diagonal + upper tiles. A ``k = 1`` call of the default
+    backend's block kernel
+    (:func:`repro.serve.batch.ilu_apply_dbsr_multi` on ``numpy-fast``).
     """
-    m = factors.matrix
-    bs = m.bsize
-    n = m.n_rows
-    require(r.shape == (n,), "r has wrong length")
-    blk_ptr = m.blk_ptr
-    dia_ptr = factors.dia_ptr
-    values = m.values
-    anchors = m.anchors + bs
-    c = counter
-
-    # Forward: (L + I) y = r.
-    yp = np.zeros(n + 2 * bs, dtype=np.result_type(values, r))
-    r2 = np.asarray(r).reshape(-1, bs)
-    for i in range(m.brow):
-        acc = r2[i].astype(yp.dtype, copy=True)
-        for p in range(int(blk_ptr[i]), int(dia_ptr[i])):
-            a = anchors[p]
-            acc -= values[p] * yp[a:a + bs]
-            if c is not None:
-                c.vload += 2
-                c.vfma += 1
-                c.sload += 2
-        yp[bs + i * bs:bs + (i + 1) * bs] = acc
-        if c is not None:
-            c.vload += 1
-            c.vstore += 1
-
-    # Backward: (D + U) z = y.
-    zp = np.zeros(n + 2 * bs, dtype=yp.dtype)
-    for i in range(m.brow - 1, -1, -1):
-        acc = yp[bs + i * bs:bs + (i + 1) * bs].copy()
-        for p in range(int(dia_ptr[i]) + 1, int(blk_ptr[i + 1])):
-            a = anchors[p]
-            acc -= values[p] * zp[a:a + bs]
-            if c is not None:
-                c.vload += 2
-                c.vfma += 1
-                c.sload += 2
-        acc /= values[int(dia_ptr[i])]
-        zp[bs + i * bs:bs + (i + 1) * bs] = acc
-        if c is not None:
-            c.vload += 2
-            c.vdiv += 1
-            c.vstore += 1
-    return zp[bs:bs + n].copy()
+    require(r.shape == (factors.n,), "r has wrong length")
+    return resolve_backend().ilu_apply_dbsr_multi(factors, r[:, None])[:, 0]

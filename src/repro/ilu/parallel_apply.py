@@ -30,30 +30,52 @@ def ilu0_apply_dbsr_parallel(factors: DBSRILUFactors, r: np.ndarray,
                              n_workers: int = 2, session=None,
                              counter: OpCounter | None = None
                              ) -> np.ndarray:
-    """Solve ``L U z = r`` with group-parallel sweeps."""
+    """Solve ``L U z = r`` with group-parallel sweeps.
+
+    Each group task runs the block kernel's
+    :func:`~repro.serve.batch.sweep_block_rows` over the group's
+    block-rows at ``k = 1``, on shared padded buffers.
+    """
+    from repro.serve.batch import sweep_block_rows
+
     m = factors.matrix
     bs = m.bsize
     n = m.n_rows
     require(r.shape == (n,), "r has wrong length")
     require(schedule.bsize == bs, "schedule bsize mismatch")
     blk_ptr = m.blk_ptr
-    dia_ptr = factors.dia_ptr
-    values = m.values
-    anchors = m.anchors + bs
-    r2 = np.asarray(r).reshape(-1, bs)
-    item = values.itemsize
+    item = m.values.itemsize
     idx_item = m.blk_ind.itemsize + m.blk_offset.itemsize
+    vals = m.values[:, :, None]
+    anchors = (m.anchors + bs).tolist()
+    ptr = blk_ptr.tolist()
+    dia = factors.dia_ptr.tolist()
+    lo_fwd, hi_fwd = ptr[:-1], dia
+    lo_bwd, hi_bwd = [p + 1 for p in dia], ptr[1:]
+    diag = factors.diag_vector()[:, None]
 
     sink = counter if counter is not None else (
         session.counter if session is not None else None)
     group_counters: dict[int, OpCounter] = {}
 
-    def _group_counter(group: int) -> OpCounter | None:
+    def _tally(group: int, rows: range, n_tiles: int,
+               backward: bool) -> None:
+        """Closed-form tallies of one group's sweep over ``n_tiles``
+        off-diagonal tiles; the backward sweep also loads and divides
+        by each row's diagonal tile."""
         if sink is None:
-            return None
-        gc = OpCounter(bsize=bs)
-        group_counters[group] = gc
-        return gc
+            return
+        nr = len(rows)
+        t = n_tiles + (nr if backward else 0)  # value tiles loaded
+        gc = group_counters[group] = OpCounter(bsize=bs)
+        gc.vload += 2 * n_tiles + nr + (nr if backward else 0)
+        gc.vfma += n_tiles
+        gc.vdiv += nr if backward else 0
+        gc.vstore += nr
+        gc.sload += 2 * t
+        gc.bytes_values += t * bs * item
+        gc.bytes_index += t * idx_item + nr * blk_ptr.itemsize
+        gc.bytes_vector += (n_tiles + 2 * nr) * bs * item
 
     def on_color(color, groups):
         for g in groups:
@@ -61,50 +83,24 @@ def ilu0_apply_dbsr_parallel(factors: DBSRILUFactors, r: np.ndarray,
             if gc is not None:
                 sink.merge(gc)
 
-    yp = np.zeros(n + 2 * bs, dtype=np.result_type(values, r))
+    dtype = np.result_type(m.values, r)
+    yp = np.zeros((n + 2 * bs, 1), dtype=dtype)
+    zp = np.zeros_like(yp)
+    R, Y = np.asarray(r)[:, None], yp[bs:bs + n]
 
     def forward_task(group: int) -> None:
-        gc = _group_counter(group)
-        for i in schedule.block_rows_of_group(group):
-            acc = r2[i].astype(yp.dtype, copy=True)
-            lo, dp = int(blk_ptr[i]), int(dia_ptr[i])
-            for p in range(lo, dp):
-                a = anchors[p]
-                acc -= values[p] * yp[a:a + bs]
-            yp[bs + i * bs:bs + (i + 1) * bs] = acc
-            if gc is not None:
-                k = dp - lo
-                gc.vload += 2 * k + 1  # r plus per-tile vals+y
-                gc.vfma += k
-                gc.vstore += 1
-                gc.sload += 2 * k
-                gc.bytes_values += k * bs * item
-                gc.bytes_index += k * idx_item + blk_ptr.itemsize
-                gc.bytes_vector += (k + 2) * bs * item
-
-    zp = np.zeros_like(yp)
+        rows = schedule.block_rows_of_group(group)
+        sweep_block_rows(yp, vals, anchors, lo_fwd, hi_fwd, R, None,
+                         rows)
+        _tally(group, rows, sum(hi_fwd[rows.start:rows.stop])
+               - sum(lo_fwd[rows.start:rows.stop]), backward=False)
 
     def backward_task(group: int) -> None:
-        gc = _group_counter(group)
         rows = schedule.block_rows_of_group(group)
-        for i in reversed(rows):
-            acc = yp[bs + i * bs:bs + (i + 1) * bs].copy()
-            dp, hi = int(dia_ptr[i]), int(blk_ptr[i + 1])
-            for p in range(dp + 1, hi):
-                a = anchors[p]
-                acc -= values[p] * zp[a:a + bs]
-            acc /= values[dp]
-            zp[bs + i * bs:bs + (i + 1) * bs] = acc
-            if gc is not None:
-                k = hi - dp - 1
-                gc.vload += 2 * k + 2  # y, per-tile vals+z, diag tile
-                gc.vfma += k
-                gc.vdiv += 1
-                gc.vstore += 1
-                gc.sload += 2 * (k + 1)
-                gc.bytes_values += (k + 1) * bs * item
-                gc.bytes_index += (k + 1) * idx_item + blk_ptr.itemsize
-                gc.bytes_vector += (k + 2) * bs * item
+        sweep_block_rows(zp, vals, anchors, lo_bwd, hi_bwd, Y, diag,
+                         reversed(rows))
+        _tally(group, rows, sum(hi_bwd[rows.start:rows.stop])
+               - sum(lo_bwd[rows.start:rows.stop]), backward=True)
 
     on_color_cb = on_color if sink is not None else None
     if session is not None:
@@ -115,4 +111,4 @@ def ilu0_apply_dbsr_parallel(factors: DBSRILUFactors, r: np.ndarray,
         with ColorParallelExecutor(schedule, n_workers) as ex:
             ex.run_forward(forward_task, on_color=on_color_cb)
             ex.run_backward(backward_task, on_color=on_color_cb)
-    return zp[bs:bs + n].copy()
+    return zp[bs:bs + n, 0].copy()

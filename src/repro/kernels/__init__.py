@@ -12,11 +12,13 @@ The SpTRSV implementations mirror the paper directly:
 * :mod:`~repro.kernels.symgs` — the HPCG symmetric Gauss–Seidel
   smoother in CSR and DBSR forms.
 
-Each vectorized kernel has an engine-instrumented twin (suffix
-``_counted``) that executes through
-:class:`~repro.simd.engine.VectorEngine`; :mod:`~repro.kernels.counts`
-provides matching closed-form operation counts used by the performance
-model, and tests assert both agree.
+The DBSR entry points here are single-vector conveniences: each is a
+``k = 1`` call into the default :mod:`repro.backends` tier, whose
+numpy kernels live in :mod:`repro.serve.batch` (one fast and one
+``VectorEngine``-instrumented body per operation).
+:mod:`~repro.kernels.counts` provides the matching closed-form
+operation counts used by the performance model, and tests assert the
+instrumented tallies equal them.
 """
 
 from repro.kernels.spmv import spmv
@@ -33,15 +35,9 @@ from repro.kernels.fused import (
     fused_symgs_residual,
     fusion_traffic_ratio,
 )
-from repro.kernels.sptrsv_dbsr import (
-    sptrsv_dbsr_lower,
-    sptrsv_dbsr_lower_counted,
-    sptrsv_dbsr_upper,
-    sptrsv_dbsr_upper_counted,
-)
+from repro.kernels.sptrsv_dbsr import sptrsv_dbsr_lower, sptrsv_dbsr_upper
 from repro.kernels.symgs import symgs_csr, symgs_dbsr, gs_forward_csr
 from repro.kernels.symgs_sell import symgs_sell, symgs_sell_counted
-from repro.kernels.symgs_counted import symgs_dbsr_counted
 from repro.kernels import counts
 
 __all__ = [
@@ -60,12 +56,9 @@ __all__ = [
     "fused_symgs_residual",
     "fusion_traffic_ratio",
     "sptrsv_dbsr_lower",
-    "sptrsv_dbsr_lower_counted",
     "sptrsv_dbsr_upper",
-    "sptrsv_dbsr_upper_counted",
     "symgs_csr",
     "symgs_dbsr",
-    "symgs_dbsr_counted",
     "symgs_sell",
     "symgs_sell_counted",
     "gs_forward_csr",

@@ -29,19 +29,24 @@ def spmv_csr_counts(csr: CSRMatrix) -> OpCounter:
     return c
 
 
-def spmv_dbsr_counts(dbsr: DBSRMatrix) -> OpCounter:
-    """DBSR SpMV: 2 contiguous loads + 1 FMA per tile, 1 store/block-row."""
+def spmv_dbsr_counts(dbsr: DBSRMatrix, k: int = 1) -> OpCounter:
+    """DBSR SpMV over an ``(n, k)`` block.
+
+    Per tile one contiguous value load serves all ``k`` columns
+    (value-stream bytes independent of ``k``), plus ``k`` x-loads and
+    FMAs; ``k`` stores per block-row.
+    """
     c = OpCounter(bsize=dbsr.bsize)
     t, brow, bs = dbsr.n_tiles, dbsr.brow, dbsr.bsize
     item = dbsr.values.itemsize
-    c.vload = 2 * t
-    c.vfma = t
-    c.vstore = brow
+    c.vload = t * (1 + k)
+    c.vfma = t * k
+    c.vstore = k * brow
     c.sload = 2 * t + (brow + 1)
     c.bytes_values = t * bs * item
     c.bytes_index = (t * (dbsr.blk_ind.itemsize + dbsr.blk_offset.itemsize)
                      + (brow + 1) * dbsr.blk_ptr.itemsize)
-    c.bytes_vector = (t + brow) * bs * item
+    c.bytes_vector = k * (t + brow) * bs * item
     return c
 
 
@@ -62,33 +67,14 @@ def spmv_sell_counts(sell: SELLMatrix) -> OpCounter:
     return c
 
 
-def sptrsv_dbsr_counts(dbsr: DBSRMatrix, divide: bool = False) -> OpCounter:
-    """Algorithm 2: per tile 2 loads + FMA; per block-row b-load + store."""
-    c = OpCounter(bsize=dbsr.bsize)
-    t, brow, bs = dbsr.n_tiles, dbsr.brow, dbsr.bsize
-    item = dbsr.values.itemsize
-    c.vload = 2 * t + brow + (brow if divide else 0)
-    c.vfma = t
-    c.vstore = brow
-    c.vdiv = brow if divide else 0
-    c.sload = 2 * t
-    c.bytes_values = t * bs * item
-    c.bytes_index = (t * (dbsr.blk_ind.itemsize + dbsr.blk_offset.itemsize)
-                     + (brow + 1) * dbsr.blk_ptr.itemsize)
-    c.bytes_vector = ((t + 2 * brow + (brow if divide else 0))
-                      * bs * item)
-    return c
-
-
-def sptrsv_dbsr_multi_counts(dbsr: DBSRMatrix, k: int,
-                             divide: bool = False) -> OpCounter:
-    """Multi-RHS Algorithm 2 over an ``(n, k)`` RHS block.
+def sptrsv_dbsr_counts(dbsr: DBSRMatrix, divide: bool = False,
+                       k: int = 1) -> OpCounter:
+    """Algorithm 2 over an ``(n, k)`` RHS block.
 
     Matches :func:`repro.serve.batch.sptrsv_dbsr_lower_multi_counted`:
     per tile **one** value load (value-stream bytes are independent of
     ``k``) plus ``k`` x-loads/FMAs; per block-row ``k`` b-loads and
     stores and — when dividing — one diag load and ``k`` divides.
-    ``k = 1`` reduces exactly to :func:`sptrsv_dbsr_counts`.
     """
     c = OpCounter(bsize=dbsr.bsize)
     t, brow, bs = dbsr.n_tiles, dbsr.brow, dbsr.bsize
@@ -106,39 +92,8 @@ def sptrsv_dbsr_multi_counts(dbsr: DBSRMatrix, k: int,
     return c
 
 
-def spmv_dbsr_multi_counts(dbsr: DBSRMatrix, k: int) -> OpCounter:
-    """Multi-RHS DBSR SpMV over an ``(n, k)`` block.
-
-    One value load per tile serves all ``k`` columns (value-stream
-    bytes independent of ``k``); ``k = 1`` reduces exactly to
-    :func:`spmv_dbsr_counts`.
-    """
-    c = OpCounter(bsize=dbsr.bsize)
-    t, brow, bs = dbsr.n_tiles, dbsr.brow, dbsr.bsize
-    item = dbsr.values.itemsize
-    c.vload = t * (1 + k)
-    c.vfma = t * k
-    c.vstore = k * brow
-    c.sload = 2 * t + (brow + 1)
-    c.bytes_values = t * bs * item
-    c.bytes_index = (t * (dbsr.blk_ind.itemsize + dbsr.blk_offset.itemsize)
-                     + (brow + 1) * dbsr.blk_ptr.itemsize)
-    c.bytes_vector = k * (t + brow) * bs * item
-    return c
-
-
-def symgs_dbsr_multi_counts(dbsr: DBSRMatrix, k: int) -> OpCounter:
-    """Multi-RHS DBSR SYMGS: two batched sweeps + per-RHS corrections.
-
-    ``k = 1`` reduces exactly to :func:`symgs_dbsr_counts`.
-    """
-    two = sptrsv_dbsr_multi_counts(dbsr, k, divide=True).scaled(2.0)
-    two.vadd += 2 * k * dbsr.brow  # x += correction, per RHS column
-    return two
-
-
-def ilu_apply_dbsr_multi_counts(factors, k: int) -> OpCounter:
-    """Multi-RHS block ILU(0) application over an ``(n, k)`` block.
+def ilu_apply_dbsr_counts(factors, k: int = 1) -> OpCounter:
+    """Block ILU(0) application over an ``(n, k)`` block.
 
     Matches :func:`repro.serve.batch.ilu_apply_dbsr_multi_counted`: two
     Algorithm-2 sweeps over the factored skeleton — the forward sweep
@@ -193,11 +148,11 @@ def sptrsv_sell_counts(sell: SELLMatrix, divide: bool = True) -> OpCounter:
     return c
 
 
-def symgs_dbsr_counts(dbsr: DBSRMatrix) -> OpCounter:
-    """SYMGS = forward + backward sweep over all tiles + diag updates."""
-    sweep = sptrsv_dbsr_counts(dbsr, divide=True)
-    two = sweep.scaled(2.0)
-    two.vadd += 2 * dbsr.brow  # x += correction
+def symgs_dbsr_counts(dbsr: DBSRMatrix, k: int = 1) -> OpCounter:
+    """SYMGS over an ``(n, k)`` block: a forward and a backward sweep
+    over all tiles plus the ``x += correction`` update per column."""
+    two = sptrsv_dbsr_counts(dbsr, divide=True, k=k).scaled(2.0)
+    two.vadd += 2 * k * dbsr.brow
     return two
 
 

@@ -1,8 +1,10 @@
 """Sparse matrix-vector multiplication dispatch.
 
 All formats implement ``matvec``; this module adds a uniform entry
-point plus engine-instrumented SpMV twins for CSR, SELL and DBSR whose
-operation counts feed the performance model (HPCG's SpMV kernel).
+point plus engine-instrumented SpMV twins for CSR and SELL whose
+operation counts feed the performance model (HPCG's SpMV kernel). The
+instrumented DBSR SpMV is
+:func:`repro.serve.batch.spmv_dbsr_multi_counted`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import numpy as np
 
 from repro.formats.base import SparseMatrix
 from repro.formats.csr import CSRMatrix
-from repro.formats.dbsr import DBSRMatrix
 from repro.formats.sell import SELLMatrix
 from repro.simd.engine import VectorEngine
 
@@ -66,25 +67,4 @@ def spmv_sell_counted(sell: SELLMatrix, x: np.ndarray,
         engine.counter.vstore += 1
         engine.counter.bytes_vector += acc.nbytes
         y[sell.row_order[lo:hi]] = acc
-    return y
-
-
-def spmv_dbsr_counted(dbsr: DBSRMatrix, x: np.ndarray,
-                      engine: VectorEngine) -> np.ndarray:
-    """DBSR SpMV through the vector engine (contiguous loads only)."""
-    b = dbsr.bsize
-    xp = dbsr.pad_vector(np.asarray(x))
-    anchors = dbsr.anchors + b
-    y = np.zeros(dbsr.n_rows, dtype=np.result_type(dbsr.values, x))
-    vals_flat = dbsr.values.reshape(-1)
-    for i in range(dbsr.brow):
-        acc = np.zeros(b, dtype=y.dtype)
-        lo, hi = dbsr.blk_ptr[i], dbsr.blk_ptr[i + 1]
-        for t in range(lo, hi):
-            engine.counter.bytes_index += (
-                dbsr.blk_ind.itemsize + dbsr.blk_offset.itemsize)
-            vals = engine.load_values(vals_flat, t * b)
-            xv = engine.load(xp, int(anchors[t]))
-            acc = engine.fma(acc, vals, xv)
-        engine.store(y, i * b, acc)
     return y

@@ -17,14 +17,18 @@ lanes *within* its own block-row (same-color blocks are independent);
 tile boundaries — the overrun lanes hold zero values, so the padded
 ``x`` buffer (:meth:`~repro.formats.dbsr.DBSRMatrix.pad_vector`)
 absorbs them, the paper's "overstore is zero" rule (§III-C, Fig. 3).
+
+The sweep itself is the block kernel of :mod:`repro.serve.batch`; the
+single-vector solves here run it at ``k = 1`` through the default
+backend tier (:func:`repro.backends.resolve_backend`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import resolve_backend
 from repro.formats.dbsr import DBSRMatrix
-from repro.simd.engine import VectorEngine
 from repro.utils.validation import require
 
 
@@ -57,6 +61,9 @@ def sptrsv_dbsr_lower(lower: DBSRMatrix, b: np.ndarray,
                       diag: np.ndarray | None = None) -> np.ndarray:
     """Solve ``(L + D) x = b`` (or ``(L + I) x = b``) in DBSR format.
 
+    A ``k = 1`` call of the default backend's block kernel
+    (:func:`repro.serve.batch.sptrsv_dbsr_lower_multi` on ``numpy-fast``).
+
     Parameters
     ----------
     lower:
@@ -67,98 +74,14 @@ def sptrsv_dbsr_lower(lower: DBSRMatrix, b: np.ndarray,
         Diagonal ``D``; ``None`` solves with a unit diagonal (ILU's
         ``L`` factor).
     """
-    n = lower.n_rows
-    require(b.shape == (n,), "b has wrong length")
-    bs = lower.bsize
-    xp = np.zeros(n + 2 * bs, dtype=np.result_type(lower.values, b))
-    b2 = np.asarray(b).reshape(-1, bs)
-    d2 = None if diag is None else np.asarray(diag).reshape(-1, bs)
-    anchors = lower.anchors + bs  # shift into the padded buffer
-    blk_ptr, values = lower.blk_ptr, lower.values
-    for i in range(lower.brow):
-        acc = b2[i].astype(xp.dtype, copy=True)
-        for t in range(blk_ptr[i], blk_ptr[i + 1]):
-            a = anchors[t]
-            acc -= values[t] * xp[a:a + bs]
-        if d2 is not None:
-            acc /= d2[i]
-        xp[bs + i * bs:bs + (i + 1) * bs] = acc
-    return xp[bs:bs + n].copy()
+    require(b.shape == (lower.n_rows,), "b has wrong length")
+    return resolve_backend().sptrsv_dbsr_multi(
+        lower, b[:, None], diag, forward=True)[:, 0]
 
 
 def sptrsv_dbsr_upper(upper: DBSRMatrix, b: np.ndarray,
                       diag: np.ndarray | None = None) -> np.ndarray:
     """Solve ``(D + U) x = b`` in DBSR format (backward sweep)."""
-    n = upper.n_rows
-    require(b.shape == (n,), "b has wrong length")
-    bs = upper.bsize
-    xp = np.zeros(n + 2 * bs, dtype=np.result_type(upper.values, b))
-    b2 = np.asarray(b).reshape(-1, bs)
-    d2 = None if diag is None else np.asarray(diag).reshape(-1, bs)
-    anchors = upper.anchors + bs
-    blk_ptr, values = upper.blk_ptr, upper.values
-    for i in range(upper.brow - 1, -1, -1):
-        acc = b2[i].astype(xp.dtype, copy=True)
-        for t in range(blk_ptr[i], blk_ptr[i + 1]):
-            a = anchors[t]
-            acc -= values[t] * xp[a:a + bs]
-        if d2 is not None:
-            acc /= d2[i]
-        xp[bs + i * bs:bs + (i + 1) * bs] = acc
-    return xp[bs:bs + n].copy()
-
-
-# Instrumented twins ------------------------------------------------------
-
-def sptrsv_dbsr_lower_counted(lower: DBSRMatrix, b: np.ndarray,
-                              engine: VectorEngine,
-                              diag: np.ndarray | None = None) -> np.ndarray:
-    """Algorithm 2 executed through the instrumented vector engine."""
-    n = lower.n_rows
-    bs = lower.bsize
-    require(engine.bsize == bs, "engine width must equal bsize")
-    xp = np.zeros(n + 2 * bs, dtype=np.result_type(lower.values, b))
-    anchors = lower.anchors + bs
-    vals_flat = lower.values.reshape(-1)
-    dp = None if diag is None else np.asarray(diag)
-    engine.counter.bytes_index += lower.blk_ptr.itemsize
-    for i in range(lower.brow):
-        engine.counter.bytes_index += lower.blk_ptr.itemsize
-        acc = engine.load(np.asarray(b), i * bs).astype(xp.dtype)
-        for t in range(lower.blk_ptr[i], lower.blk_ptr[i + 1]):
-            engine.counter.bytes_index += (
-                lower.blk_ind.itemsize + lower.blk_offset.itemsize)
-            vec_vals = engine.load_values(vals_flat, t * bs)
-            vec_x = engine.load(xp, int(anchors[t]))
-            acc = engine.fnma(acc, vec_vals, vec_x)
-        if dp is not None:
-            acc = engine.div(acc, engine.load(dp, i * bs))
-        engine.store(xp, bs + i * bs, acc)
-    return xp[bs:bs + n].copy()
-
-
-def sptrsv_dbsr_upper_counted(upper: DBSRMatrix, b: np.ndarray,
-                              engine: VectorEngine,
-                              diag: np.ndarray | None = None) -> np.ndarray:
-    """Backward Algorithm 2 through the instrumented vector engine."""
-    n = upper.n_rows
-    bs = upper.bsize
-    require(engine.bsize == bs, "engine width must equal bsize")
-    xp = np.zeros(n + 2 * bs, dtype=np.result_type(upper.values, b))
-    anchors = upper.anchors + bs
-    vals_flat = upper.values.reshape(-1)
-    dp = None if diag is None else np.asarray(diag)
-    engine.counter.bytes_index += upper.blk_ptr.itemsize
-    for i in range(upper.brow - 1, -1, -1):
-        engine.counter.bytes_index += upper.blk_ptr.itemsize
-        acc = engine.load(np.asarray(b), i * bs).astype(xp.dtype)
-        for t in range(upper.blk_ptr[i], upper.blk_ptr[i + 1]):
-            engine.counter.bytes_index += (
-                upper.blk_ind.itemsize + upper.blk_offset.itemsize)
-            vec_vals = engine.load_values(vals_flat, t * bs)
-            vec_x = engine.load(xp, int(anchors[t]))
-            acc = engine.fnma(acc, vec_vals, vec_x)
-        if dp is not None:
-            acc = engine.div(acc, engine.load(dp, i * bs))
-        engine.store(xp, bs + i * bs, acc)
-    return xp[bs:bs + n].copy()
+    require(b.shape == (upper.n_rows,), "b has wrong length")
+    return resolve_backend().sptrsv_dbsr_multi(
+        upper, b[:, None], diag, forward=False)[:, 0]

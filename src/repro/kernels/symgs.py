@@ -2,16 +2,18 @@
 
 SYMGS is HPCG's smoother: one in-place forward GS sweep followed by one
 backward sweep over the full matrix. The CSR version is the reference;
-the DBSR version processes block-rows with the contiguous vector
-operations of Algorithm 2, using the main-diagonal tile trick: the
-row-sum accumulated over *all* tiles includes the diagonal
-contribution, which is added back before dividing.
+the DBSR version runs the block kernel of :mod:`repro.serve.batch`,
+which processes block-rows with the contiguous vector operations of
+Algorithm 2, using the main-diagonal tile trick: the row-sum
+accumulated over *all* tiles includes the diagonal contribution, which
+is added back before dividing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import resolve_backend
 from repro.formats.csr import CSRMatrix
 from repro.formats.dbsr import DBSRMatrix
 from repro.utils.validation import require
@@ -52,53 +54,18 @@ def symgs_csr(matrix: CSRMatrix, diag: np.ndarray, x: np.ndarray,
 
 # DBSR ---------------------------------------------------------------------
 
-def _gs_sweep_dbsr(matrix: DBSRMatrix, diag2: np.ndarray, xp: np.ndarray,
-                   b2: np.ndarray, forward: bool) -> None:
-    """One in-place GS sweep over the padded x buffer ``xp``."""
-    bs = matrix.bsize
-    anchors = matrix.anchors + bs
-    blk_ptr, values = matrix.blk_ptr, matrix.values
-    rng = range(matrix.brow) if forward else range(matrix.brow - 1, -1, -1)
-    for i in rng:
-        rowsum = np.zeros(bs, dtype=xp.dtype)
-        for t in range(blk_ptr[i], blk_ptr[i + 1]):
-            a = anchors[t]
-            rowsum += values[t] * xp[a:a + bs]
-        xi = xp[bs + i * bs:bs + (i + 1) * bs]
-        # rowsum includes diag * x_i; add it back before dividing.
-        xi += (b2[i] - rowsum) / diag2[i]
-
-
 def symgs_dbsr(matrix: DBSRMatrix, diag: np.ndarray, x: np.ndarray,
                b: np.ndarray) -> np.ndarray:
-    """SYMGS over a full (non-triangular) DBSR matrix.
+    """SYMGS over a full (non-triangular) DBSR matrix, in place on ``x``.
 
     Produces the same iterates as :func:`symgs_csr` on the identically
     ordered matrix, because same-color blocks never couple: within a
-    block-row the only self-reference is the main diagonal.
+    block-row the only self-reference is the main diagonal. A ``k = 1``
+    call of the default backend's block kernel
+    (:func:`repro.serve.batch.symgs_dbsr_multi` on ``numpy-fast``).
     """
     n = matrix.n_rows
     require(x.shape == (n,) and b.shape == (n,), "vector length mismatch")
-    bs = matrix.bsize
-    xp = matrix.pad_vector(np.asarray(x, dtype=np.result_type(
-        matrix.values, x)))
-    b2 = np.asarray(b).reshape(-1, bs)
-    diag2 = np.asarray(diag).reshape(-1, bs)
-    _gs_sweep_dbsr(matrix, diag2, xp, b2, forward=True)
-    _gs_sweep_dbsr(matrix, diag2, xp, b2, forward=False)
-    out = matrix.unpad_vector(xp)
-    x[:] = out
-    return x
-
-
-def gs_forward_dbsr(matrix: DBSRMatrix, diag: np.ndarray, x: np.ndarray,
-                    b: np.ndarray) -> np.ndarray:
-    """One forward GS sweep in DBSR format (in place on ``x``)."""
-    bs = matrix.bsize
-    xp = matrix.pad_vector(np.asarray(x, dtype=np.result_type(
-        matrix.values, x)))
-    b2 = np.asarray(b).reshape(-1, bs)
-    diag2 = np.asarray(diag).reshape(-1, bs)
-    _gs_sweep_dbsr(matrix, diag2, xp, b2, forward=True)
-    x[:] = matrix.unpad_vector(xp)
+    resolve_backend().symgs_dbsr_multi(matrix, diag, x[:, None],
+                                       b[:, None])
     return x

@@ -74,6 +74,9 @@ class CSRSymgsSmoother:
 class DBSRSymgsSmoother:
     """The paper's smoother: vectorized BMC + DBSR SYMGS.
 
+    Each application is one :func:`~repro.kernels.symgs.symgs_dbsr`
+    call — the default backend's SYMGS block kernel at ``k = 1``.
+
     Parameters
     ----------
     grid, stencil:

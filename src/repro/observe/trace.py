@@ -7,7 +7,7 @@ attributes, point :meth:`~Tracer.event` records, and an optional
 per-span **op-count attribution** — the closed-form
 :class:`~repro.simd.counters.OpCounter` of the work the span covers,
 serialized in the same shape as
-:func:`repro.runtime.metrics.counter_to_dict`.
+:func:`repro.simd.counters.counter_to_dict`.
 
 Instrumentation sites mirror the fault-injection hooks of
 :mod:`repro.resilience.hooks`: a module-level tracer slot plus helper
@@ -53,7 +53,7 @@ def counts_dict(counter) -> dict:
     pre-serialized dict through unchanged)."""
     if isinstance(counter, dict):
         return counter
-    from repro.runtime.metrics import counter_to_dict
+    from repro.simd.counters import counter_to_dict
 
     return counter_to_dict(counter)
 

@@ -4,7 +4,7 @@ Demonstrates that the vectorized-BMC schedule really is parallel: all
 vector groups of one color are processed concurrently by a thread pool
 with a barrier between colors (Algorithm 2's ``#pragma omp parallel
 for`` over line 3), and the result is bit-identical to the sequential
-sweep. Python threads add overhead rather than speedup on small
+block kernel of :mod:`repro.serve.batch` at ``k = 1``. Python threads add overhead rather than speedup on small
 problems (the GIL), so the *performance* figures come from
 :mod:`repro.perfmodel`; this module establishes correctness of the
 parallel schedule itself.

@@ -125,26 +125,6 @@ class ColorParallelExecutor:
         self.shutdown()
 
 
-def _group_sweep(matrix: DBSRMatrix, xp: np.ndarray, b2: np.ndarray,
-                 d2, rows: range, forward: bool,
-                 counter: OpCounter | None = None) -> None:
-    """Solve the block-rows of one group (sequential positions)."""
-    bs = matrix.bsize
-    anchors = matrix.anchors + bs
-    blk_ptr, values = matrix.blk_ptr, matrix.values
-    order = rows if forward else reversed(rows)
-    for i in order:
-        acc = b2[i].astype(xp.dtype, copy=True)
-        for t in range(blk_ptr[i], blk_ptr[i + 1]):
-            a = anchors[t]
-            acc -= values[t] * xp[a:a + bs]
-        if d2 is not None:
-            acc /= d2[i]
-        xp[bs + i * bs:bs + (i + 1) * bs] = acc
-    if counter is not None:
-        _tally_group(matrix, rows, divide=d2 is not None, counter=counter)
-
-
 def _tally_group(matrix: DBSRMatrix, rows: range, divide: bool,
                  counter: OpCounter) -> None:
     """Closed-form Algorithm 2 tallies for one group's block-rows.
@@ -175,27 +155,37 @@ def _sptrsv_parallel(matrix: DBSRMatrix, b: np.ndarray,
                      diag: np.ndarray | None, n_workers: int,
                      forward: bool, session=None,
                      counter: OpCounter | None = None) -> np.ndarray:
-    """Shared driver of the forward/backward parallel sweeps."""
+    """Shared driver of the forward/backward parallel sweeps.
+
+    Each group task runs the block kernel's
+    :func:`~repro.serve.batch.sweep_block_rows` over the group's
+    block-rows at ``k = 1``, on one shared padded buffer.
+    """
+    from repro.serve.batch import sweep_block_rows
+
     n = matrix.n_rows
     bs = matrix.bsize
     require(b.shape == (n,), "b has wrong length")
     require(schedule.bsize == bs, "schedule bsize mismatch")
-    xp = np.zeros(n + 2 * bs, dtype=np.result_type(matrix.values, b))
-    b2 = np.asarray(b).reshape(-1, bs)
-    d2 = None if diag is None else np.asarray(diag).reshape(-1, bs)
+    xp = np.zeros((n + 2 * bs, 1), dtype=np.result_type(matrix.values, b))
+    B = np.asarray(b)[:, None]
+    d = None if diag is None else np.asarray(diag)[:, None]
+    vals = matrix.values[:, :, None]
+    anchors = (matrix.anchors + bs).tolist()
+    ptr = matrix.blk_ptr.tolist()
+    lo, hi = ptr[:-1], ptr[1:]
 
     sink = counter if counter is not None else (
         session.counter if session is not None else None)
     group_counters: dict[int, OpCounter] = {}
 
     def task(group: int) -> None:
-        gc = None
+        rows = schedule.block_rows_of_group(group)
+        sweep_block_rows(xp, vals, anchors, lo, hi, B, d,
+                         rows if forward else reversed(rows))
         if sink is not None:
-            gc = OpCounter(bsize=bs)
-            group_counters[group] = gc
-        _group_sweep(matrix, xp, b2, d2,
-                     schedule.block_rows_of_group(group),
-                     forward=forward, counter=gc)
+            gc = group_counters[group] = OpCounter(bsize=bs)
+            _tally_group(matrix, rows, divide=d is not None, counter=gc)
 
     on_color = None
     if sink is not None:
@@ -218,7 +208,7 @@ def _sptrsv_parallel(matrix: DBSRMatrix, b: np.ndarray,
         with ColorParallelExecutor(schedule, n_workers) as ex:
             run = ex.run_forward if forward else ex.run_backward
             run(task, on_color=on_color)
-    return xp[bs:bs + n].copy()
+    return xp[bs:bs + n, 0].copy()
 
 
 def sptrsv_dbsr_lower_parallel(lower: DBSRMatrix, b: np.ndarray,
@@ -228,7 +218,9 @@ def sptrsv_dbsr_lower_parallel(lower: DBSRMatrix, b: np.ndarray,
                                counter: OpCounter | None = None
                                ) -> np.ndarray:
     """Thread-parallel Algorithm 2 (forward); bit-identical to the
-    sequential :func:`~repro.kernels.sptrsv_dbsr.sptrsv_dbsr_lower`.
+    block kernel :func:`~repro.serve.batch.sptrsv_dbsr_lower_multi` at
+    ``k = 1`` (what :func:`~repro.kernels.sptrsv_dbsr.sptrsv_dbsr_lower`
+    runs).
 
     Pass ``session`` (a :class:`~repro.runtime.session.SolverSession`)
     to reuse its long-lived thread pool and accumulate op counts into
@@ -245,7 +237,8 @@ def sptrsv_dbsr_upper_parallel(upper: DBSRMatrix, b: np.ndarray,
                                n_workers: int = 2, session=None,
                                counter: OpCounter | None = None
                                ) -> np.ndarray:
-    """Thread-parallel backward Algorithm 2."""
+    """Thread-parallel backward Algorithm 2; bit-identical to
+    :func:`~repro.serve.batch.sptrsv_dbsr_upper_multi` at ``k = 1``."""
     return _sptrsv_parallel(upper, b, schedule, diag, n_workers,
                             forward=False, session=session,
                             counter=counter)

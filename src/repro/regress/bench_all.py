@@ -185,7 +185,7 @@ def run_bench_all(quick: bool = False, seed: int = DEFAULT_SEED,
     failed autotune differential all clear it).
     """
     from repro.resilience.faults import inject
-    from repro.runtime.metrics import write_bench_json
+    from repro.runtime.kernel_bench import write_bench_json
 
     table = REGISTRY if registry is None else registry
     names = [n for n in (only if only else table)

@@ -61,7 +61,7 @@ register(BenchEmitter(
     name="runtime",
     out_default="BENCH_runtime.json",
     schema_path="tests/runtime/bench_runtime.schema.json",
-    collect="repro.runtime.metrics:collect_bench_runtime",
+    collect="repro.runtime.kernel_bench:collect_bench_runtime",
     quick_kwargs={"nx": 6, "repeats": 1},
     supports_backend=True,
 ))

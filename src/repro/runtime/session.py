@@ -11,13 +11,13 @@ every parallel sweep:
 * **A master :class:`~repro.simd.counters.OpCounter`** into which
   per-group / per-worker counters are merged deterministically (group
   order, on the calling thread, after each color barrier) — the
-  parallel path counts the same ops as the sequential counted twins
-  instead of racing on a shared counter or not counting at all.
+  parallel path counts the same ops as the closed forms of
+  :mod:`repro.kernels.counts` instead of racing on a shared counter or not counting at all.
 * **Structured phase timers**: ``with session.phase("sweep"): ...``
   records wall-clock seconds, call counts and the counter delta per
   named phase (reorder, convert, sweep, spmv, vcycle, ...), feeding
   the ``BENCH_runtime.json`` emission in
-  :mod:`repro.runtime.metrics`.
+  :mod:`repro.runtime.kernel_bench`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 from repro.observe import trace
-from repro.simd.counters import OpCounter
+from repro.simd.counters import OpCounter, counter_to_dict
 from repro.utils.validation import check_positive
 
 
@@ -69,7 +69,7 @@ class SolverSession:
     -----
     The master counter has ``bsize=1`` so kernels of any vector width
     can merge into it; per-kernel widths belong in the per-kernel
-    reports (:mod:`repro.runtime.metrics`), the session ledger tracks
+    reports (:mod:`repro.runtime.kernel_bench`), the session ledger tracks
     totals (logical ops and exact bytes). The session is a context
     manager; leaving it shuts the pool down.
     """
@@ -184,8 +184,6 @@ class SolverSession:
     # Reporting ------------------------------------------------------------
     def phase_report(self) -> dict:
         """Machine-readable per-phase summary (dict of dicts)."""
-        from repro.runtime.metrics import counter_to_dict
-
         return {
             name: {
                 "seconds": rec.seconds,

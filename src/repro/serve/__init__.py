@@ -8,10 +8,11 @@ The paper's one-time preprocessing (BMC reorder + DBSR conversion,
   setup behind a deterministic structural key.
 * :mod:`repro.serve.cache` — :class:`PlanCache`: thread-safe LRU with
   hit/miss/eviction/compile counters and JSON-persisted autotune picks.
-* :mod:`repro.serve.batch` — multi-RHS batched DBSR kernels that load
-  each tile's values once per batch (value bytes per solve ~ 1/k).
-  Plans execute them through a kernel *backend tier* selected at
-  compile time (see :mod:`repro.backends`).
+* :mod:`repro.serve.batch` — the DBSR kernels, over ``(n, k)`` blocks,
+  loading each tile's values once per batch (value bytes per solve
+  ~ 1/k). Plans execute them through a kernel *backend tier* selected
+  at compile time (see :mod:`repro.backends`); single-vector callers
+  run them at ``k = 1``.
 * :mod:`repro.serve.service` — :class:`SolveService`: submit/drain
   with per-structure coalescing, bounded-queue backpressure, and
   per-request error isolation.

@@ -1,28 +1,42 @@
-"""Multi-RHS batched DBSR kernels — amortizing matrix loads over k solves.
+"""The DBSR kernels: one fast and one counted body per operation.
+
+Every numeric DBSR sweep in the repository — the paper's Algorithm 2
+lower/upper solves, the SYMGS smoother and the block ILU(0) application
+— runs here, over an ``(n, k)`` block of right-hand sides. Single-vector
+callers (:func:`repro.kernels.sptrsv_dbsr.sptrsv_dbsr_lower`, the
+multigrid smoother, the ILU strategies, autotune) run the same kernels
+at ``k = 1`` through the :mod:`repro.backends` registry, and the
+color-parallel sweeps of :mod:`repro.parallel` run
+:func:`sweep_block_rows` over one color group at a time.
 
 The SELL-C-σ line of work (Kreutzer et al.) and Bramas & Kus's
 block-based AVX-512 SpMV both observe that wide-SIMD sparse formats pay
 off most when the matrix *values* are loaded once and reused across
 multiple right-hand sides. These kernels apply that to DBSR: each tile's
 ``bsize`` value vector is loaded once per sweep and FMA'd against all
-``k`` columns of an ``(n, k)`` RHS block, so value-stream traffic per
-solve drops as ``1/k`` while the vector-stream traffic stays linear.
+``k`` columns, so value-stream traffic per solve drops as ``1/k`` while
+the vector-stream traffic stays linear.
 
-Layout note: the padded working buffers are ``(k, n + 2*bsize)``
-RHS-major so every per-RHS slice is contiguous — the gather-free
-property of Algorithm 2 survives batching (nothing here indexes with an
-array; the gather-lint runs over this module). The public API accepts
-``(n, k)`` blocks column-per-RHS, matching how callers stack requests.
+Layout note: the sweeps work on a zero-padded ``(n + 2*bsize, k)``
+buffer, so every tile window ``Xp[a:a + bsize]`` is one contiguous
+``(bsize, k)`` block and each tile's values broadcast across the ``k``
+columns as ``values[t][:, None]`` — the gather-free property of
+Algorithm 2 survives batching (the sweeps index only with slices; the
+gather-lint runs over this module). ``blk_ptr``, ``dia_ptr`` and the
+tile anchors are turned into Python ints once per call. SpMV has no
+row-to-row dependence, so it instead builds every tile window at once
+on an RHS-major ``(k, n + 2*bsize)`` buffer.
 
-Every kernel is bit-identical per column to its unbatched sweep twin in
-:mod:`repro.kernels.sptrsv_dbsr` / :mod:`repro.kernels.symgs`:
-batching reorders no floating-point operation within a column. SpMV
-accumulates each row's tiles as a *sequential* chain in storage order —
-the canonical backend-tier rounding sequence — so it matches
+Batching reorders no floating-point operation within a column, so
+column ``j`` of a ``k``-wide call is bit-identical to the ``k = 1``
+call on column ``j``. SpMV accumulates each row's tiles as a
+*sequential* chain in storage order — the canonical backend-tier
+rounding sequence — so it matches
 :meth:`~repro.formats.dbsr.DBSRMatrix.matvec` (pairwise ``reduceat``
-summation) to roundoff rather than bitwise. Instrumented ``*_counted``
-twins execute through a :class:`~repro.simd.engine.VectorEngine`;
-closed forms live in :func:`repro.kernels.counts.sptrsv_dbsr_multi_counts`.
+summation) to roundoff rather than bitwise. The ``*_counted`` twins
+execute the same operation order through a
+:class:`~repro.simd.engine.VectorEngine`; their tallies equal the closed
+forms of :mod:`repro.kernels.counts` exactly.
 """
 
 from __future__ import annotations
@@ -42,41 +56,62 @@ def _check_rhs_block(matrix: DBSRMatrix, B: np.ndarray) -> np.ndarray:
     return B
 
 
+def sweep_block_rows(Xp: np.ndarray, vals: np.ndarray, anchors: list,
+                     lo: list, hi: list, B: np.ndarray,
+                     diag: np.ndarray | None, rows) -> None:
+    """Solve block-rows ``rows``, in the order given, of one Algorithm-2
+    sweep over tiles ``lo[i]:hi[i]``, into the padded buffer ``Xp``.
+
+    ``vals`` is ``values[:, :, None]``, ``anchors`` the tile anchors
+    shifted by ``bsize`` and ``diag`` an ``(n, 1)`` column or ``None``;
+    ``anchors``, ``lo`` and ``hi`` are lists of Python ints. Every row a
+    tile reads must already be solved in ``Xp``: the whole-matrix
+    sweeps pass all rows in order, the color-parallel sweeps of
+    :mod:`repro.parallel` one group's rows per call.
+    """
+    bs = vals.shape[1]
+    for i in rows:
+        r0 = i * bs
+        acc = B[r0:r0 + bs].astype(Xp.dtype)           # (bs, k) copy
+        for t in range(lo[i], hi[i]):
+            a = anchors[t]
+            # One vals[t] load serves all k RHS columns.
+            acc -= vals[t] * Xp[a:a + bs]
+        if diag is not None:
+            acc /= diag[r0:r0 + bs]
+        Xp[bs + r0:bs + r0 + bs] = acc
+
+
+def _sweep(values: np.ndarray, anchors: list, lo: list, hi: list,
+           B: np.ndarray, diag: np.ndarray | None,
+           forward: bool) -> np.ndarray:
+    """One whole-matrix sweep; returns the padded ``(n + 2*bsize, k)``
+    solution."""
+    n, k = B.shape
+    bs = values.shape[1]
+    Xp = np.zeros((n + 2 * bs, k), dtype=np.result_type(values, B))
+    rows = range(len(lo)) if forward else range(len(lo) - 1, -1, -1)
+    sweep_block_rows(Xp, values[:, :, None], anchors, lo, hi, B, diag,
+                     rows)
+    return Xp
+
+
 def _sptrsv_multi(matrix: DBSRMatrix, B: np.ndarray,
                   diag: np.ndarray | None, forward: bool) -> np.ndarray:
     """Shared forward/backward multi-RHS Algorithm 2 sweep."""
     B = _check_rhs_block(matrix, B)
-    n, k = B.shape
-    bs = matrix.bsize
-    dtype = np.result_type(matrix.values, B)
-    # RHS-major padded buffer: Xp[j] is one contiguous padded solution.
-    Xp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    Bk = np.ascontiguousarray(B.T)
-    b3 = Bk.reshape(k, -1, bs)
-    d2 = None if diag is None else np.asarray(diag).reshape(-1, bs)
-    anchors = matrix.anchors + bs
-    blk_ptr, values = matrix.blk_ptr, matrix.values
-    rng = range(matrix.brow) if forward \
-        else range(matrix.brow - 1, -1, -1)
-    for i in rng:
-        acc = b3[:, i, :].astype(dtype, copy=True)   # (k, bs)
-        for t in range(blk_ptr[i], blk_ptr[i + 1]):
-            a = anchors[t]
-            # One values[t] load serves all k RHS columns.
-            acc -= values[t] * Xp[:, a:a + bs]
-        if d2 is not None:
-            acc /= d2[i]
-        Xp[:, bs + i * bs:bs + (i + 1) * bs] = acc
-    return np.ascontiguousarray(Xp[:, bs:bs + n].T)
+    n, bs = B.shape[0], matrix.bsize
+    ptr = matrix.blk_ptr.tolist()
+    d = None if diag is None else np.asarray(diag)[:, None]
+    Xp = _sweep(matrix.values, (matrix.anchors + bs).tolist(),
+                ptr[:-1], ptr[1:], B, d, forward)
+    return Xp[bs:bs + n].copy()
 
 
 def sptrsv_dbsr_lower_multi(lower: DBSRMatrix, B: np.ndarray,
                             diag: np.ndarray | None = None) -> np.ndarray:
-    """Solve ``(L + D) X = B`` for an ``(n, k)`` RHS block.
-
-    Column ``j`` of the result is bit-identical to
-    ``sptrsv_dbsr_lower(lower, B[:, j], diag)``.
-    """
+    """Solve ``(L + D) X = B`` (or ``(L + I) X = B`` when ``diag`` is
+    ``None``) for an ``(n, k)`` RHS block."""
     return _sptrsv_multi(lower, B, diag, forward=True)
 
 
@@ -124,31 +159,33 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
                      X: np.ndarray, B: np.ndarray) -> np.ndarray:
     """One SYMGS sweep (forward + backward GS) over ``(n, k)`` blocks.
 
-    Updates ``X`` in place and returns it; column-identical to
-    :func:`repro.kernels.symgs.symgs_dbsr` per RHS.
+    Updates ``X`` in place and returns it. Same-color blocks never
+    couple, so within a block-row the only self-reference is the main
+    diagonal: the row sum over *all* tiles includes ``d * x_i``, which
+    the ``x += (b - rowsum) / d`` update adds back.
     """
     B = _check_rhs_block(matrix, B)
     require(X.shape == B.shape, "X/B block shape mismatch")
     n, k = B.shape
     bs = matrix.bsize
     dtype = np.result_type(matrix.values, X)
-    Xp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    Xp[:, bs:bs + n] = X.T
-    b3 = np.ascontiguousarray(B.T).reshape(k, -1, bs)
-    d2 = np.asarray(diag).reshape(-1, bs)
-    anchors = matrix.anchors + bs
-    blk_ptr, values = matrix.blk_ptr, matrix.values
-    for forward in (True, False):
-        rng = range(matrix.brow) if forward \
-            else range(matrix.brow - 1, -1, -1)
-        for i in rng:
-            rowsum = np.zeros((k, bs), dtype=dtype)
-            for t in range(blk_ptr[i], blk_ptr[i + 1]):
+    Xp = np.zeros((n + 2 * bs, k), dtype=dtype)
+    Xp[bs:bs + n] = X
+    vals = matrix.values[:, :, None]
+    d = np.asarray(diag)[:, None]
+    ptr = matrix.blk_ptr.tolist()
+    anchors = (matrix.anchors + bs).tolist()
+    brow = matrix.brow
+    for rows in (range(brow), range(brow - 1, -1, -1)):
+        for i in rows:
+            r0 = i * bs
+            rowsum = np.zeros((bs, k), dtype=dtype)
+            for t in range(ptr[i], ptr[i + 1]):
                 a = anchors[t]
-                rowsum += values[t] * Xp[:, a:a + bs]
-            xi = Xp[:, bs + i * bs:bs + (i + 1) * bs]
-            xi += (b3[:, i, :] - rowsum) / d2[i]
-    X[:] = Xp[:, bs:bs + n].T
+                rowsum += vals[t] * Xp[a:a + bs]
+            Xp[bs + r0:bs + r0 + bs] += \
+                (B[r0:r0 + bs] - rowsum) / d[r0:r0 + bs]
+    X[:] = Xp[bs:bs + n]
     return X
 
 
@@ -158,44 +195,28 @@ def ilu_apply_dbsr_multi(factors, B: np.ndarray) -> np.ndarray:
     Two Algorithm-2 sweeps over the factored skeleton of a
     :class:`~repro.ilu.ilu0_dbsr.DBSRILUFactors` — a forward unit-lower
     solve over tiles before ``dia_ptr`` and a backward solve over the
-    diagonal + upper tiles — with each tile's value vector loaded once
-    per sweep and reused across all ``k`` columns. Column ``j`` of the
-    result is bit-identical to
-    ``ilu0_apply_dbsr(factors, B[:, j])``: batching reorders no
-    floating-point operation within a column.
+    upper tiles divided by the diagonal tile — with each tile's value
+    vector loaded once per sweep and reused across all ``k`` columns.
     """
     m = factors.matrix
     B = _check_rhs_block(m, B)
-    n, k = B.shape
-    bs = m.bsize
-    dtype = np.result_type(m.values, B)
-    blk_ptr, values = m.blk_ptr, m.values
-    dia_ptr = factors.dia_ptr
-    anchors = m.anchors + bs
-    b3 = np.ascontiguousarray(B.T).reshape(k, -1, bs)
-
+    n, bs = B.shape[0], m.bsize
+    ptr = m.blk_ptr.tolist()
+    dia = factors.dia_ptr.tolist()
+    anchors = (m.anchors + bs).tolist()
     # Forward: (L + I) Y = B.
-    Yp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    for i in range(m.brow):
-        acc = b3[:, i, :].astype(dtype, copy=True)   # (k, bs)
-        for t in range(int(blk_ptr[i]), int(dia_ptr[i])):
-            a = anchors[t]
-            acc -= values[t] * Yp[:, a:a + bs]
-        Yp[:, bs + i * bs:bs + (i + 1) * bs] = acc
-
+    Y = _sweep(m.values, anchors, ptr[:-1], dia, B, None, True)
     # Backward: (D + U) Z = Y.
-    Zp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    for i in range(m.brow - 1, -1, -1):
-        acc = Yp[:, bs + i * bs:bs + (i + 1) * bs].copy()
-        for t in range(int(dia_ptr[i]) + 1, int(blk_ptr[i + 1])):
-            a = anchors[t]
-            acc -= values[t] * Zp[:, a:a + bs]
-        acc /= values[int(dia_ptr[i])]
-        Zp[:, bs + i * bs:bs + (i + 1) * bs] = acc
-    return np.ascontiguousarray(Zp[:, bs:bs + n].T)
+    Z = _sweep(m.values, anchors, [p + 1 for p in dia], ptr[1:],
+               Y[bs:bs + n], factors.diag_vector()[:, None], False)
+    return Z[bs:bs + n].copy()
 
 
 # Instrumented twins ------------------------------------------------------
+#
+# Same padded (n + 2*bsize, k) buffers as the fast kernels; the engine
+# works on one column view ``Xp[:, j]`` at a time, so per tile there is
+# exactly one ``load_values`` and ``k`` x-loads/FMAs.
 
 def _sptrsv_multi_counted(matrix: DBSRMatrix, B: np.ndarray,
                           engine: VectorEngine,
@@ -213,8 +234,7 @@ def _sptrsv_multi_counted(matrix: DBSRMatrix, B: np.ndarray,
     bs = matrix.bsize
     require(engine.bsize == bs, "engine width must equal bsize")
     dtype = np.result_type(matrix.values, B)
-    Xp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    Bk = np.ascontiguousarray(B.T)
+    Xp = np.zeros((n + 2 * bs, k), dtype=dtype)
     anchors = matrix.anchors + bs
     vals_flat = matrix.values.reshape(-1)
     dp = None if diag is None else np.asarray(diag)
@@ -224,7 +244,7 @@ def _sptrsv_multi_counted(matrix: DBSRMatrix, B: np.ndarray,
         else range(matrix.brow - 1, -1, -1)
     for i in rng:
         engine.counter.bytes_index += blk_ptr.itemsize
-        accs = [engine.load(Bk[j], i * bs).astype(dtype)
+        accs = [engine.load(B[:, j], i * bs).astype(dtype)
                 for j in range(k)]
         for t in range(blk_ptr[i], blk_ptr[i + 1]):
             engine.counter.bytes_index += (
@@ -232,14 +252,14 @@ def _sptrsv_multi_counted(matrix: DBSRMatrix, B: np.ndarray,
             vec_vals = engine.load_values(vals_flat, t * bs)
             a = int(anchors[t])
             for j in range(k):
-                vec_x = engine.load(Xp[j], a)
+                vec_x = engine.load(Xp[:, j], a)
                 accs[j] = engine.fnma(accs[j], vec_vals, vec_x)
         if dp is not None:
             vec_d = engine.load(dp, i * bs)
             accs = [engine.div(acc, vec_d) for acc in accs]
         for j in range(k):
-            engine.store(Xp[j], bs + i * bs, accs[j])
-    return np.ascontiguousarray(Xp[:, bs:bs + n].T)
+            engine.store(Xp[:, j], bs + i * bs, accs[j])
+    return Xp[bs:bs + n].copy()
 
 
 def sptrsv_dbsr_lower_multi_counted(lower: DBSRMatrix, B: np.ndarray,
@@ -263,11 +283,10 @@ def spmv_dbsr_multi_counted(matrix: DBSRMatrix, X: np.ndarray,
     """Instrumented multi-RHS DBSR SpMV twin of :func:`spmv_dbsr_multi`.
 
     Per tile one ``load_values`` serves all ``k`` columns; tallies match
-    :func:`repro.kernels.counts.spmv_dbsr_multi_counts` exactly. The
+    :func:`repro.kernels.counts.spmv_dbsr_counts` exactly. The
     accumulator starts from an explicit zero register (the FMA chain of
-    Algorithm 4), so results equal the fast kernel's ``reduceat`` sums
-    under ``np.array_equal`` — the only representable difference is the
-    sign of zero on single-tile rows.
+    Algorithm 4), so results equal the fast kernel's sequential chain
+    under ``np.array_equal``.
     """
     X = np.asarray(X)
     require(X.ndim == 2 and X.shape[0] == matrix.n_cols,
@@ -276,12 +295,12 @@ def spmv_dbsr_multi_counted(matrix: DBSRMatrix, X: np.ndarray,
     bs = matrix.bsize
     require(engine.bsize == bs, "engine width must equal bsize")
     dtype = np.result_type(matrix.values, X)
-    Xp = np.zeros((k, matrix.n_cols + 2 * bs), dtype=X.dtype)
-    Xp[:, bs:bs + matrix.n_cols] = X.T
+    Xp = np.zeros((matrix.n_cols + 2 * bs, k), dtype=X.dtype)
+    Xp[bs:bs + matrix.n_cols] = X
     anchors = matrix.anchors + bs
     vals_flat = matrix.values.reshape(-1)
     blk_ptr = matrix.blk_ptr
-    Yk = np.zeros((k, matrix.brow * bs), dtype=dtype)
+    Y = np.zeros((matrix.brow * bs, k), dtype=dtype)
     engine.counter.bytes_index += blk_ptr.itemsize
     for i in range(matrix.brow):
         engine.counter.bytes_index += blk_ptr.itemsize
@@ -292,11 +311,11 @@ def spmv_dbsr_multi_counted(matrix: DBSRMatrix, X: np.ndarray,
             vec_vals = engine.load_values(vals_flat, t * bs)
             a = int(anchors[t])
             for j in range(k):
-                vec_x = engine.load(Xp[j], a)
+                vec_x = engine.load(Xp[:, j], a)
                 accs[j] = engine.fma(accs[j], vec_vals, vec_x)
         for j in range(k):
-            engine.store(Yk[j], i * bs, accs[j])
-    return np.ascontiguousarray(Yk[:, :matrix.n_rows].T)
+            engine.store(Y[:, j], i * bs, accs[j])
+    return Y[:matrix.n_rows].copy()
 
 
 def ilu_apply_dbsr_multi_counted(factors, B: np.ndarray,
@@ -308,7 +327,7 @@ def ilu_apply_dbsr_multi_counted(factors, B: np.ndarray,
     and the backward sweep charges the diagonal tile's value load
     before the ``k`` lane divisions — so results are **bitwise** equal
     and tallies match
-    :func:`repro.kernels.counts.ilu_apply_dbsr_multi_counts` exactly.
+    :func:`repro.kernels.counts.ilu_apply_dbsr_counts` exactly.
     """
     m = factors.matrix
     B = _check_rhs_block(m, B)
@@ -318,19 +337,18 @@ def ilu_apply_dbsr_multi_counted(factors, B: np.ndarray,
     bs = m.bsize
     require(engine.bsize == bs, "engine width must equal bsize")
     dtype = np.result_type(m.values, B)
-    Bk = np.ascontiguousarray(B.T)
     vals_flat = m.values.reshape(-1)
     anchors = m.anchors + bs
     blk_ptr = m.blk_ptr
     dia_ptr = factors.dia_ptr
 
     # Forward: (L + I) Y = B.
-    Yp = np.zeros((k, n + 2 * bs), dtype=dtype)
+    Yp = np.zeros((n + 2 * bs, k), dtype=dtype)
     engine.counter.bytes_index += blk_ptr.itemsize
     for i in range(m.brow):
         engine.counter.bytes_index += (
             blk_ptr.itemsize + dia_ptr.itemsize)
-        accs = [engine.load(Bk[j], i * bs).astype(dtype)
+        accs = [engine.load(B[:, j], i * bs).astype(dtype)
                 for j in range(k)]
         for t in range(int(blk_ptr[i]), int(dia_ptr[i])):
             engine.counter.bytes_index += (
@@ -338,18 +356,18 @@ def ilu_apply_dbsr_multi_counted(factors, B: np.ndarray,
             vec_vals = engine.load_values(vals_flat, t * bs)
             a = int(anchors[t])
             for j in range(k):
-                vec_y = engine.load(Yp[j], a)
+                vec_y = engine.load(Yp[:, j], a)
                 accs[j] = engine.fnma(accs[j], vec_vals, vec_y)
         for j in range(k):
-            engine.store(Yp[j], bs + i * bs, accs[j])
+            engine.store(Yp[:, j], bs + i * bs, accs[j])
 
     # Backward: (D + U) Z = Y.
-    Zp = np.zeros((k, n + 2 * bs), dtype=dtype)
+    Zp = np.zeros((n + 2 * bs, k), dtype=dtype)
     engine.counter.bytes_index += blk_ptr.itemsize
     for i in range(m.brow - 1, -1, -1):
         engine.counter.bytes_index += (
             blk_ptr.itemsize + dia_ptr.itemsize)
-        accs = [engine.load(Yp[j], bs + i * bs).astype(dtype)
+        accs = [engine.load(Yp[:, j], bs + i * bs).astype(dtype)
                 for j in range(k)]
         for t in range(int(dia_ptr[i]) + 1, int(blk_ptr[i + 1])):
             engine.counter.bytes_index += (
@@ -357,13 +375,13 @@ def ilu_apply_dbsr_multi_counted(factors, B: np.ndarray,
             vec_vals = engine.load_values(vals_flat, t * bs)
             a = int(anchors[t])
             for j in range(k):
-                vec_z = engine.load(Zp[j], a)
+                vec_z = engine.load(Zp[:, j], a)
                 accs[j] = engine.fnma(accs[j], vec_vals, vec_z)
         vec_d = engine.load_values(vals_flat, int(dia_ptr[i]) * bs)
         for j in range(k):
             accs[j] = engine.div(accs[j], vec_d)
-            engine.store(Zp[j], bs + i * bs, accs[j])
-    return np.ascontiguousarray(Zp[:, bs:bs + n].T)
+            engine.store(Zp[:, j], bs + i * bs, accs[j])
+    return Zp[bs:bs + n].copy()
 
 
 def symgs_dbsr_multi_counted(matrix: DBSRMatrix, diag: np.ndarray,
@@ -375,10 +393,9 @@ def symgs_dbsr_multi_counted(matrix: DBSRMatrix, diag: np.ndarray,
     sum accumulates through FMAs from a zero register and the update is
     ``x += (b - rowsum) / d`` — so batched results are **bitwise**
     equal to :func:`symgs_dbsr_multi`, and tallies match
-    :func:`repro.kernels.counts.symgs_dbsr_multi_counts` exactly.
+    :func:`repro.kernels.counts.symgs_dbsr_counts` exactly.
 
-    Like :func:`repro.kernels.symgs_counted.symgs_dbsr_counted`, the
-    diagonal tile's contiguous x window *is* the block-row's own x
+    The diagonal tile's contiguous x window *is* the block-row's own x
     slice, so the add-back correction needs no extra load. The
     ``b - rowsum`` subtraction happens on register-resident operands
     (both were just produced by engine ops) and is deliberately left
@@ -393,9 +410,8 @@ def symgs_dbsr_multi_counted(matrix: DBSRMatrix, diag: np.ndarray,
     bs = matrix.bsize
     require(engine.bsize == bs, "engine width must equal bsize")
     dtype = np.result_type(matrix.values, X)
-    Xp = np.zeros((k, n + 2 * bs), dtype=dtype)
-    Xp[:, bs:bs + n] = X.T
-    Bk = np.ascontiguousarray(B.T)
+    Xp = np.zeros((n + 2 * bs, k), dtype=dtype)
+    Xp[bs:bs + n] = X
     dp = np.asarray(diag)
     anchors = matrix.anchors + bs
     vals_flat = matrix.values.reshape(-1)
@@ -415,15 +431,15 @@ def symgs_dbsr_multi_counted(matrix: DBSRMatrix, diag: np.ndarray,
                 vec_vals = engine.load_values(vals_flat, t * bs)
                 a = int(anchors[t])
                 for j in range(k):
-                    vec_x = engine.load(Xp[j], a)
+                    vec_x = engine.load(Xp[:, j], a)
                     if t == dia_ptr[i]:
                         xi_vecs[j] = vec_x.copy()
                     rowsums[j] = engine.fma(rowsums[j], vec_vals, vec_x)
             vec_d = engine.load(dp, i * bs)
             for j in range(k):
-                bj = engine.load(Bk[j], i * bs)
+                bj = engine.load(B[:, j], i * bs)
                 corr = engine.div(bj - rowsums[j], vec_d)
-                engine.store(Xp[j], bs + i * bs,
+                engine.store(Xp[:, j], bs + i * bs,
                              engine.add(xi_vecs[j], corr))
-    X[:] = Xp[:, bs:bs + n].T
+    X[:] = Xp[bs:bs + n]
     return X

@@ -11,9 +11,9 @@ Two measurements back the serving layer's claims, both emitted to
    ``k ∈ {1, 2, 4, 8}``: measured ``OpCounter`` deltas show the
    value-stream bytes per solve falling as ``1/k`` (one tile-value load
    serves every RHS) while results stay bit-identical to ``k``
-   independent unbatched solves. Counted tallies are cross-checked
-   against the closed forms of
-   :func:`repro.kernels.counts.sptrsv_dbsr_multi_counts`.
+   independent ``k = 1`` solves of the plan's backend. Counted tallies
+   are cross-checked against the closed forms of
+   :func:`repro.kernels.counts.sptrsv_dbsr_counts`.
 """
 
 from __future__ import annotations
@@ -30,20 +30,22 @@ def batch_scaling_report(plan, ks=(1, 2, 4, 8), seed: int = 2024) -> dict:
 
     Runs the instrumented multi-RHS lower solve on ``max(ks)`` random
     right-hand sides, slicing the same RHS block per width, and checks
-    every batched column bit-equals the unbatched solve of that column.
+    every batched column bit-equals the ``k = 1`` solve of that column
+    through the plan's backend.
     """
-    from repro.kernels.counts import sptrsv_dbsr_multi_counts
-    from repro.kernels.sptrsv_dbsr import sptrsv_dbsr_lower
-    from repro.runtime.metrics import counter_to_dict
+    from repro.kernels.counts import sptrsv_dbsr_counts
     from repro.serve.batch import sptrsv_dbsr_lower_multi_counted
+    from repro.simd.counters import counter_to_dict
     from repro.simd.engine import VectorEngine
 
     rng = np.random.default_rng(seed)
     n = plan.lower.n_rows
     dtype = plan.config.np_dtype
     B = rng.standard_normal((n, max(ks))).astype(dtype)
-    reference = np.stack(
-        [sptrsv_dbsr_lower(plan.lower, B[:, j], diag=plan.diag)
+    backend = plan._backend()
+    reference = np.concatenate(
+        [backend.sptrsv_dbsr_multi(plan.lower, B[:, j:j + 1], plan.diag,
+                                   forward=True)
          for j in range(B.shape[1])], axis=1)
 
     widths = []
@@ -54,7 +56,7 @@ def batch_scaling_report(plan, ks=(1, 2, 4, 8), seed: int = 2024) -> dict:
             plan.lower, B[:, :k], engine, diag=plan.diag)
         bitwise = bool(np.array_equal(X, reference[:, :k]))
         measured = engine.counter
-        closed = sptrsv_dbsr_multi_counts(plan.lower, k, divide=True)
+        closed = sptrsv_dbsr_counts(plan.lower, divide=True, k=k)
         per_solve_value_bytes = measured.bytes_values / k
         entry = {
             "k": k,

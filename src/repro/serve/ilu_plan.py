@@ -215,10 +215,10 @@ class ILUPlan:
 
     def op_counts(self, op: str, k: int = 1):
         """Closed-form op counts of one ``k``-column application."""
-        from repro.kernels.counts import ilu_apply_dbsr_multi_counts
+        from repro.kernels.counts import ilu_apply_dbsr_counts
 
         require(op in ILU_OPS, f"unknown op {op!r}; known: {ILU_OPS}")
-        return ilu_apply_dbsr_multi_counts(self.factors, k)
+        return ilu_apply_dbsr_counts(self.factors, k)
 
     def describe(self) -> dict:
         """JSON-friendly summary (for metrics and persistence)."""
@@ -521,19 +521,21 @@ def ilu_pcg(plan: ILUPlan, b: np.ndarray, tol: float = 1e-8,
     Runs :func:`repro.solvers.pcg.pcg` in the plan's permuted + padded
     space (the virtual padding rows form an identity block with zero
     right-hand side, so they never perturb the Krylov iterates) with
-    the batched ILU application as the preconditioner; returns
-    ``(x, history)`` with ``x`` in the caller's original ordering.
+    the plan backend's ILU application at ``k = 1`` as the
+    preconditioner; returns ``(x, history)`` with ``x`` in the caller's
+    original ordering.
     """
-    from repro.serve.batch import ilu_apply_dbsr_multi
     from repro.solvers.pcg import pcg
 
     b = np.asarray(b, dtype=plan.config.np_dtype)
     require(b.ndim == 1 and b.shape[0] == plan.n,
             f"b must be ({plan.n},), got {b.shape}")
     bp = plan.extend(b)
+    backend = plan._backend()
 
     def precond(r: np.ndarray) -> np.ndarray:
-        return ilu_apply_dbsr_multi(plan.factors, r[:, None])[:, 0]
+        return backend.ilu_apply_dbsr_multi(plan.factors,
+                                            r[:, None])[:, 0]
 
     xp, history = pcg(plan.matrix, bp, precond, tol=tol,
                       maxiter=maxiter)

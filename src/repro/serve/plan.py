@@ -300,22 +300,22 @@ class SolvePlan:
         :meth:`execute`).
         """
         from repro.kernels.counts import (
-            spmv_dbsr_multi_counts,
-            sptrsv_dbsr_multi_counts,
+            spmv_dbsr_counts,
+            sptrsv_dbsr_counts,
             sptrsv_sell_counts,
-            symgs_dbsr_multi_counts,
+            symgs_dbsr_counts,
         )
 
         if self.config.strategy == "sell" and op in ("lower", "upper"):
             sell = self.sell_lower if op == "lower" else self.sell_upper
             return sptrsv_sell_counts(sell, divide=True).scaled(k)
         if op == "lower":
-            return sptrsv_dbsr_multi_counts(self.lower, k, divide=True)
+            return sptrsv_dbsr_counts(self.lower, divide=True, k=k)
         if op == "upper":
-            return sptrsv_dbsr_multi_counts(self.upper, k, divide=True)
+            return sptrsv_dbsr_counts(self.upper, divide=True, k=k)
         if op == "spmv":
-            return spmv_dbsr_multi_counts(self.dbsr, k)
-        return symgs_dbsr_multi_counts(self.dbsr, k)
+            return spmv_dbsr_counts(self.dbsr, k)
+        return symgs_dbsr_counts(self.dbsr, k)
 
     def describe(self) -> dict:
         """JSON-friendly summary (for metrics and persistence)."""

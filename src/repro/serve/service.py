@@ -22,8 +22,8 @@ Design points:
   (batch width, cache hit, solve seconds, amortized per-solve op
   counts via :mod:`repro.kernels.counts`), and the service aggregates
   phase timings in a :class:`~repro.runtime.session.SolverSession`
-  ledger (``compile`` / ``solve`` phases) for
-  :mod:`repro.runtime.metrics`-style reporting.
+  ledger (``compile`` / ``solve`` phases); each executed batch tallies
+  its closed-form op counts into the ``solve`` phase.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from repro.serve.plan import (
     SolvePlan,
     structural_fingerprint,
 )
+from repro.simd.counters import counter_to_dict
 from repro.utils.validation import check_positive
 
 #: Ops :meth:`SolveService.submit` accepts: the triangular/SpMV/SymGS
@@ -474,21 +475,23 @@ class SolveService:
         if not good:
             return 0
         B = np.stack([e.rhs for e, _ in good], axis=1)
+        k = len(good)
         t0 = time.perf_counter()
         try:
             with self.session.phase("solve"):
                 X = self._execute(plan, op, B)
+                counts = plan.op_counts(op, k)
+                self.session.tally(counts)
         except BaseException:
             # A kernel-level failure cannot name its culprit; re-run
             # each request alone so only the offender fails.
             return self._run_individually(plan, op, good)
         seconds = time.perf_counter() - t0
         self._batches.inc()
-        k = len(good)
         self._batch_width.observe(k)
         for j, (entry, hit) in enumerate(good):
             entry.ticket.metrics = self._request_metrics(
-                plan, hit, op, k, seconds)
+                plan, hit, op, k, seconds, counts)
             entry.ticket._finish(np.ascontiguousarray(X[:, j]))
             self._completed.inc()
         return k
@@ -508,23 +511,25 @@ class SolveService:
             try:
                 with self.session.phase("solve"):
                     x = self._execute(plan, op, entry.rhs)
+                    counts = plan.op_counts(op, 1)
+                    self.session.tally(counts)
             except BaseException as exc:  # noqa: BLE001 - per-request
                 entry.ticket._finish(None, exc)
                 self._failed.inc()
                 continue
             entry.ticket.metrics = self._request_metrics(
-                plan, hit, op, 1, time.perf_counter() - t0)
+                plan, hit, op, 1, time.perf_counter() - t0, counts)
             entry.ticket._finish(x)
             self._completed.inc()
             n_done += 1
         return n_done
 
     def _request_metrics(self, plan: SolvePlan, cache_hit: bool,
-                         op: str, k: int, batch_seconds: float) -> dict:
-        """Per-request share of one batch's cost."""
-        from repro.runtime.metrics import counter_to_dict
-
-        metrics = {
+                         op: str, k: int, batch_seconds: float,
+                         counts) -> dict:
+        """Per-request share of one batch's cost (``counts`` are the
+        batch's closed-form op counts)."""
+        return {
             "op": op,
             "fingerprint": plan.fingerprint,
             "batch_k": k,
@@ -533,30 +538,8 @@ class SolveService:
             "strategy": plan.config.strategy,
             "backend": plan._backend().name,
             "seconds": batch_seconds / k,
+            "counts_per_solve": counter_to_dict(counts.scaled(1.0 / k)),
         }
-        counts = self._op_counts(plan, op, k)
-        if counts is not None:
-            metrics["counts_per_solve"] = counter_to_dict(
-                counts.scaled(1.0 / k))
-        return metrics
-
-    @staticmethod
-    def _op_counts(plan: SolvePlan, op: str, k: int):
-        """Closed-form batch op counts (DBSR strategy only)."""
-        from repro.kernels.counts import (
-            ilu_apply_dbsr_multi_counts,
-            sptrsv_dbsr_multi_counts,
-        )
-
-        if plan.config.strategy != "dbsr":
-            return None
-        if op == "ilu_apply":
-            return ilu_apply_dbsr_multi_counts(plan.factors, k)
-        if op == "lower":
-            return sptrsv_dbsr_multi_counts(plan.lower, k, divide=True)
-        if op == "upper":
-            return sptrsv_dbsr_multi_counts(plan.upper, k, divide=True)
-        return None
 
     # Reporting ----------------------------------------------------------
     def stats(self) -> dict:

@@ -207,16 +207,18 @@ def measure_bsize_seconds(grid: StructuredGrid, stencil: Stencil,
                           matrix=None) -> float:
     """Build candidate structures and time one SpTRSV sweep (best-of).
 
-    This is the cost roofline pruning avoids: the AUTO partition, the
-    vBMC ordering, the permutation apply, the triangular split and the
-    DBSR conversion are all rebuilt per candidate before the first
-    timed sweep can run. ``matrix`` lets callers share the assembled
+    The timed sweep is the lower solve ``(L + D) x = b`` of the default
+    backend tier at ``k = 1`` — the kernel served plans execute. This
+    is the cost roofline pruning avoids: the AUTO partition, the vBMC
+    ordering, the permutation apply, the triangular split and the DBSR
+    conversion are all rebuilt per candidate before the first timed
+    sweep can run. ``matrix`` lets callers share the assembled
     (candidate-independent) operator across candidates.
     """
+    from repro.backends import resolve_backend
     from repro.formats.dbsr import DBSRMatrix
     from repro.grids.assembly import assemble_csr
     from repro.kernels.sptrsv_csr import split_triangular
-    from repro.kernels.sptrsv_dbsr import sptrsv_dbsr_lower
     from repro.ordering.coloring import _is_star
     from repro.ordering.vbmc import build_vbmc
 
@@ -232,10 +234,12 @@ def measure_bsize_seconds(grid: StructuredGrid, stencil: Stencil,
     L, D, _U = split_triangular(Ap)
     Ld = DBSRMatrix.from_csr(L, bsize)
     rhs = (np.arange(Ap.n_rows, dtype=Ld.values.dtype) % 7) + 1.0
+    B = rhs[:, None]
+    backend = resolve_backend()
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        sptrsv_dbsr_lower(Ld, rhs, diag=None)
+        backend.sptrsv_dbsr_multi(Ld, B, D, forward=True)
         best = min(best, time.perf_counter() - t0)
     return best
 

@@ -114,3 +114,26 @@ class OpCounter:
         cyc += (self.sload + self.sstore + self.sflop) * isa.scalar_op_cost
         cyc += self.sdiv * isa.div_cost
         return cyc / isa.issue_width
+
+
+def counter_to_dict(c: OpCounter) -> dict:
+    """Serialize an :class:`OpCounter` (op mix + per-stream bytes)."""
+    return {
+        "bsize": c.bsize,
+        "ops": {
+            "vload": c.vload, "vstore": c.vstore,
+            "vgather": c.vgather, "vscatter": c.vscatter,
+            "vfma": c.vfma, "vmul": c.vmul, "vadd": c.vadd,
+            "vdiv": c.vdiv,
+            "sload": c.sload, "sstore": c.sstore,
+            "sflop": c.sflop, "sdiv": c.sdiv,
+        },
+        "bytes": {
+            "values": c.bytes_values,
+            "index": c.bytes_index,
+            "vector": c.bytes_vector,
+            "gathered": c.bytes_gathered,
+            "total": c.total_bytes,
+        },
+        "flops": c.flops(),
+    }

@@ -6,6 +6,10 @@ reference; ``numpy-fast`` and the numba loop bodies must match it under
 counted twin's tallies must equal the closed forms exactly. The numba
 leg runs the *same* loop nests interpreted (``jit=False``) where numba
 is missing, and JIT-compiled where it is present.
+
+Every tier's DBSR kernels are also pinned per op as: column ``j`` of a
+``k``-wide call equals the ``k = 1`` call on column ``j``, and the
+``k = 1`` result matches the CSR reference kernel.
 """
 
 import numpy as np
@@ -13,7 +17,16 @@ import pytest
 
 from repro.backends import get_backend
 from repro.backends.numba_backend import NumbaBackend, numba_available
+from repro.formats.dbsr import DBSRMatrix
 from repro.grids import StructuredGrid
+from repro.ilu.ilu0_csr import ilu0_apply_csr
+from repro.ilu.ilu0_dbsr import ilu0_factorize_dbsr
+from repro.kernels.sptrsv_csr import (
+    split_triangular,
+    sptrsv_csr,
+    sptrsv_csr_upper,
+)
+from repro.kernels.symgs import symgs_csr
 from repro.serve.plan import PLAN_OPS, PlanConfig, compile_plan
 
 GRID = (6, 6, 6)
@@ -107,3 +120,71 @@ def test_counted_sell_tally_scales_with_k(rng):
     expected = plan.op_counts("lower", 4)
     assert backend.last_engine.counter.vfma == expected.vfma
     assert backend.last_engine.counter.vgather == expected.vgather
+
+
+# Column identity + CSR agreement, per op and per tier ------------------
+
+DBSR_OPS = ("lower", "upper", "spmv", "symgs", "ilu_apply")
+TIERS = ("numpy-counted", "numpy-fast", "numba-bodies", "numba-jit")
+
+
+def _tier(name):
+    if name == "numba-bodies":
+        return NumbaBackend(jit=False)
+    if name == "numba-jit":
+        pytest.importorskip("numba")
+        return NumbaBackend(jit=True)
+    return get_backend(name)
+
+
+@pytest.fixture(scope="module")
+def artifacts(reordered_3d):
+    csr, dbsr = reordered_3d
+    L, D, U = split_triangular(csr)
+    bs = dbsr.bsize
+    factors = ilu0_factorize_dbsr(dbsr)
+    return {
+        "csr": csr, "dbsr": dbsr, "L": L, "U": U, "D": D,
+        "Ld": DBSRMatrix.from_csr(L, bs), "Ud": DBSRMatrix.from_csr(U, bs),
+        "factors": factors, "csr_factors": factors.to_csr_factors(),
+    }
+
+
+def _run(backend, op, a, B):
+    if op == "lower":
+        return backend.sptrsv_dbsr_multi(a["Ld"], B, a["D"], forward=True)
+    if op == "upper":
+        return backend.sptrsv_dbsr_multi(a["Ud"], B, a["D"],
+                                         forward=False)
+    if op == "spmv":
+        return backend.spmv_dbsr_multi(a["dbsr"], B)
+    if op == "symgs":
+        return backend.symgs_dbsr_multi(a["dbsr"], a["D"],
+                                        np.zeros_like(B), B)
+    return backend.ilu_apply_dbsr_multi(a["factors"], B)
+
+
+def _csr_reference(op, a, b):
+    if op == "lower":
+        return sptrsv_csr(a["L"], a["D"], b)
+    if op == "upper":
+        return sptrsv_csr_upper(a["U"], a["D"], b)
+    if op == "spmv":
+        return a["csr"].matvec(b)
+    if op == "symgs":
+        return symgs_csr(a["csr"], a["D"], np.zeros_like(b), b.copy())
+    return ilu0_apply_csr(a["csr_factors"], b)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("op", DBSR_OPS)
+def test_k_wide_columns_equal_k1_calls_and_csr(tier, op, artifacts, rng):
+    backend = _tier(tier)
+    B = rng.standard_normal((artifacts["dbsr"].n_rows, 3))
+    X = _run(backend, op, artifacts, B)
+    for j in range(B.shape[1]):
+        x1 = _run(backend, op, artifacts, B[:, j:j + 1])
+        assert x1.shape == (B.shape[0], 1)
+        assert np.array_equal(X[:, j:j + 1], x1), j
+        assert np.allclose(x1[:, 0], _csr_reference(op, artifacts,
+                                                    B[:, j])), j

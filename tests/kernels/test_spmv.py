@@ -6,9 +6,9 @@ from repro.formats.sell import SELLMatrix
 from repro.kernels.spmv import (
     spmv,
     spmv_csr_counted,
-    spmv_dbsr_counted,
     spmv_sell_counted,
 )
+from repro.serve.batch import spmv_dbsr_multi_counted
 from repro.simd.engine import VectorEngine
 
 
@@ -56,7 +56,7 @@ def test_dbsr_counted_matches(reordered_2d, rng):
     csr, dbsr = reordered_2d
     x = rng.standard_normal(csr.n_cols)
     eng = VectorEngine(dbsr.bsize)
-    y = spmv_dbsr_counted(dbsr, x, eng)
+    y = spmv_dbsr_multi_counted(dbsr, x[:, None], eng)[:, 0]
     assert np.allclose(y, csr.matvec(x))
     assert eng.counter.vgather == 0  # DBSR never gathers
     assert eng.counter.vfma == dbsr.n_tiles
@@ -67,7 +67,8 @@ def test_dbsr_spmv_counts_match_closed_form(reordered_2d, rng):
 
     csr, dbsr = reordered_2d
     eng = VectorEngine(dbsr.bsize)
-    spmv_dbsr_counted(dbsr, rng.standard_normal(csr.n_cols), eng)
+    spmv_dbsr_multi_counted(dbsr, rng.standard_normal((csr.n_cols, 1)),
+                            eng)
     expect = spmv_dbsr_counts(dbsr)
     assert eng.counter.vload == expect.vload
     assert eng.counter.vfma == expect.vfma

@@ -5,7 +5,6 @@ import numpy as np
 from repro.kernels.symgs import (
     gs_backward_csr,
     gs_forward_csr,
-    gs_forward_dbsr,
     symgs_csr,
     symgs_dbsr,
 )
@@ -63,17 +62,6 @@ def test_symgs_dbsr_matches_csr_3d(reordered_3d, rng):
         symgs_csr(csr, diag, x1, b)
         symgs_dbsr(dbsr, diag, x2, b)
         assert np.allclose(x1, x2)
-
-
-def test_gs_forward_dbsr_matches_csr(reordered_2d, rng):
-    csr, dbsr = reordered_2d
-    diag = csr.diagonal()
-    b = rng.standard_normal(csr.n_rows)
-    x1 = np.zeros(csr.n_rows)
-    x2 = np.zeros(csr.n_rows)
-    gs_forward_csr(csr, diag, x1, b)
-    gs_forward_dbsr(dbsr, diag, x2, b)
-    assert np.allclose(x1, x2)
 
 
 def test_backward_then_forward_is_symmetric_smoother(problem_2d, rng):

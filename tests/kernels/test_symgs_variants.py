@@ -1,4 +1,7 @@
-"""Tests for the SELL SYMGS kernel and the instrumented SYMGS twins."""
+"""Tests for the SELL SYMGS kernel and the instrumented SYMGS twins.
+
+The DBSR twin is the counted block kernel run at ``k = 1``.
+"""
 
 import numpy as np
 import pytest
@@ -6,9 +9,15 @@ import pytest
 from repro.formats.sell import SELLMatrix
 from repro.kernels.counts import symgs_dbsr_counts
 from repro.kernels.symgs import symgs_csr, symgs_dbsr
-from repro.kernels.symgs_counted import symgs_dbsr_counted
 from repro.kernels.symgs_sell import symgs_sell, symgs_sell_counted
+from repro.serve.batch import symgs_dbsr_multi_counted
 from repro.simd.engine import VectorEngine
+
+
+def _counted_symgs_k1(dbsr, diag, x, b, engine):
+    """Counted DBSR SYMGS on one vector (``k = 1``), in place on ``x``."""
+    symgs_dbsr_multi_counted(dbsr, diag, x[:, None], b[:, None], engine)
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +82,8 @@ def test_symgs_dbsr_counted_matches_fast_twin(setup, rng):
     x2 = np.zeros(csr.n_rows)
     symgs_dbsr(dbsr, diag, x1, b)
     eng = VectorEngine(dbsr.bsize)
-    symgs_dbsr_counted(dbsr, diag, x2, b, eng)
-    assert np.allclose(x1, x2)
+    _counted_symgs_k1(dbsr, diag, x2, b, eng)
+    assert np.array_equal(x1, x2)
 
 
 def test_symgs_dbsr_counted_matches_closed_form(setup, rng):
@@ -82,7 +91,7 @@ def test_symgs_dbsr_counted_matches_closed_form(setup, rng):
     diag = csr.diagonal()
     b = rng.standard_normal(csr.n_rows)
     eng = VectorEngine(dbsr.bsize)
-    symgs_dbsr_counted(dbsr, diag, np.zeros(csr.n_rows), b, eng)
+    _counted_symgs_k1(dbsr, diag, np.zeros(csr.n_rows), b, eng)
     expect = symgs_dbsr_counts(dbsr)
     got = eng.counter
     for f in ("vload", "vstore", "vfma", "vdiv", "vadd", "vgather",
@@ -98,7 +107,7 @@ def test_dbsr_symgs_traffic_below_sell(setup, rng):
     diag = csr.diagonal()
     b = rng.standard_normal(csr.n_rows)
     e1 = VectorEngine(dbsr.bsize)
-    symgs_dbsr_counted(dbsr, diag, np.zeros(csr.n_rows), b, e1)
+    _counted_symgs_k1(dbsr, diag, np.zeros(csr.n_rows), b, e1)
     e2 = VectorEngine(sell.chunk)
     symgs_sell_counted(sell, diag, np.zeros(csr.n_rows), b, e2)
     assert e1.counter.bytes_gathered == 0

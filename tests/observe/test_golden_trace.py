@@ -269,24 +269,25 @@ def test_jit_bit_identical_to_counted_on_golden_cases(strategy, bsize):
 def test_counted_kernel_sees_zero_added_ops(installed, reordered_3d):
     """The instrumented vector engine must count exactly the closed
     forms whether or not a tracer is live: tracing adds no vector or
-    scalar ops to the counted path."""
+    scalar ops to the counted path (the counted block kernel at
+    ``k = 1``)."""
     from repro.formats.dbsr import DBSRMatrix
     from repro.kernels.counts import sptrsv_dbsr_counts
     from repro.kernels.sptrsv_csr import split_triangular
-    from repro.kernels.sptrsv_dbsr import sptrsv_dbsr_lower_counted
+    from repro.serve.batch import sptrsv_dbsr_lower_multi_counted
     from repro.simd.engine import VectorEngine
 
     csr, dbsr = reordered_3d
     L, D, _U = split_triangular(csr)
     Ld = DBSRMatrix.from_csr(L, dbsr.bsize)
-    b = np.random.default_rng(SEED).standard_normal(L.n_rows)
+    b = np.random.default_rng(SEED).standard_normal((L.n_rows, 1))
     eng = VectorEngine(dbsr.bsize)
     if installed:
         with trace.tracing():
-            sptrsv_dbsr_lower_counted(Ld, b, eng, diag=D)
+            sptrsv_dbsr_lower_multi_counted(Ld, b, eng, diag=D)
     else:
         assert trace.active() is None
-        sptrsv_dbsr_lower_counted(Ld, b, eng, diag=D)
+        sptrsv_dbsr_lower_multi_counted(Ld, b, eng, diag=D)
     expect = sptrsv_dbsr_counts(Ld, divide=True)
     got = eng.counter
     # Fields the counted twin models (same set the kernel suite pins);

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.grids.grid import StructuredGrid
-from repro.kernels.sptrsv_dbsr import sptrsv_dbsr_lower_counted
 from repro.resilience.chaos import (
     collect_bench_chaos,
     default_scenarios,
     run_scenario,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.serve.batch import sptrsv_dbsr_lower_multi_counted
 from repro.serve.plan import PlanConfig, compile_plan
 from repro.simd.engine import VectorEngine
 
@@ -51,12 +51,12 @@ def test_armed_injector_does_not_change_op_counts():
     ops."""
     plan = compile_plan(StructuredGrid((6, 6, 6)), "27pt",
                         PlanConfig(bsize=4))
-    b = np.random.default_rng(11).standard_normal(plan.lower.n_rows)
+    b = np.random.default_rng(11).standard_normal((plan.lower.n_rows, 1))
 
     def counted():
         engine = VectorEngine(bsize=plan.lower.bsize)
-        x = sptrsv_dbsr_lower_counted(plan.lower, b, engine,
-                                      diag=plan.diag)
+        x = sptrsv_dbsr_lower_multi_counted(plan.lower, b, engine,
+                                            diag=plan.diag)
         return x, engine.counter
 
     x_clean, c_clean = counted()

@@ -1,16 +1,15 @@
-"""Tests for runtime bench metrics collection and JSON emission."""
+"""Tests for the runtime kernel bench collection and JSON emission."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.runtime.metrics import (
+from repro.runtime.kernel_bench import (
     collect_bench_runtime,
-    counter_to_dict,
     write_bench_json,
 )
-from repro.simd.counters import OpCounter
+from repro.simd.counters import OpCounter, counter_to_dict
 
 pytestmark = pytest.mark.fast
 

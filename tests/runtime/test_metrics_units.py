@@ -1,4 +1,4 @@
-"""Direct unit tests for runtime/metrics.py internals.
+"""Direct unit tests for runtime/kernel_bench.py internals.
 
 The report-level tests in test_metrics.py exercise these through
 ``collect_bench_runtime``; here ``_best_of`` and ``_kernel_entry``
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from repro.runtime.metrics import _best_of, _kernel_entry
+from repro.runtime.kernel_bench import _best_of, _kernel_entry
 from repro.simd.counters import OpCounter
 
 

@@ -1,18 +1,22 @@
-"""Multi-RHS batched kernels: bit-identity and byte amortization."""
+"""DBSR block kernels: column identity, CSR agreement, byte amortization.
+
+Every DBSR sweep is one ``(n, k)`` block kernel, so bit-identity is
+pinned as: column ``j`` of a ``k``-wide call equals the ``k = 1`` call
+on column ``j`` (``np.array_equal``), and the ``k = 1`` result matches
+the CSR reference kernel to roundoff.
+"""
 
 import numpy as np
 import pytest
 
-from repro.kernels.counts import (
-    sptrsv_dbsr_counts,
-    sptrsv_dbsr_multi_counts,
+from repro.formats.dbsr import DBSRMatrix
+from repro.kernels.counts import sptrsv_dbsr_counts
+from repro.kernels.sptrsv_csr import (
+    split_triangular,
+    sptrsv_csr,
+    sptrsv_csr_upper,
 )
-from repro.kernels.sptrsv_csr import split_triangular
-from repro.kernels.sptrsv_dbsr import (
-    sptrsv_dbsr_lower,
-    sptrsv_dbsr_upper,
-)
-from repro.kernels.symgs import symgs_dbsr
+from repro.kernels.symgs import symgs_csr
 from repro.serve.batch import (
     spmv_dbsr_multi,
     spmv_dbsr_multi_counted,
@@ -29,10 +33,8 @@ from repro.simd.engine import VectorEngine
 def factors(reordered_3d):
     csr, dbsr = reordered_3d
     L, D, U = split_triangular(csr)
-    from repro.formats.dbsr import DBSRMatrix
-
     return (dbsr, DBSRMatrix.from_csr(L, dbsr.bsize),
-            DBSRMatrix.from_csr(U, dbsr.bsize), D)
+            DBSRMatrix.from_csr(U, dbsr.bsize), D, L, U)
 
 
 @pytest.fixture(scope="module")
@@ -42,32 +44,39 @@ def rhs_block(factors):
     return rng.standard_normal((n, 8))
 
 
+def _assert_columns_equal_k1(X, kernel, B):
+    for j in range(B.shape[1]):
+        assert np.array_equal(X[:, j:j + 1], kernel(B[:, j:j + 1])), j
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
 def test_lower_multi_bitwise_equals_unbatched(factors, rhs_block, k):
-    _, Ld, _, D = factors
+    _, Ld, _, D, L, _ = factors
     B = rhs_block[:, :k]
     X = sptrsv_dbsr_lower_multi(Ld, B, diag=D)
-    for j in range(k):
-        xj = sptrsv_dbsr_lower(Ld, B[:, j], diag=D)
-        assert np.array_equal(X[:, j], xj)
+    _assert_columns_equal_k1(
+        X, lambda b: sptrsv_dbsr_lower_multi(Ld, b, diag=D), B)
+    assert np.allclose(X[:, 0], sptrsv_csr(L, D, B[:, 0]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 8])
 def test_upper_multi_bitwise_equals_unbatched(factors, rhs_block, k):
-    _, _, Ud, D = factors
+    _, _, Ud, D, _, U = factors
     B = rhs_block[:, :k]
     X = sptrsv_dbsr_upper_multi(Ud, B, diag=D)
-    for j in range(k):
-        assert np.array_equal(X[:, j],
-                              sptrsv_dbsr_upper(Ud, B[:, j], diag=D))
+    _assert_columns_equal_k1(
+        X, lambda b: sptrsv_dbsr_upper_multi(Ud, b, diag=D), B)
+    assert np.allclose(X[:, 0], sptrsv_csr_upper(U, D, B[:, 0]))
 
 
 def test_lower_multi_unit_diag(factors, rhs_block):
-    _, Ld, _, _ = factors
+    _, Ld, _, D, L, _ = factors
     B = rhs_block[:, :3]
     X = sptrsv_dbsr_lower_multi(Ld, B)
-    for j in range(3):
-        assert np.array_equal(X[:, j], sptrsv_dbsr_lower(Ld, B[:, j]))
+    _assert_columns_equal_k1(
+        X, lambda b: sptrsv_dbsr_lower_multi(Ld, b), B)
+    assert np.allclose(X[:, 0],
+                       sptrsv_csr(L, D, B[:, 0], unit_diag=True))
 
 
 @pytest.mark.parametrize("k", [1, 4])
@@ -89,61 +98,73 @@ def test_symgs_multi_bitwise_equals_unbatched(reordered_3d, rhs_block):
     csr, dbsr = reordered_3d
     diag = csr.diagonal()
     B = rhs_block[:, :4]
-    X = np.zeros_like(B)
-    symgs_dbsr_multi(dbsr, diag, X, B)
-    for j in range(4):
-        xj = np.zeros(dbsr.n_rows)
-        symgs_dbsr(dbsr, diag, xj, B[:, j].copy())
-        assert np.array_equal(X[:, j], xj)
+    X = symgs_dbsr_multi(dbsr, diag, np.zeros_like(B), B)
+    _assert_columns_equal_k1(
+        X, lambda b: symgs_dbsr_multi(dbsr, diag, np.zeros_like(b), b),
+        B)
+    x_csr = np.zeros(csr.n_rows)
+    symgs_csr(csr, diag, x_csr, B[:, 0].copy())
+    assert np.allclose(X[:, 0], x_csr)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_counted_twin_matches_closed_form(factors, rhs_block, k):
-    _, Ld, _, D = factors
+    _, Ld, _, D, _, _ = factors
     engine = VectorEngine(Ld.bsize)
     X = sptrsv_dbsr_lower_multi_counted(Ld, rhs_block[:, :k], engine,
                                         diag=D)
-    closed = sptrsv_dbsr_multi_counts(Ld, k, divide=True)
+    closed = sptrsv_dbsr_counts(Ld, divide=True, k=k)
     c = engine.counter
     assert c.vload == closed.vload
     assert c.vfma == closed.vfma
     assert c.vstore == closed.vstore
     assert c.vdiv == closed.vdiv
-    # (sload is modeled, not instrumented — same convention as the
-    # unbatched twins, which charge index traffic via bytes_index.)
+    # (sload is modeled, not instrumented: index traffic is charged
+    # via bytes_index.)
     assert c.bytes_values == closed.bytes_values
     assert c.bytes_index == closed.bytes_index
     assert c.bytes_vector == closed.bytes_vector
-    # And it still computes the right answer.
-    for j in range(k):
-        assert np.array_equal(X[:, j],
-                              sptrsv_dbsr_lower(Ld, rhs_block[:, j],
-                                                diag=D))
+    # And it computes the fast kernel's answer bit for bit.
+    assert np.array_equal(
+        X, sptrsv_dbsr_lower_multi(Ld, rhs_block[:, :k], diag=D))
 
 
 def test_counted_upper_twin_matches_closed_form(factors, rhs_block):
-    _, _, Ud, D = factors
+    _, _, Ud, D, _, _ = factors
     engine = VectorEngine(Ud.bsize)
-    sptrsv_dbsr_upper_multi_counted(Ud, rhs_block[:, :3], engine, diag=D)
-    closed = sptrsv_dbsr_multi_counts(Ud, 3, divide=True)
+    X = sptrsv_dbsr_upper_multi_counted(Ud, rhs_block[:, :3], engine,
+                                        diag=D)
+    closed = sptrsv_dbsr_counts(Ud, divide=True, k=3)
     assert engine.counter.bytes_values == closed.bytes_values
     assert engine.counter.total_vector_ops == closed.total_vector_ops
+    assert np.array_equal(
+        X, sptrsv_dbsr_upper_multi(Ud, rhs_block[:, :3], diag=D))
 
 
 def test_multi_counts_reduce_to_single_rhs_counts(factors):
-    """k = 1 must reproduce the established unbatched closed form."""
-    _, Ld, _, _ = factors
+    """The one closed form is affine in ``k``: value bytes and index
+    traffic are per sweep, everything else grows by the same step per
+    added column — so ``k = 1`` is the single-RHS count."""
+    _, Ld, _, _, _, _ = factors
+    fields = ("vload", "vfma", "vstore", "vdiv", "sload",
+              "bytes_values", "bytes_index", "bytes_vector")
     for divide in (False, True):
-        single = sptrsv_dbsr_counts(Ld, divide=divide)
-        multi = sptrsv_dbsr_multi_counts(Ld, 1, divide=divide)
-        for f in ("vload", "vfma", "vstore", "vdiv", "sload",
-                  "bytes_values", "bytes_index", "bytes_vector"):
-            assert getattr(single, f) == getattr(multi, f), (f, divide)
+        c1 = sptrsv_dbsr_counts(Ld, divide=divide)
+        assert c1 == sptrsv_dbsr_counts(Ld, divide=divide, k=1)
+        c2 = sptrsv_dbsr_counts(Ld, divide=divide, k=2)
+        for k in (3, 8):
+            ck = sptrsv_dbsr_counts(Ld, divide=divide, k=k)
+            for f in fields:
+                step = getattr(c2, f) - getattr(c1, f)
+                assert getattr(ck, f) == getattr(c1, f) + (k - 1) * step
+        assert c2.bytes_values == c1.bytes_values
+        assert c2.bytes_index == c1.bytes_index
+        assert c1.vfma == Ld.n_tiles
 
 
 def test_value_bytes_amortize_as_one_over_k(factors, rhs_block):
     """The serving claim: value-stream bytes per solve fall as 1/k."""
-    _, Ld, _, D = factors
+    _, Ld, _, D, _, _ = factors
     per_solve = []
     for k in (1, 2, 4, 8):
         engine = VectorEngine(Ld.bsize)
@@ -160,7 +181,7 @@ def test_value_bytes_amortize_as_one_over_k(factors, rhs_block):
 
 def test_gather_free(factors, rhs_block):
     """Batched kernels must not introduce gathers."""
-    _, Ld, _, D = factors
+    _, Ld, _, D, _, _ = factors
     engine = VectorEngine(Ld.bsize)
     sptrsv_dbsr_lower_multi_counted(Ld, rhs_block, engine, diag=D)
     assert engine.counter.vgather == 0
@@ -168,7 +189,7 @@ def test_gather_free(factors, rhs_block):
 
 
 def test_rhs_block_validation(factors):
-    _, Ld, _, _ = factors
+    _, Ld, _, _, _, _ = factors
     with pytest.raises(ValueError):
         sptrsv_dbsr_lower_multi(Ld, np.zeros(Ld.n_rows))  # 1-D
     with pytest.raises(ValueError):

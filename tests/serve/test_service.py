@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.grids.grid import StructuredGrid
+from repro.kernels.counts import spmv_dbsr_counts, symgs_dbsr_counts
 from repro.kernels.sptrsv_csr import split_triangular
 from repro.serve.cache import PlanCache
 from repro.serve.plan import PlanConfig
@@ -12,6 +13,7 @@ from repro.serve.service import (
     RequestError,
     SolveService,
 )
+from repro.simd.counters import OpCounter, counter_to_dict
 
 CFG = PlanConfig(bsize=4, n_workers=2)
 GRID = StructuredGrid((8, 8, 8))
@@ -164,9 +166,39 @@ def test_request_metrics_contents(service, rng):
 
 
 def test_spmv_op_has_no_sptrsv_counts(service, rng):
+    """An SpMV ticket carries the SpMV closed form — no triangular-solve
+    divides or b-loads."""
     t = service.submit(GRID, "27pt", rng.standard_normal(N), op="spmv")
     service.drain()
-    assert "counts_per_solve" not in t.metrics
+    plan = service.cache.get(t.fingerprint)
+    assert t.metrics["counts_per_solve"] == counter_to_dict(
+        spmv_dbsr_counts(plan.dbsr))
+    assert t.metrics["counts_per_solve"]["ops"]["vdiv"] == 0
+
+
+def test_solve_phase_counter_sums_batch_closed_forms(rng):
+    """Served SYMGS tickets carry per-solve counts, and the session's
+    ``solve`` phase counter is the sum of the closed forms of the
+    batches it served (one ``plan.op_counts(op, k)`` per batch)."""
+    with SolveService(config=CFG, max_batch=4) as svc:
+        tickets = [svc.submit(GRID, "27pt", b, op="symgs")
+                   for b in _rhs(rng, 6)]
+        svc.drain()
+        plan = svc.cache.get(tickets[0].fingerprint)
+        widths = sorted(t.metrics["batch_k"] for t in tickets)
+        assert widths == [2, 2, 4, 4, 4, 4]
+        expected = OpCounter(bsize=1)
+        for k in (4, 2):
+            expected.merge(symgs_dbsr_counts(plan.dbsr, k))
+        for t in tickets:
+            k = t.metrics["batch_k"]
+            assert t.metrics["counts_per_solve"] == counter_to_dict(
+                symgs_dbsr_counts(plan.dbsr, k).scaled(1.0 / k))
+        solve = svc.stats()["phases"]["solve"]
+        assert solve["calls"] == 2
+        assert solve["counter"]["ops"] == counter_to_dict(expected)["ops"]
+        assert solve["counter"]["bytes"] \
+            == counter_to_dict(expected)["bytes"]
 
 
 def test_result_timeout_before_drain(service, rng):

@@ -7,6 +7,7 @@ same machinery the gateway uses, no mocks on the health path.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -186,14 +187,40 @@ def test_budget_exhaustion_abandons_the_campaign():
     asyncio.run(run())
 
 
+class GatedCanary(CanaryProbe):
+    """A canary that holds every probe of a shard outside ``known``
+    (i.e. a restart candidate) until ``gate`` is set.
+
+    The probe runs on a worker thread, so waiting there blocks only the
+    restart campaign, never the event loop.
+    """
+
+    def __init__(self, known, gate, **kw):
+        super().__init__(CONFIG, nx=4, **kw)
+        self.known = set(known)
+        self.gate = gate
+
+    def check(self, shard):
+        if shard.index not in self.known:
+            self.gate.wait()
+        return super().check(shard)
+
+
 def test_sweep_quarantines_idle_sick_shards():
     async def run():
         pool = make_pool(min_shards=2, max_shards=2)
-        sup = make_supervisor().bind(pool)
+        gate = threading.Event()
+        canary = GatedCanary((s.index for s in pool._shards), gate)
+        sup = make_supervisor(canary=canary).bind(pool)
         pool._shards[0].poison()
-        sick = await sup.sweep()
-        assert sick == 1
-        assert pool.n_shards == 1  # healthy one back in rotation
+        try:
+            sick = await sup.sweep()
+            assert sick == 1
+            # The replacement's probe is held at the gate, so it cannot
+            # be adopted before this check.
+            assert pool.n_shards == 1  # healthy one back in rotation
+        finally:
+            gate.set()
         await sup.drain(cancel=False)
         assert pool.n_shards == 2  # replacement adopted
         pool.close()
