@@ -2,11 +2,8 @@
 
 A :class:`KernelBackend` supplies the compiled execution tier behind
 :meth:`repro.serve.plan.SolvePlan.execute`: the ``PLAN_OPS`` surface
-(``lower`` / ``upper`` / ``spmv`` / ``symgs``) routed by plan strategy,
-plus the underlying format-level multi-RHS kernels the resilience
-ladder calls directly with its own artifacts (a DBSR-strategy plan
-descending to the SELL rung executes *that rung* through the plan's
-backend too).
+(``lower`` / ``upper`` / ``spmv`` / ``symgs``, plus ``ilu_apply`` for
+ILU plans) over the underlying format-level multi-RHS DBSR kernels.
 
 Backends are numerical twins, not alternatives: every tier must return
 results equal under ``np.array_equal`` to the ``numpy-counted``
@@ -27,11 +24,9 @@ import numpy as np
 class KernelBackend:
     """Abstract execution tier for the ``PLAN_OPS`` surface.
 
-    Subclasses implement the four format-level kernels; the plan-level
-    ops (:meth:`lower` … :meth:`symgs`) route strategy exactly like the
-    historical ``SolvePlan._execute_dbsr`` / ``_execute_sell`` split:
-    a ``"sell"``-strategy plan runs its triangular sweeps through the
-    SELL kernels and everything else through DBSR.
+    Subclasses implement the four format-level DBSR kernels; the
+    plan-level ops (:meth:`lower` … :meth:`ilu_apply`) bind them to a
+    plan's artifacts.
 
     All plan-level ops take and return **padded-ordering** ``(n_padded,
     k)`` blocks — :meth:`SolvePlan.execute` owns the extend/restrict
@@ -52,16 +47,10 @@ class KernelBackend:
         return getattr(self, op)(plan, Bp)
 
     def lower(self, plan, Bp: np.ndarray) -> np.ndarray:
-        if plan.config.strategy == "sell":
-            return self.sptrsv_sell_multi(plan.sell_lower, Bp,
-                                          plan.diag, forward=True)
         return self.sptrsv_dbsr_multi(plan.lower, Bp, plan.diag,
                                       forward=True)
 
     def upper(self, plan, Bp: np.ndarray) -> np.ndarray:
-        if plan.config.strategy == "sell":
-            return self.sptrsv_sell_multi(plan.sell_upper, Bp,
-                                          plan.diag, forward=False)
         return self.sptrsv_dbsr_multi(plan.upper, Bp, plan.diag,
                                       forward=False)
 
@@ -90,12 +79,6 @@ class KernelBackend:
     def symgs_dbsr_multi(self, matrix, diag: np.ndarray, X: np.ndarray,
                          Bp: np.ndarray) -> np.ndarray:
         """One SYMGS sweep over ``(n, k)`` blocks; updates ``X``."""
-        raise NotImplementedError
-
-    def sptrsv_sell_multi(self, sell, Bp: np.ndarray,
-                          diag: np.ndarray | None,
-                          forward: bool) -> np.ndarray:
-        """Column-wise SELL triangular solve over an ``(n, k)`` block."""
         raise NotImplementedError
 
     def ilu_apply_dbsr_multi(self, factors, Bp: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""``numba`` tier: JIT-compiled DBSR/SELL hot loops.
+"""``numba`` tier: JIT-compiled DBSR hot loops.
 
 The paper's core claim is that DBSR's gather-free contiguous-load
 sweeps (Alg. 2/4) vectorize into machine code; this tier actually
@@ -144,38 +144,10 @@ def _ilu_apply_dbsr_body(blk_ptr, dia_ptr, anchors, values, Bk, Yp, Zp):
                 Zp[j, bs + row0 + lane] = acc[lane]
 
 
-def _sptrsv_sell_body(chunk_ptr, widths, colidx, vals, diag, use_diag,
-                      b, x, chunk, forward):
-    n = x.shape[0]
-    n_chunks = widths.shape[0]
-    step = 1 if forward else -1
-    start = 0 if forward else n_chunks - 1
-    for ii in range(n_chunks):
-        ci = start + step * ii
-        base = chunk_ptr[ci]
-        w = widths[ci]
-        lo = ci * chunk
-        hi = min(lo + chunk, n)
-        lanes = hi - lo
-        acc = b[lo:hi].copy()
-        for jj in range(w):
-            pos = base + jj * chunk
-            for lane in range(lanes):
-                col = colidx[pos + lane]
-                prod = vals[pos + lane] * x[col]
-                acc[lane] = acc[lane] - prod
-        if use_diag:
-            for lane in range(lanes):
-                acc[lane] = acc[lane] / diag[lo + lane]
-        for lane in range(lanes):
-            x[lo + lane] = acc[lane]
-
-
 _BODIES = {
     "sptrsv_dbsr": _sptrsv_dbsr_body,
     "spmv_dbsr": _spmv_dbsr_body,
     "symgs_dbsr": _symgs_dbsr_body,
-    "sptrsv_sell": _sptrsv_sell_body,
     "ilu_apply_dbsr": _ilu_apply_dbsr_body,
 }
 
@@ -281,23 +253,3 @@ class NumbaBackend(KernelBackend):
         Zp = np.zeros((k, n + 2 * bs), dtype=dtype)
         kern(blk_ptr, dia_ptr, anchors, values, Bk, Yp, Zp)
         return np.ascontiguousarray(Zp[:, bs:bs + n].T)
-
-    def sptrsv_sell_multi(self, sell, Bp, diag, forward):
-        kern = _kernels(self._jit)["sptrsv_sell"]
-        B = np.asarray(Bp)
-        dtype = np.result_type(sell.vals, B)
-        chunk_ptr = np.ascontiguousarray(sell.chunk_ptr, dtype=np.int64)
-        widths = np.ascontiguousarray(sell.widths, dtype=np.int64)
-        colidx = np.ascontiguousarray(sell.colidx, dtype=np.int64)
-        vals = np.ascontiguousarray(sell.vals, dtype=dtype)
-        use_diag = diag is not None
-        d = np.ascontiguousarray(
-            diag if use_diag else np.empty(0), dtype=dtype)
-        out = np.empty_like(B)
-        for j in range(B.shape[1]):
-            b = np.ascontiguousarray(B[:, j], dtype=dtype)
-            x = np.zeros(sell.n_rows, dtype=dtype)
-            kern(chunk_ptr, widths, colidx, vals, d, use_diag, b, x,
-                 sell.chunk, forward)
-            out[:, j] = x
-        return out

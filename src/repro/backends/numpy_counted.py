@@ -18,10 +18,7 @@ this tier gets correct numerics but racy counter readback.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.backends.base import KernelBackend
-from repro.kernels.sptrsv_sell import sptrsv_sell_lower, sptrsv_sell_upper
 from repro.serve import batch
 from repro.simd.engine import VectorEngine
 
@@ -58,13 +55,3 @@ class NumpyCountedBackend(KernelBackend):
         m = factors.matrix
         engine = self._engine(m.bsize, m.values.dtype)
         return batch.ilu_apply_dbsr_multi_counted(factors, Bp, engine)
-
-    def sptrsv_sell_multi(self, sell, Bp, diag, forward):
-        kern = sptrsv_sell_lower if forward else sptrsv_sell_upper
-        # One engine accumulates across all k columns so the tally
-        # equals sptrsv_sell_counts(...).scaled(k).
-        engine = self._engine(sell.chunk, sell.vals.dtype)
-        out = np.empty_like(Bp)
-        for j in range(Bp.shape[1]):
-            out[:, j] = kern(sell, Bp[:, j], diag=diag, engine=engine)
-        return out

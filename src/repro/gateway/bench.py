@@ -4,9 +4,8 @@ Exercises the async front door end to end and reports the four claims
 the gateway makes:
 
 1. **Bit-identity** — a gatewayed solve equals a direct
-   ``SolveService`` solve bit-for-bit (``np.array_equal``) for both
-   storage strategies (DBSR, SELL) across kernel backends: the gateway
-   routes, it never touches numerics.
+   ``SolveService`` solve bit-for-bit (``np.array_equal``) across
+   kernel backends: the gateway routes, it never touches numerics.
 2. **Cheap refusal** — an infeasible deadline is rejected with a typed
    :class:`~repro.gateway.errors.AdmissionRejected` and **zero** plan
    compiles across every shard cache.
@@ -48,23 +47,19 @@ def _direct(grid, stencil, rhs2d, op, config) -> np.ndarray:
 async def _identity_phase(grid, stencil, rng, n_workers: int,
                           machine: str) -> dict:
     rows = []
-    for strategy in ("dbsr", "sell"):
-        for backend in ("numpy-fast", "numpy-counted"):
-            config = PlanConfig(bsize=4, n_workers=n_workers,
-                                strategy=strategy, machine=machine,
-                                backend=backend)
-            async with SolveGateway(config=config, min_shards=1,
-                                    max_shards=1,
-                                    stream_chunk=2) as gw:
-                for op in ("lower", "symgs"):
-                    rhs = rng.standard_normal((grid.n_points, 3))
-                    got = await gw.solve(grid, stencil, rhs, op=op)
-                    want = _direct(grid, stencil, rhs, op, config)
-                    rows.append({
-                        "strategy": strategy, "backend": backend,
-                        "op": op,
-                        "bitwise": bool(np.array_equal(got, want)),
-                    })
+    for backend in ("numpy-fast", "numpy-counted"):
+        config = PlanConfig(bsize=4, n_workers=n_workers,
+                            machine=machine, backend=backend)
+        async with SolveGateway(config=config, min_shards=1,
+                                max_shards=1, stream_chunk=2) as gw:
+            for op in ("lower", "symgs"):
+                rhs = rng.standard_normal((grid.n_points, 3))
+                got = await gw.solve(grid, stencil, rhs, op=op)
+                want = _direct(grid, stencil, rhs, op, config)
+                rows.append({
+                    "backend": backend, "op": op,
+                    "bitwise": bool(np.array_equal(got, want)),
+                })
     return {"cases": rows,
             "all_bitwise": all(r["bitwise"] for r in rows)}
 

@@ -153,8 +153,9 @@ class SolveGateway:
         :class:`~repro.supervise.hedge.HedgePolicy` for straggler
         hedging (duplicate a slow chunk onto a spare shard, first
         result wins — safe because chunks are bit-identical across
-        shards), a :class:`~repro.supervise.hedge.RetryPolicy` for
-        bounded re-dispatch after recoverable shard failures, and a
+        shards), a :class:`~repro.supervise.backoff.Backoff` for
+        bounded re-dispatch after recoverable shard failures (at most
+        ``max_attempts`` retries per chunk), and a
         :class:`~repro.supervise.brownout.BrownoutController` for
         staged overload shedding. All default to ``None`` — the
         unsupervised gateway behaves exactly as before.
@@ -473,7 +474,7 @@ class SolveGateway:
                 except BaseException as exc:  # noqa: BLE001
                     attempt += 1
                     if (self.retry is None or self._closed
-                            or attempt > self.retry.max_retries):
+                            or attempt > self.retry.max_attempts):
                         raise
                     self._retries.inc()
                     trace.event("gateway.retry", tenant=tenant,

@@ -99,7 +99,7 @@ def aggregate_spans(trace: dict) -> list:
 
 
 def collect_bench_trace(nx: int = 8, stencil: str = "27pt",
-                        bsize: int = 4, strategy: str = "dbsr",
+                        bsize: int = 4,
                         ops=("lower", "upper", "spmv", "symgs"),
                         k: int = 4, n_workers: int = 2,
                         dtype: str = "f64", seed: int = 2024) -> dict:
@@ -118,8 +118,7 @@ def collect_bench_trace(nx: int = 8, stencil: str = "27pt",
     from repro.serve.service import SolveService
 
     problem = poisson_problem((nx,) * 3, stencil)
-    config = PlanConfig(bsize=bsize, strategy=strategy,
-                        n_workers=n_workers, dtype=dtype)
+    config = PlanConfig(bsize=bsize, n_workers=n_workers, dtype=dtype)
     rng = np.random.default_rng(seed)
     tracer = trace.Tracer()
     with trace.tracing(tracer), SolveService(config=config) as service:
@@ -144,7 +143,6 @@ def collect_bench_trace(nx: int = 8, stencil: str = "27pt",
             "nx": nx,
             "stencil": stencil,
             "bsize": bsize,
-            "strategy": strategy,
             "ops": list(ops),
             "k": k,
             "n_workers": n_workers,

@@ -26,7 +26,7 @@ span                    opened by
 ``serve.compile``       :func:`repro.serve.plan.compile_plan`
 ``serve.autotune``      the autotune sweep inside ``compile_plan``
 ``plan.execute``        :meth:`repro.serve.plan.SolvePlan.execute` and the
-                        SELL/CSR rungs of
+                        CSR rung of
                         :class:`repro.resilience.fallback.FallbackChain`
 ``fallback.solve``      :meth:`~repro.resilience.fallback.FallbackChain.execute`
 ``fallback.rung``       each ladder rung attempt

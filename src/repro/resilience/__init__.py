@@ -6,8 +6,9 @@ Three cooperating layers (see ``docs/resilience.md``):
   deterministic, seeded fault injection through zero-cost hook sites.
 * :mod:`repro.resilience.guardrails` — structural validators and
   SHA-256 integrity digests over compiled-plan artifacts.
-* :mod:`repro.resilience.fallback` — the self-healing
-  DBSR → SELL → CSR ladder with per-fingerprint circuit breaking.
+* :mod:`repro.resilience.fallback` — the self-healing DBSR → CSR
+  ladder (the CSR rung runs at once, without a backoff sleep) with
+  per-fingerprint circuit breaking.
 
 :mod:`repro.resilience.chaos` scripts the whole loop into the
 ``chaos`` bench emitter (``repro bench all --only chaos``).
@@ -49,7 +50,6 @@ from repro.resilience.guardrails import (
     validate_finite,
     validate_permutation,
     validate_plan,
-    validate_sell,
 )
 
 __all__ = [
@@ -82,5 +82,4 @@ __all__ = [
     "validate_finite",
     "validate_permutation",
     "validate_plan",
-    "validate_sell",
 ]

@@ -1,10 +1,9 @@
-"""Self-healing solve path: the DBSR → SELL → CSR fallback ladder.
+"""Self-healing solve path: the DBSR → CSR fallback ladder.
 
-The paper's format family is a natural degradation ladder: DBSR is the
-fastest but structurally most fragile format (one corrupted anchor
-poisons a whole sweep), SELL-C-σ tolerates irregular rows, and scalar
-CSR is the always-correct reference. A :class:`FallbackChain` walks
-that ladder for one solve:
+DBSR is the fastest but structurally most fragile format (one
+corrupted anchor poisons a whole sweep); scalar CSR over the permuted
+operator is the always-correct reference. A :class:`FallbackChain`
+walks that two-rung ladder for one solve:
 
 1. **Validate** the rung's artifacts (structural checks + sealed
    SHA-256 integrity digests from :mod:`repro.resilience.guardrails`).
@@ -16,8 +15,10 @@ that ladder for one solve:
    always, and for triangular ops a relative-residual check against
    the trusted permuted CSR operator (which catches silent value
    corruption such as mantissa bit-flips).
-4. On failure, **back off exponentially** and descend to the next
-   rung.
+4. On failure, descend to the CSR rung at once. There is no backoff
+   sleep: the CSR rung runs in-process on the trusted permuted
+   operator and shares no resource with the failed DBSR rung, so
+   waiting could not make it more likely to succeed.
 
 A per-fingerprint :class:`CircuitBreaker` sits in front: after
 ``threshold`` consecutive exhausted ladders the structure is declared
@@ -25,8 +26,8 @@ sick and solves fail fast with
 :class:`~repro.resilience.errors.CircuitOpen` until a cooldown elapses
 (then one half-open probe decides whether to close again).
 
-The fallback rungs fire the same ``plan.execute`` hook site as the
-native path, so chaos plans can strike any rung.
+The CSR rung fires the same ``plan.execute`` hook site as the native
+path, so chaos plans can strike either rung.
 """
 
 from __future__ import annotations
@@ -53,11 +54,10 @@ from repro.resilience.guardrails import (
     validate_dbsr,
     validate_diag,
     validate_permutation,
-    validate_sell,
 )
 
 #: The degradation ladder, fastest (most fragile) first.
-LADDER = ("dbsr", "sell", "csr")
+LADDER = ("dbsr", "csr")
 
 #: Circuit-breaker states.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
@@ -186,7 +186,7 @@ class FallbackResult:
 
 
 class FallbackChain:
-    """Executes solves down the DBSR → SELL → CSR ladder.
+    """Executes solves down the DBSR → CSR ladder.
 
     Parameters
     ----------
@@ -198,10 +198,6 @@ class FallbackChain:
         Circuit breaker (a default 3-failure/30 s one if omitted).
     max_recompiles:
         Recompile budget per request (healing attempts).
-    backoff_base, backoff_factor, backoff_max:
-        Exponential backoff between rung attempts:
-        ``base * factor**(failures-1)`` seconds, capped. ``base=0``
-        disables sleeping (tests).
     residual_check, residual_scale:
         Verify triangular solves against the trusted permuted CSR
         operator with relative tolerance
@@ -209,26 +205,17 @@ class FallbackChain:
         corruption the structural validators cannot see.
     integrity:
         Also compare sealed SHA-256 digests before each rung.
-    sleep:
-        Injectable sleep function (tests).
     """
 
     def __init__(self, cache=None, breaker: CircuitBreaker | None = None,
-                 max_recompiles: int = 1, backoff_base: float = 0.01,
-                 backoff_factor: float = 2.0, backoff_max: float = 1.0,
-                 residual_check: bool = True,
-                 residual_scale: float = 1e6,
-                 integrity: bool = True, sleep=time.sleep):
+                 max_recompiles: int = 1, residual_check: bool = True,
+                 residual_scale: float = 1e6, integrity: bool = True):
         self.cache = cache
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.max_recompiles = int(max_recompiles)
-        self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_max = float(backoff_max)
         self.residual_check = residual_check
         self.residual_scale = float(residual_scale)
         self.integrity = integrity
-        self.sleep = sleep
         self._lock = threading.Lock()
         # Counters -------------------------------------------------------
         self.solves = 0
@@ -253,16 +240,12 @@ class FallbackChain:
         fp = plan.fingerprint
         self.breaker.allow(fp)
         t0 = time.perf_counter()
-        ladder = self._ladder_for(plan)
         attempts: list[tuple[str, str]] = []
         current = plan
         recompiled = False
-        failures = 0
         with trace.span("fallback.solve", op=op,
                         fingerprint=fp[:12]) as sp:
-            for depth, rung in enumerate(ladder):
-                if failures:
-                    self._backoff(failures)
+            for depth, rung in enumerate(LADDER):
                 with trace.span("fallback.rung", rung=rung,
                                 depth=depth) as rsp:
                     ok, X = self._attempt_rung(
@@ -273,7 +256,6 @@ class FallbackChain:
                             current, rung, depth, op, B, attempts, rsp,
                             healed_already=True)
                     if not ok:
-                        failures += 1
                         continue
                     if rsp is not None:
                         rsp.attrs["outcome"] = "ok"
@@ -356,22 +338,6 @@ class FallbackChain:
         return self._run_csr(plan, op, B, fire=False)
 
     # Internals -------------------------------------------------------------
-    @staticmethod
-    def _ladder_for(plan) -> tuple:
-        if getattr(plan, "kind", "") == "ilu":
-            # ILU factors exist only in DBSR form; the CSR rung applies
-            # their bitwise projection (no SELL middle rung).
-            return ("dbsr", "csr")
-        strategy = plan.config.strategy
-        start = LADDER.index(strategy) if strategy in LADDER else 0
-        return LADDER[start:]
-
-    def _backoff(self, failures: int) -> None:
-        if self.backoff_base <= 0:
-            return
-        delay = self.backoff_base * self.backoff_factor ** (failures - 1)
-        self.sleep(min(delay, self.backoff_max))
-
     def _count(self, name: str, n: int = 1) -> None:
         with self._lock:
             setattr(self, name, getattr(self, name) + n)
@@ -461,15 +427,6 @@ class FallbackChain:
             validate_dbsr(plan.upper, "upper", triangular="upper")
             scope = ("ordering.old_to_new", "diag", "dbsr", "lower",
                      "upper")
-        elif rung == "sell":
-            validate_csr(plan.matrix, "matrix")
-            scope = ("ordering.old_to_new", "diag", "matrix")
-            if plan.sell_lower is not None:
-                # A sell-strategy plan executes through these sealed
-                # arrays, so the rung must verify their digests too.
-                validate_sell(plan.sell_lower, "sell_lower")
-                validate_sell(plan.sell_upper, "sell_upper")
-                scope += ("sell_lower", "sell_upper")
         else:
             validate_csr(plan.matrix, "matrix")
             scope = ("ordering.old_to_new", "diag", "matrix")
@@ -479,63 +436,11 @@ class FallbackChain:
     # Rung execution --------------------------------------------------------
     def _run_rung(self, plan, rung: str, op: str,
                   B: np.ndarray) -> np.ndarray:
-        if rung == plan.config.strategy:
+        if rung == "dbsr":
             return plan.execute(op, B)
         if getattr(plan, "kind", "") == "ilu":
             return self._run_ilu_csr(plan, op, B)
-        if rung == "sell":
-            return self._run_sell(plan, op, B)
         return self._run_csr(plan, op, B)
-
-    def _run_sell(self, plan, op: str, B: np.ndarray) -> np.ndarray:
-        from repro.kernels.symgs_sell import symgs_sell
-
-        # The rung's triangular sweeps execute through the *plan's*
-        # resolved backend tier, exactly like the native path — a plan
-        # compiled for the counted (or jit) tier keeps that tier while
-        # descending the ladder. SpMV/SYMGS on this rung stay on the
-        # trusted SELL reference kernels.
-        backend = plan._backend()
-        rung_backend = backend.name if op in ("lower", "upper") \
-            else "reference"
-        with trace.span("plan.execute", op=op, strategy="sell",
-                        backend=rung_backend,
-                        fingerprint=plan.fingerprint[:12]) as sp:
-            hooks.fire("plan.execute", strategy="sell", op=op,
-                       fingerprint=plan.fingerprint)
-            arts = self._sell_artifacts(plan)
-            single, Bp = self._extend(plan, B)
-            if sp is not None:
-                k = int(Bp.shape[1])
-                sp.attrs["k"] = k
-                sp.set_counts(self._sell_counts(arts, op, k))
-            if op in ("lower", "upper"):
-                out = backend.sptrsv_sell_multi(
-                    arts[op], Bp, plan.diag, forward=(op == "lower"))
-            else:
-                out = np.empty_like(Bp)
-                for j in range(Bp.shape[1]):
-                    if op == "spmv":
-                        out[:, j] = arts["full"].matvec(Bp[:, j])
-                    else:  # symgs from a zero initial guess
-                        x = np.zeros_like(Bp[:, j])
-                        out[:, j] = symgs_sell(arts["full"], plan.diag,
-                                               x, Bp[:, j])
-            return self._restrict(plan, out, single)
-
-    @staticmethod
-    def _sell_counts(arts: dict, op: str, k: int):
-        from repro.kernels.counts import (
-            spmv_sell_counts,
-            sptrsv_sell_counts,
-            symgs_sell_counts,
-        )
-
-        if op in ("lower", "upper"):
-            return sptrsv_sell_counts(arts[op], divide=True).scaled(k)
-        if op == "spmv":
-            return spmv_sell_counts(arts["full"]).scaled(k)
-        return symgs_sell_counts(arts["full"]).scaled(k)
 
     def _run_csr(self, plan, op: str, B: np.ndarray,
                  fire: bool = True) -> np.ndarray:
@@ -642,20 +547,6 @@ class FallbackChain:
 
             cached = split_triangular(plan.matrix)
             plan._fallback_csr = cached
-        return cached
-
-    def _sell_artifacts(self, plan):
-        cached = getattr(plan, "_fallback_sell", None)
-        if cached is None:
-            from repro.formats.sell import SELLMatrix
-
-            L, _, U = self._csr_artifacts(plan)
-            cached = {
-                "lower": SELLMatrix(L, chunk=plan.bsize),
-                "upper": SELLMatrix(U, chunk=plan.bsize),
-                "full": SELLMatrix(plan.matrix, chunk=plan.bsize),
-            }
-            plan._fallback_sell = cached
         return cached
 
     # Vector mapping (mirrors SolvePlan.execute's extend/restrict).

@@ -77,11 +77,13 @@ class FaultSpec:
         :data:`VALUE_TARGETS` for value faults, ignored for
         permutation/block-index faults.
     strategies:
-        For ``kernel_exception`` / ``kernel_delay``: which plan
-        strategies ("dbsr", "sell", "csr") the fault strikes at the
-        ``plan.execute`` site. ``None`` strikes every strategy.
+        For ``kernel_exception`` / ``kernel_delay``: which fallback
+        rungs (:data:`~repro.resilience.fallback.LADDER`: ``"dbsr"``,
+        ``"csr"``) the fault strikes at the ``plan.execute`` site.
+        ``None`` strikes every rung.
     ops:
-        Optional op filter (``("lower",)`` etc.); ``None`` = all ops.
+        Optional op filter: plan ops (``("lower",)`` etc.) or
+        ``"ilu_apply"``; ``None`` = all ops.
     max_fires:
         How many times the fault triggers before disarming itself.
         ``None`` means persistent (never disarms) — the unrecoverable
@@ -104,7 +106,11 @@ class FaultSpec:
     it, and ``spawn_fail`` raises while the pool is building a new
     shard (exercising the restart backoff budget). All honor the
     ``ops`` filter; ``strategies`` is ignored at shard sites (a shard
-    hosts every strategy).
+    hosts every rung).
+
+    A rung or op name outside the known sets raises ``ValueError``: a
+    filter that can never match would make its scenario pass without
+    injecting anything.
     """
 
     kind: str
@@ -125,6 +131,19 @@ class FaultSpec:
             raise ValueError(
                 f"unknown value target {self.target!r}; "
                 f"known: {VALUE_TARGETS}")
+        # Lazy imports: repro.serve imports this package at load time.
+        from repro.resilience.fallback import LADDER
+        from repro.serve.ilu_plan import ILU_OPS
+        from repro.serve.plan import PLAN_OPS
+
+        for field_name, known in (("strategies", LADDER),
+                                  ("ops", PLAN_OPS + ILU_OPS)):
+            names = getattr(self, field_name)
+            if names is not None and (not names
+                                      or not set(names) <= set(known)):
+                raise ValueError(
+                    f"{field_name} {names!r} must be a non-empty subset "
+                    f"of {known}")
 
 
 @dataclass(frozen=True)

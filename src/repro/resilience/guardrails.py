@@ -137,21 +137,6 @@ def validate_csr(m, name: str = "matrix") -> None:
     validate_finite(m.data, f"{name}.data")
 
 
-def validate_sell(s, name: str = "sell") -> None:
-    """Structural invariants of a SELL matrix."""
-    if np.any(np.diff(s.chunk_ptr) < 0):
-        raise PlanValidationError("chunk_ptr not monotone",
-                                  artifact=f"{name}.chunk_ptr")
-    bad = np.flatnonzero((s.colidx < 0) | (s.colidx >= s.n_cols))
-    if len(bad):
-        raise PlanValidationError(
-            "gather column out of range", artifact=f"{name}.colidx",
-            index=int(bad[0]))
-    validate_permutation(s.row_order, s.n_rows,
-                         artifact=f"{name}.row_order")
-    validate_finite(s.vals, f"{name}.vals")
-
-
 # Integrity digests ----------------------------------------------------------
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -182,7 +167,7 @@ def _plan_artifacts(plan) -> dict:
             "ilu_diag": (plan.factors.diag_vector(),),
             "scatter": (plan.csr_scatter, plan.dbsr_scatter),
         }
-    artifacts = {
+    return {
         "ordering.old_to_new": (plan.ordering.old_to_new,),
         "matrix": (plan.matrix.indptr, plan.matrix.indices,
                    plan.matrix.data),
@@ -194,12 +179,6 @@ def _plan_artifacts(plan) -> dict:
                   plan.upper.blk_offset, plan.upper.values),
         "diag": (plan.diag,),
     }
-    if plan.sell_lower is not None:
-        artifacts["sell_lower"] = (plan.sell_lower.colidx,
-                                   plan.sell_lower.vals)
-        artifacts["sell_upper"] = (plan.sell_upper.colidx,
-                                   plan.sell_upper.vals)
-    return artifacts
 
 
 def seal_plan(plan) -> dict:
@@ -257,8 +236,5 @@ def validate_plan(plan, level: str = "structural") -> None:
     validate_dbsr(plan.lower, "lower", triangular="lower")
     validate_dbsr(plan.upper, "upper", triangular="upper")
     validate_diag(plan.diag)
-    if plan.sell_lower is not None:
-        validate_sell(plan.sell_lower, "sell_lower")
-        validate_sell(plan.sell_upper, "sell_upper")
     if level == "integrity":
         check_integrity(plan)

@@ -137,8 +137,7 @@ def collect_bench_ilu(nx: int = 8, stencil: str = "27pt",
     from repro.grids.grid import StructuredGrid
     from repro.serve.service import SolveService
 
-    config = PlanConfig(strategy="dbsr", bsize=None,
-                        n_workers=n_workers, dtype=dtype,
+    config = PlanConfig(bsize=None, n_workers=n_workers, dtype=dtype,
                         machine=machine, backend=backend)
     rng = np.random.default_rng(seed)
     grid = StructuredGrid((nx,) * 3)

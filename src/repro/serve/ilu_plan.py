@@ -229,7 +229,6 @@ class ILUPlan:
             "grid": list(self.grid.dims),
             "stencil": self.stencil.name,
             "dtype": str(np.dtype(self.config.np_dtype)),
-            "strategy": self.config.strategy,
             "backend": self.config.backend,
             "backend_resolved": self._backend().name,
             "bsize": self.bsize,
@@ -370,8 +369,6 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
     from repro.backends import resolve_backend
 
     config = config if config is not None else PlanConfig()
-    require(config.strategy == "dbsr",
-            "ILU plans require the 'dbsr' strategy (no SELL ILU rung)")
     stencil = _resolve_stencil(stencil)
     fingerprint = ilu_structural_fingerprint(grid, stencil, config)
     np_dtype = config.np_dtype

@@ -4,15 +4,15 @@ The paper's amortization argument (§V) is that BMC reordering and DBSR
 conversion are one-time preprocessing paid once per matrix *structure*
 and amortized over many SpTRSV/SYMGS sweeps. A :class:`SolvePlan`
 reifies that one-time work as a value: the block partition, the
-vectorized-BMC coloring and permutation, the DBSR (or SELL) conversion,
-the triangular split, and the autotuned ``bsize`` pick — everything a
+vectorized-BMC coloring and permutation, the DBSR conversion, the
+triangular split, and the autotuned ``bsize`` pick — everything a
 request-serving frontend needs to execute a solve with nothing but
 kernel calls.
 
 Plans are keyed by a **structural fingerprint**: a SHA-256 digest over
 the canonical JSON of the fields that determine the compiled artifacts
-(grid dims, stencil signature, dtype, bsize, strategy, worker count,
-requested kernel backend).
+(grid dims, stencil signature, dtype, bsize, worker count, requested
+kernel backend).
 The digest is deterministic across processes (no Python hash
 randomization) and across dict orderings (keys are sorted), so it can
 double as a persistence key for autotune picks
@@ -37,9 +37,6 @@ from repro.resilience import hooks
 from repro.resilience.guardrails import seal_plan, validate_plan
 from repro.utils.validation import check_positive, require
 
-#: Kernel families a plan can be compiled for.
-STRATEGIES = ("dbsr", "sell")
-
 #: Ops a compiled plan can execute (see :meth:`SolvePlan.execute`).
 PLAN_OPS = ("lower", "upper", "spmv", "symgs")
 
@@ -57,9 +54,6 @@ class PlanConfig:
         Worker count the block partition is sized for.
     dtype:
         ``"f64"`` or ``"f32"`` (normalized into the fingerprint).
-    strategy:
-        ``"dbsr"`` (gather-free batched kernels) or ``"sell"``
-        (gather-based comparison kernels).
     machine:
         Short machine name (``intel``/``kp920``/``thunderx2``/
         ``phytium``) feeding the autotuner's lane count.
@@ -84,7 +78,6 @@ class PlanConfig:
     bsize: int | None = None
     n_workers: int = 4
     dtype: str = "f64"
-    strategy: str = "dbsr"
     machine: str = "intel"
     groups_per_worker: int = 1
     backend: str = "numpy-fast"
@@ -96,8 +89,6 @@ class PlanConfig:
         from repro.backends import BACKEND_NAMES
         from repro.simd.autotune import PRUNE_MODES
 
-        require(self.strategy in STRATEGIES,
-                f"unknown strategy {self.strategy!r}; known: {STRATEGIES}")
         require(self.backend in BACKEND_NAMES,
                 f"unknown backend {self.backend!r}; "
                 f"known: {BACKEND_NAMES}")
@@ -127,7 +118,7 @@ def structural_fingerprint(grid: StructuredGrid,
 
     Two requests with equal fingerprints can share one plan; any field
     that changes the compiled artifacts (dims, stencil, dtype, bsize,
-    strategy, worker count) changes the digest.
+    worker count) changes the digest.
     """
     stencil = _resolve_stencil(stencil)
     payload = {
@@ -142,7 +133,8 @@ def structural_fingerprint(grid: StructuredGrid,
         },
         "dtype": str(np.dtype(config.np_dtype)),
         "bsize": "auto" if config.bsize is None else int(config.bsize),
-        "strategy": config.strategy,
+        # Plans are always DBSR; the key keeps persisted digests valid.
+        "strategy": "dbsr",
         "machine": config.machine,
         "n_workers": int(config.n_workers),
         "groups_per_worker": int(config.groups_per_worker),
@@ -183,8 +175,6 @@ class SolvePlan:
         Strictly triangular DBSR factors.
     diag:
         Diagonal of the permuted operator.
-    sell_lower, sell_upper:
-        SELL factors (``strategy == "sell"`` only, else ``None``).
     backend:
         The *resolved* :class:`~repro.backends.KernelBackend` instance
         every :meth:`execute` dispatches through (its ``name`` may
@@ -207,8 +197,6 @@ class SolvePlan:
     lower: DBSRMatrix
     upper: DBSRMatrix
     diag: np.ndarray
-    sell_lower: object = None
-    sell_upper: object = None
     backend: object = field(default=None, repr=False, compare=False)
     compile_seconds: float = 0.0
     autotuned: bool = field(default=False)
@@ -272,12 +260,11 @@ class SolvePlan:
         """
         require(op in PLAN_OPS, f"unknown op {op!r}; known: {PLAN_OPS}")
         backend = self._backend()
-        with trace.span("plan.execute", op=op,
-                        strategy=self.config.strategy,
+        with trace.span("plan.execute", op=op, strategy="dbsr",
                         backend=backend.name,
                         fingerprint=self.fingerprint[:12]) as sp:
-            hooks.fire("plan.execute", strategy=self.config.strategy,
-                       op=op, fingerprint=self.fingerprint)
+            hooks.fire("plan.execute", strategy="dbsr", op=op,
+                       fingerprint=self.fingerprint)
             B = np.asarray(B, dtype=self.config.np_dtype)
             single = B.ndim == 1
             require(B.shape[0] == self.n,
@@ -296,19 +283,14 @@ class SolvePlan:
         These are the counts the tracer attributes to ``plan.execute``
         spans; the golden-trace suite asserts they equal the closed
         forms in :mod:`repro.kernels.counts` exactly (they *are* those
-        closed forms, routed by the same strategy/op dispatch as
-        :meth:`execute`).
+        closed forms, routed by the same op dispatch as :meth:`execute`).
         """
         from repro.kernels.counts import (
             spmv_dbsr_counts,
             sptrsv_dbsr_counts,
-            sptrsv_sell_counts,
             symgs_dbsr_counts,
         )
 
-        if self.config.strategy == "sell" and op in ("lower", "upper"):
-            sell = self.sell_lower if op == "lower" else self.sell_upper
-            return sptrsv_sell_counts(sell, divide=True).scaled(k)
         if op == "lower":
             return sptrsv_dbsr_counts(self.lower, divide=True, k=k)
         if op == "upper":
@@ -324,7 +306,6 @@ class SolvePlan:
             "grid": list(self.grid.dims),
             "stencil": self.stencil.name,
             "dtype": str(np.dtype(self.config.np_dtype)),
-            "strategy": self.config.strategy,
             "backend": self.config.backend,
             "backend_resolved": self._backend().name,
             "bsize": self.bsize,
@@ -346,7 +327,7 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
     Pipeline: autotune ``bsize`` (unless pinned by ``config.bsize`` or
     a persisted ``bsize_hint``) → AUTO block partition → vectorized BMC
     coloring + permutation → assembly → DBSR conversion → triangular
-    split (and SELL conversion under the ``"sell"`` strategy).
+    split.
 
     Parameters
     ----------
@@ -373,7 +354,7 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
     # warning — while the fingerprint keeps the *requested* name.
     backend = resolve_backend(config.backend)
 
-    with trace.span("serve.compile", strategy=config.strategy,
+    with trace.span("serve.compile", strategy="dbsr",
                     backend=backend.name,
                     fingerprint=fingerprint[:12]) as sp:
         t0 = time.perf_counter()
@@ -406,13 +387,6 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
         Ld = DBSRMatrix.from_csr(L, bsize)
         Ud = DBSRMatrix.from_csr(U, bsize)
 
-        sell_lower = sell_upper = None
-        if config.strategy == "sell":
-            from repro.formats.sell import SELLMatrix
-
-            sell_lower = SELLMatrix(L, chunk=bsize)
-            sell_upper = SELLMatrix(U, chunk=bsize)
-
         plan = SolvePlan(
             fingerprint=fingerprint,
             config=config,
@@ -426,8 +400,6 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
             lower=Ld,
             upper=Ud,
             diag=D,
-            sell_lower=sell_lower,
-            sell_upper=sell_upper,
             backend=backend,
             compile_seconds=time.perf_counter() - t0,
             autotuned=autotuned,

@@ -535,7 +535,6 @@ class SolveService:
             "batch_k": k,
             "cache_hit": cache_hit,
             "bsize": plan.bsize,
-            "strategy": plan.config.strategy,
             "backend": plan._backend().name,
             "seconds": batch_seconds / k,
             "counts_per_solve": counter_to_dict(counts.scaled(1.0 / k)),

@@ -201,19 +201,18 @@ def rank_bsizes_roofline(grid: StructuredGrid, stencil: Stencil,
         dtype_bytes=dtype_bytes), -b))
 
 
-def measure_bsize_seconds(grid: StructuredGrid, stencil: Stencil,
-                          bsize: int, n_workers: int = 1,
-                          dtype_bytes: int = 8, repeats: int = 3,
-                          matrix=None) -> float:
-    """Build candidate structures and time one SpTRSV sweep (best-of).
+def _lower_sweep(grid: StructuredGrid, stencil: Stencil, bsize: int,
+                 n_workers: int = 1, dtype_bytes: int = 8,
+                 matrix=None):
+    """Build one candidate's structures; return its untimed sweep.
 
-    The timed sweep is the lower solve ``(L + D) x = b`` of the default
-    backend tier at ``k = 1`` — the kernel served plans execute. This
-    is the cost roofline pruning avoids: the AUTO partition, the vBMC
-    ordering, the permutation apply, the triangular split and the DBSR
-    conversion are all rebuilt per candidate before the first timed
-    sweep can run. ``matrix`` lets callers share the assembled
-    (candidate-independent) operator across candidates.
+    The sweep is the lower solve ``(L + D) x = b`` of the default
+    backend tier at ``k = 1`` — the kernel served plans execute. The
+    build is the cost roofline pruning avoids: the AUTO partition, the
+    vBMC ordering, the permutation apply, the triangular split and the
+    DBSR conversion are all rebuilt per candidate. ``matrix`` lets
+    callers share the assembled (candidate-independent) operator
+    across candidates.
     """
     from repro.backends import resolve_backend
     from repro.formats.dbsr import DBSRMatrix
@@ -222,7 +221,6 @@ def measure_bsize_seconds(grid: StructuredGrid, stencil: Stencil,
     from repro.ordering.coloring import _is_star
     from repro.ordering.vbmc import build_vbmc
 
-    check_positive(repeats, "repeats")
     n_colors = 2 if _is_star(stencil) else 2 ** grid.ndim
     dtype = np.float32 if dtype_bytes == 4 else np.float64
     A = matrix if matrix is not None \
@@ -236,11 +234,23 @@ def measure_bsize_seconds(grid: StructuredGrid, stencil: Stencil,
     rhs = (np.arange(Ap.n_rows, dtype=Ld.values.dtype) % 7) + 1.0
     B = rhs[:, None]
     backend = resolve_backend()
-    best = math.inf
+    return lambda: backend.sptrsv_dbsr_multi(Ld, B, D, forward=True)
+
+
+def _best_of_round_robin(sweeps: dict, repeats: int) -> dict:
+    """``{key: best-of-repeats seconds}``, one repeat per key per round.
+
+    Interleaving the repeats across candidates means one host stall
+    can slow at most one repeat of each candidate, never every repeat
+    of one candidate, so it cannot flip which candidate is fastest.
+    """
+    check_positive(repeats, "repeats")
+    best = {key: math.inf for key in sweeps}
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        backend.sptrsv_dbsr_multi(Ld, B, D, forward=True)
-        best = min(best, time.perf_counter() - t0)
+        for key, sweep in sweeps.items():
+            t0 = time.perf_counter()
+            sweep()
+            best[key] = min(best[key], time.perf_counter() - t0)
     return best
 
 
@@ -257,8 +267,9 @@ def autotune_bsize_result(grid: StructuredGrid, stencil: Stencil,
 
     ``prune=None`` reproduces the historical feasibility rule (largest
     feasible candidate, nothing measured). ``"exhaustive"`` measures
-    every feasible candidate with ``measure_fn`` (default:
-    :func:`measure_bsize_seconds`) and picks the fastest.
+    every feasible candidate with ``measure_fn`` (default: the served
+    lower sweep, best of ``measure_repeats`` timed round-robin across
+    the candidates) and picks the fastest.
     ``"roofline"`` measures only the ``measure_top`` best candidates
     under :func:`modeled_sptrsv_seconds` — when the model ranks well
     (differential-tested on the seed grids) the pick matches the
@@ -305,14 +316,12 @@ def autotune_bsize_result(grid: StructuredGrid, stencil: Stencil,
 
         dtype = np.float32 if dtype_bytes == 4 else np.float64
         A = assemble_csr(grid, stencil, dtype=dtype)
-
-        def measure_fn(b):
-            return measure_bsize_seconds(
-                grid, stencil, b, n_workers=n_workers,
-                dtype_bytes=dtype_bytes, repeats=measure_repeats,
-                matrix=A)
-
-    result.measured = {b: float(measure_fn(b)) for b in to_measure}
+        sweeps = {b: _lower_sweep(grid, stencil, b, n_workers=n_workers,
+                                  dtype_bytes=dtype_bytes, matrix=A)
+                  for b in to_measure}
+        result.measured = _best_of_round_robin(sweeps, measure_repeats)
+    else:
+        result.measured = {b: float(measure_fn(b)) for b in to_measure}
     # Ties break toward the larger bsize, matching the historical rule.
     result.bsize = min(result.measured,
                        key=lambda b: (result.measured[b], -b))

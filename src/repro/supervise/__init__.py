@@ -6,13 +6,13 @@ complementing the *plan*-tier resilience of :mod:`repro.resilience`
 
 * :class:`~repro.supervise.supervisor.ShardSupervisor` — deterministic
   canary probes (bit-checked known-answer solves), quarantine of
-  unhealthy shards, and budgeted restart with capped
-  decorrelated-jitter backoff.
-* :class:`~repro.supervise.hedge.HedgePolicy` /
-  :class:`~repro.supervise.hedge.RetryPolicy` — per-chunk straggler
+  unhealthy shards, and budgeted restart.
+* :class:`~repro.supervise.backoff.Backoff` — the one capped
+  exponential backoff, taken by the supervisor's restart campaigns
+  and by the gateway's bounded recoverable-failure retry.
+* :class:`~repro.supervise.hedge.HedgePolicy` — per-chunk straggler
   hedging (EWMA-p95 thresholds, first result wins — safe because the
-  batched kernels are bit-identical) and bounded recoverable-failure
-  retry.
+  batched kernels are bit-identical).
 * :class:`~repro.supervise.brownout.BrownoutController` — staged
   overload degradation: shrink stream chunks first, then shed
   low-weight admissions with a typed
@@ -25,18 +25,17 @@ all of it under armed fault plans and emits the schema-validated
 """
 
 from repro.gateway.errors import BrownoutShed
-from repro.supervise.backoff import DecorrelatedJitterBackoff
+from repro.supervise.backoff import Backoff
 from repro.supervise.brownout import BrownoutController
 from repro.supervise.canary import CanaryProbe
-from repro.supervise.hedge import HedgePolicy, RetryPolicy
+from repro.supervise.hedge import HedgePolicy
 from repro.supervise.supervisor import ShardSupervisor
 
 __all__ = [
+    "Backoff",
     "BrownoutController",
     "BrownoutShed",
     "CanaryProbe",
-    "DecorrelatedJitterBackoff",
     "HedgePolicy",
-    "RetryPolicy",
     "ShardSupervisor",
 ]

@@ -1,79 +1,67 @@
-"""Capped exponential backoff with decorrelated jitter.
+"""Capped exponential backoff: the one retry schedule of the stack.
 
-Restarting a sick shard too eagerly turns one failure into a retry
-storm; restarting on a fixed exponential schedule synchronizes every
-restarter onto the same instants. The classic fix is *decorrelated
-jitter*: each delay is drawn uniformly from ``[base, 3 * previous]``
-and capped, so delays grow roughly exponentially **and** decorrelate
-across restarters — no two supervisors hammer the factory in lockstep.
+Two callers take a :class:`Backoff`: the gateway's per-chunk retry
+(``SolveGateway(retry=...)``) and the shard supervisor's restart
+campaigns (``ShardSupervisor(backoff=...)``). Both sleep
+``delay(attempt)`` before attempt ``attempt`` (1-based) of at most
+``max_attempts``, so the longest a caller can wait is the closed form
+:meth:`Backoff.max_total`.
 
-The generator is seeded, so a schedule replays bit-for-bit: chaos
-tests can assert exactly how long a quarantined shard was allowed to
-take to come back.
+There is no jitter. Jitter decorrelates many restarters that hammer
+one shared remote service; here the only restarter is one in-process
+supervisor per gateway, building shards locally, so restarts in
+lockstep overload nothing — and a deterministic schedule lets tests
+and benches assert backoff budgets exactly.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from dataclasses import dataclass
 
 from repro.utils.validation import check_positive
 
 
-class DecorrelatedJitterBackoff:
-    """Seeded decorrelated-jitter delay sequence.
+@dataclass(frozen=True)
+class Backoff:
+    """``delay(attempt) = min(cap, base * 2**(attempt - 1))``.
 
     Parameters
     ----------
     base:
-        First delay and the lower bound of every draw (seconds).
+        Delay before the first attempt (seconds).
     cap:
-        Upper bound on any delay (seconds) — the "capped" part.
-    seed:
-        RNG seed; the same seed replays the same schedule.
+        Upper bound on any one delay (seconds).
+    max_attempts:
+        Attempts the schedule allows: retries of one chunk, or restart
+        attempts of one campaign. ``0`` allows none.
     """
 
-    def __init__(self, base: float = 0.05, cap: float = 2.0,
-                 seed: int = 0):
-        if not base > 0:
-            raise ValueError(f"base must be > 0, got {base}")
-        if cap < base:
-            raise ValueError(f"cap {cap} < base {base}")
-        self.base = float(base)
-        self.cap = float(cap)
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(seed)
-        self._last: float | None = None
-        #: Total seconds handed out so far (the "backoff budget" a
-        #: restart must fit inside).
-        self.total = 0.0
-        self.draws = 0
+    base: float = 0.05
+    cap: float = 2.0
+    max_attempts: int = 3
 
-    def next(self) -> float:
-        """Next delay: ``base`` first, then ``min(cap, U[base, 3*last])``."""
-        if self._last is None:
-            delay = self.base
-        else:
-            hi = max(self.base, 3.0 * self._last)
-            delay = min(self.cap, float(self._rng.uniform(self.base,
-                                                          hi)))
-        self._last = delay
-        self.total += delay
-        self.draws += 1
-        return delay
+    def __post_init__(self):
+        if not self.base > 0:
+            raise ValueError(f"base must be > 0, got {self.base}")
+        if self.cap < self.base:
+            raise ValueError(f"cap {self.cap} < base {self.base}")
+        if self.max_attempts < 0:
+            raise ValueError(
+                f"max_attempts must be >= 0, got {self.max_attempts}")
 
-    def reset(self) -> None:
-        """Forget the streak (a success ends the escalation)."""
-        self._last = None
+    def delay(self, attempt: int) -> float:
+        """Sleep before attempt ``attempt`` (1-based), capped."""
+        check_positive(attempt, "attempt")
+        return min(self.cap, self.base * 2 ** (attempt - 1))
 
-    def max_total(self, attempts: int) -> float:
-        """Worst-case total sleep across ``attempts`` draws.
+    def max_total(self) -> float:
+        """Worst-case total sleep across all ``max_attempts`` attempts.
 
-        Every draw after the first is capped, so the budget bound is
-        closed-form: ``base + (attempts - 1) * cap``.
+        The first ``u`` delays double from ``base`` until the cap
+        binds, the rest are ``cap``:
+        ``base * (2**u - 1) + (max_attempts - u) * cap``.
         """
-        check_positive(attempts, "attempts")
-        return self.base + (attempts - 1) * self.cap
-
-    def stats(self) -> dict:
-        return {"base": self.base, "cap": self.cap, "seed": self.seed,
-                "draws": self.draws, "total_seconds": self.total}
+        u = min(self.max_attempts,
+                int(math.log2(self.cap / self.base)) + 1)
+        return self.base * (2 ** u - 1) + (self.max_attempts - u) * self.cap

@@ -14,7 +14,7 @@ schema-validated ``BENCH_gateway_chaos.json`` report:
    and a ``spawn_fail`` fault breaks the first restart attempt: the
    supervisor quarantines on a failed canary, burns one budget slot on
    the broken spawn, and adopts a probed replacement within the
-   decorrelated-jitter backoff budget.
+   backoff budget.
 4. **hedging identity** — a ``shard_hang`` straggler: the hedge fires
    after its EWMA-p95 delay, the backup shard wins, and the winner's
    answer is bit-identical to the direct solve (the property that
@@ -40,10 +40,10 @@ from repro.grids.grid import StructuredGrid
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serve.plan import PlanConfig
 from repro.serve.service import SolveService
-from repro.supervise.backoff import DecorrelatedJitterBackoff
+from repro.supervise.backoff import Backoff
 from repro.supervise.brownout import BrownoutController
 from repro.supervise.canary import CanaryProbe
-from repro.supervise.hedge import HedgePolicy, RetryPolicy
+from repro.supervise.hedge import HedgePolicy
 from repro.supervise.supervisor import ShardSupervisor
 
 OPS = ("lower", "upper", "symgs")
@@ -60,14 +60,13 @@ def _direct(grid, stencil, rhs2d, op, config) -> np.ndarray:
                         axis=1)
 
 
-def _supervisor(config, seed: int, *, max_restarts: int = 3,
+def _supervisor(config, seed: int, *,
                 restart_budget: int = 8) -> ShardSupervisor:
     """A fast-backoff supervisor suitable for a benchmark run."""
     return ShardSupervisor(
         CanaryProbe(config, nx=4, seed=seed),
-        backoff_factory=lambda: DecorrelatedJitterBackoff(
-            base=0.01, cap=0.05, seed=seed),
-        max_restarts=max_restarts, restart_budget=restart_budget)
+        backoff=Backoff(base=0.01, cap=0.05, max_attempts=3),
+        restart_budget=restart_budget)
 
 
 def _resolution(stats: dict, accepted_columns: int) -> dict:
@@ -88,7 +87,7 @@ async def _clean_phase(grid, stencil, config, rng) -> dict:
         config=config, min_shards=2, max_shards=2, stream_chunk=2,
         supervisor=_supervisor(config, seed=11),
         hedge=HedgePolicy(min_samples=3, max_delay=1.0),
-        retry=RetryPolicy(max_retries=2, base_delay=0.01),
+        retry=Backoff(base=0.01, cap=0.05, max_attempts=2),
         brownout=BrownoutController(degrade_wait=5.0, shed_wait=20.0))
     async with gw:
         cases = []
@@ -128,7 +127,7 @@ async def _crash_storm_phase(grid, stencil, config, rng,
         supervisor=_supervisor(config, seed=seed),
         hedge=HedgePolicy(min_samples=2, spread_factor=2.0,
                           min_delay=0.01, max_delay=0.1),
-        retry=RetryPolicy(max_retries=3, base_delay=0.01, cap=0.05))
+        retry=Backoff(base=0.01, cap=0.05, max_attempts=3))
     with inject(plan) as injector:
         async with gw:
             tickets = [await gw.submit(grid, stencil, rhs, op=op)
@@ -163,12 +162,11 @@ async def _poison_restart_phase(grid, stencil, config, rng,
         FaultSpec(kind="shard_poison", max_fires=1),
         FaultSpec(kind="spawn_fail", max_fires=1),
     ))
-    sup = _supervisor(config, seed=seed, max_restarts=3,
-                      restart_budget=6)
+    sup = _supervisor(config, seed=seed, restart_budget=6)
     gw = SolveGateway(
         config=config, min_shards=2, max_shards=2, stream_chunk=1,
         supervisor=sup,
-        retry=RetryPolicy(max_retries=3, base_delay=0.01, cap=0.05))
+        retry=Backoff(base=0.01, cap=0.05, max_attempts=3))
     with inject(plan) as injector:
         async with gw:
             ticket = await gw.submit(grid, stencil, rhs, op="lower")
@@ -178,8 +176,8 @@ async def _poison_restart_phase(grid, stencil, config, rng,
             final_shards = gw.pool.n_shards
         faults = injector.stats()
     sup_stats = stats["supervisor"]
-    budget_bound = sup.backoff_bound() * max(1,
-                                             sup_stats["quarantines"])
+    budget_bound = sup.backoff.max_total() * max(
+        1, sup_stats["quarantines"])
     return {
         "bitwise": bool(np.array_equal(got, want)),
         "faults_injected": faults["injected"],

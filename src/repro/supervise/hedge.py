@@ -1,21 +1,12 @@
-"""Chunk-level retry and straggler-hedging policies.
+"""Straggler hedging: when to duplicate a slow chunk.
 
-Two small, deterministic policy objects the gateway consults per chunk
-attempt; both are pure bookkeeping — the gateway owns the actual
-asyncio choreography.
-
-**RetryPolicy** prices re-dispatch of a chunk whose shard failed
-recoverably: capped exponential delays, a bounded attempt count, and
-the PR-6 contract that non-recoverable errors
-(:data:`~repro.resilience.errors.NON_RECOVERABLE_ERRORS`) are never
-retried — they condemn the shard and surface to the caller.
-
-**HedgePolicy** decides *when a chunk has straggled long enough* to
-duplicate onto a second shard. It learns the chunk latency
-distribution online with two EWMAs (mean and absolute deviation) and
-derives a p95-style hedge threshold ``mean + spread_factor * dev`` —
-the classic "tied requests" tail-cutting scheme (Dean & Barroso, *The
-Tail at Scale*). Duplicating work is only safe because the batched
+:class:`HedgePolicy` is pure bookkeeping the gateway consults per chunk
+attempt; the gateway owns the actual asyncio choreography. It decides
+*when a chunk has straggled long enough* to duplicate onto a second
+shard. It learns the chunk latency distribution online with two EWMAs
+(mean and absolute deviation) and derives a p95-style hedge threshold
+``mean + spread_factor * dev`` — the classic "tied requests"
+tail-cutting scheme (Dean & Barroso, *The Tail at Scale*). Duplicating work is only safe because the batched
 kernels are bit-identical across shards: whichever attempt finishes
 first, the caller observes the same bits, so first-result-wins changes
 latency and nothing else.
@@ -25,40 +16,6 @@ from __future__ import annotations
 
 from repro.gateway.estimator import Ewma
 from repro.utils.validation import check_positive
-
-
-class RetryPolicy:
-    """Bounded retry with capped exponential backoff (per chunk).
-
-    ``max_retries`` counts *re*-dispatches: a chunk is attempted at
-    most ``1 + max_retries`` times. ``delay(attempt)`` prices the sleep
-    before retry number ``attempt`` (1-based):
-    ``min(cap, base * multiplier**(attempt - 1))``.
-    """
-
-    def __init__(self, max_retries: int = 2, base_delay: float = 0.02,
-                 multiplier: float = 2.0, cap: float = 0.5):
-        if max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {max_retries}")
-        if not base_delay > 0:
-            raise ValueError(
-                f"base_delay must be > 0, got {base_delay}")
-        self.max_retries = int(max_retries)
-        self.base_delay = float(base_delay)
-        self.multiplier = float(multiplier)
-        self.cap = float(cap)
-
-    def delay(self, attempt: int) -> float:
-        """Sleep before retry ``attempt`` (1-based), capped."""
-        check_positive(attempt, "attempt")
-        return min(self.cap,
-                   self.base_delay * self.multiplier ** (attempt - 1))
-
-    def stats(self) -> dict:
-        return {"max_retries": self.max_retries,
-                "base_delay": self.base_delay,
-                "multiplier": self.multiplier, "cap": self.cap}
 
 
 class HedgePolicy:

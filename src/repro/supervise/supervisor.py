@@ -19,8 +19,7 @@ The supervisor's loop, all driven from the gateway's event loop:
    bit-for-bit (:class:`~repro.supervise.canary.CanaryProbe`).
 2. A shard that fails its probe is **quarantined** (pulled out of
    rotation), closed, and a **restart campaign** starts: sleep by
-   capped decorrelated-jitter backoff
-   (:class:`~repro.supervise.backoff.DecorrelatedJitterBackoff`),
+   capped exponential backoff (:class:`~repro.supervise.backoff.Backoff`),
    build a replacement through ``pool.build_shard()`` (the
    ``pool.spawn`` chaos site lives there), probe it, and only
    **adopt** it into rotation once the probe passes.
@@ -35,7 +34,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.observe import trace
-from repro.supervise.backoff import DecorrelatedJitterBackoff
+from repro.supervise.backoff import Backoff
 from repro.supervise.canary import CanaryProbe
 from repro.utils.validation import check_positive
 
@@ -48,23 +47,18 @@ class ShardSupervisor:
     canary:
         The :class:`~repro.supervise.canary.CanaryProbe` shards must
         pass; built lazily from the gateway's config when ``None``.
-    backoff_factory:
-        Zero-arg callable building one campaign's
-        :class:`~repro.supervise.backoff.DecorrelatedJitterBackoff`.
-    max_restarts:
-        Attempt cap per restart campaign.
+    backoff:
+        Each restart campaign's :class:`~repro.supervise.backoff.Backoff`:
+        its delays and its ``max_attempts`` cap.
     restart_budget:
         Total restart attempts across the supervisor's lifetime.
     """
 
     def __init__(self, canary: CanaryProbe | None = None, *,
-                 backoff_factory=None, max_restarts: int = 3,
+                 backoff: Backoff | None = None,
                  restart_budget: int = 8):
         self.canary = canary
-        self._backoff_factory = (backoff_factory or
-                                 DecorrelatedJitterBackoff)
-        self.max_restarts = check_positive(max_restarts,
-                                           "max_restarts")
+        self.backoff = backoff if backoff is not None else Backoff()
         self.restart_budget = check_positive(restart_budget,
                                              "restart_budget")
         self.budget_left = self.restart_budget
@@ -156,15 +150,15 @@ class ShardSupervisor:
     # Restart ------------------------------------------------------------
     async def _restart_campaign(self, dead_index: int) -> None:
         """Replace one quarantined shard: backoff → build → probe →
-        adopt, bounded by ``max_restarts`` and the global budget."""
-        backoff = self._backoff_factory()
-        for _attempt in range(self.max_restarts):
+        adopt, bounded by ``backoff.max_attempts`` and the global
+        budget."""
+        for attempt in range(1, self.backoff.max_attempts + 1):
             if self.budget_left <= 0:
                 trace.event("supervise.budget_exhausted",
                             dead_shard=dead_index)
                 return
             self.budget_left -= 1
-            delay = backoff.next()
+            delay = self.backoff.delay(attempt)
             self.backoff_total += delay
             await asyncio.sleep(delay)
             try:
@@ -197,7 +191,7 @@ class ShardSupervisor:
             return
         trace.event("supervise.campaign_abandoned",
                     dead_shard=dead_index,
-                    attempts=self.max_restarts)
+                    attempts=self.backoff.max_attempts)
 
     async def drain(self, cancel: bool = False) -> None:
         """Await (or cancel) outstanding restart campaigns.
@@ -213,10 +207,6 @@ class ShardSupervisor:
             await asyncio.gather(*tasks, return_exceptions=True)
 
     # Introspection ------------------------------------------------------
-    def backoff_bound(self) -> float:
-        """Worst-case sleep of one full campaign (budget assertion)."""
-        return self._backoff_factory().max_total(self.max_restarts)
-
     def stats(self) -> dict:
         return {
             "quarantines": self.quarantines,

@@ -32,17 +32,13 @@ from repro.serve.plan import PLAN_OPS, PlanConfig, compile_plan
 GRID = (6, 6, 6)
 STENCIL = "27pt"
 
-PLAN_CASES = [
-    ("dbsr", 4),
-    ("dbsr", 8),
-    ("sell", 4),
-]
+BSIZES = [4, 8]
+BSIZE_IDS = [f"dbsr-{b}" for b in BSIZES]
 
 
-def _plan(strategy, bsize, backend="numpy-fast"):
-    return compile_plan(
-        StructuredGrid(GRID), STENCIL,
-        PlanConfig(bsize=bsize, strategy=strategy, backend=backend))
+def _plan(bsize, backend="numpy-fast"):
+    return compile_plan(StructuredGrid(GRID), STENCIL,
+                        PlanConfig(bsize=bsize, backend=backend))
 
 
 @pytest.fixture(scope="module")
@@ -50,23 +46,23 @@ def rhs(rng):
     return rng.standard_normal((StructuredGrid(GRID).n_points, 3))
 
 
-@pytest.mark.parametrize("strategy,bsize", PLAN_CASES)
+@pytest.mark.parametrize("bsize", BSIZES, ids=BSIZE_IDS)
 @pytest.mark.parametrize("op", PLAN_OPS)
-def test_fast_plan_bitwise_equals_counted_plan(strategy, bsize, op, rhs):
-    fast = _plan(strategy, bsize, "numpy-fast")
-    counted = _plan(strategy, bsize, "numpy-counted")
+def test_fast_plan_bitwise_equals_counted_plan(bsize, op, rhs):
+    fast = _plan(bsize, "numpy-fast")
+    counted = _plan(bsize, "numpy-counted")
     assert fast._backend().name == "numpy-fast"
     assert counted._backend().name == "numpy-counted"
     assert np.array_equal(fast.execute(op, rhs),
                           counted.execute(op, rhs))
 
 
-@pytest.mark.parametrize("strategy,bsize", PLAN_CASES)
+@pytest.mark.parametrize("bsize", BSIZES, ids=BSIZE_IDS)
 @pytest.mark.parametrize("op", PLAN_OPS)
-def test_numba_bodies_bitwise_equal_counted(strategy, bsize, op, rhs):
+def test_numba_bodies_bitwise_equal_counted(bsize, op, rhs):
     """The numba loop nests (interpreted, so this runs everywhere)
     reproduce the counted twin bit-for-bit."""
-    plan = _plan(strategy, bsize)
+    plan = _plan(bsize)
     counted = get_backend("numpy-counted")
     nb = NumbaBackend(jit=False)
     Bp = plan.extend(rhs)
@@ -74,14 +70,14 @@ def test_numba_bodies_bitwise_equal_counted(strategy, bsize, op, rhs):
                           counted.run(plan, op, Bp))
 
 
-@pytest.mark.parametrize("strategy,bsize", PLAN_CASES)
+@pytest.mark.parametrize("bsize", BSIZES, ids=BSIZE_IDS)
 @pytest.mark.parametrize("op", PLAN_OPS)
-def test_jit_bitwise_equals_counted(strategy, bsize, op, rhs):
+def test_jit_bitwise_equals_counted(bsize, op, rhs):
     """jit ≡ counted — the compiled-tier twin contract (numba only)."""
     pytest.importorskip("numba")
-    plan = _plan(strategy, bsize, backend="numba")
+    plan = _plan(bsize, backend="numba")
     assert plan._backend().name == "numba"
-    counted = _plan(strategy, bsize, "numpy-counted")
+    counted = _plan(bsize, "numpy-counted")
     assert np.array_equal(plan.execute(op, rhs),
                           counted.execute(op, rhs))
 
@@ -89,7 +85,7 @@ def test_jit_bitwise_equals_counted(strategy, bsize, op, rhs):
 def test_jit_false_and_true_agree_when_numba_present(rhs):
     if not numba_available():
         pytest.skip("numba not installed")
-    plan = _plan("dbsr", 4)
+    plan = _plan(4)
     Bp = plan.extend(rhs)
     for op in PLAN_OPS:
         assert np.array_equal(NumbaBackend(jit=True).run(plan, op, Bp),
@@ -100,7 +96,7 @@ def test_jit_false_and_true_agree_when_numba_present(rhs):
 def test_counted_tallies_equal_plan_closed_forms(op, rhs):
     """The counted backend's engine tally equals the closed forms the
     plan attributes to its execute spans — per op, k > 1."""
-    plan = _plan("dbsr", 4, "numpy-counted")
+    plan = _plan(4, "numpy-counted")
     backend = plan._backend()
     plan.execute(op, rhs)
     engine = backend.last_engine
@@ -110,16 +106,6 @@ def test_counted_tallies_equal_plan_closed_forms(op, rhs):
                 "bytes_vector", "bytes_gathered"):
         assert getattr(engine.counter, fld) == getattr(expected, fld), \
             (op, fld)
-
-
-def test_counted_sell_tally_scales_with_k(rng):
-    plan = _plan("sell", 4, "numpy-counted")
-    backend = plan._backend()
-    B = rng.standard_normal((plan.n, 4))
-    plan.execute("lower", B)
-    expected = plan.op_counts("lower", 4)
-    assert backend.last_engine.counter.vfma == expected.vfma
-    assert backend.last_engine.counter.vgather == expected.vgather
 
 
 # Column identity + CSR agreement, per op and per tier ------------------

@@ -25,7 +25,7 @@ from repro.serve.plan import PlanConfig
 pytestmark = pytest.mark.fast
 
 GRID = StructuredGrid((6, 6, 6))
-CONFIG = PlanConfig(strategy="dbsr", bsize=4)
+CONFIG = PlanConfig(bsize=4)
 
 
 def _rhs(seed=0):

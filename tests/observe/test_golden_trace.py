@@ -1,8 +1,8 @@
 """Golden-trace differential suite (the tentpole's acceptance tests).
 
-Runs fixed-seed workloads (27-point stencil, bsize 4 and 8, DBSR /
-SELL strategies, fault-forced rung descents) under a fresh tracer and
-asserts three contracts:
+Runs fixed-seed workloads (27-point stencil, bsize 4 and 8, a
+fault-forced DBSR → CSR rung descent) under a fresh tracer and asserts
+three contracts:
 
 1. **Topology** — the canonical trace (span names, nesting, attrs,
    events, attributed counts; timings and ids stripped) equals the
@@ -11,10 +11,10 @@ asserts three contracts:
    instrumentation changes, and review the golden diff like code.
 2. **Attribution** — every ``plan.execute`` span carries op counts
    equal to the closed forms in :mod:`repro.kernels.counts` exactly.
-3. **Differential execution** — DBSR, SELL, and ordered-CSR rungs
-   produce bit-identical solutions for the same traced inputs, and a
-   traced run is bit-identical to an untraced one (observability must
-   never perturb the numerics).
+3. **Differential execution** — the DBSR and ordered-CSR rungs
+   produce bit-identical triangular solutions for the same traced
+   inputs, and a traced run is bit-identical to an untraced one
+   (observability must never perturb the numerics).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ STENCIL = "27pt"
 OPS = ("lower", "upper", "spmv", "symgs")
 SEED = 2024
 
-PLAN_CASES = [("dbsr", 4), ("dbsr", 8), ("sell", 4)]
-PLAN_IDS = [f"{s}-b{b}" for s, b in PLAN_CASES]
+BSIZES = [4, 8]
+BSIZE_IDS = [f"dbsr-b{b}" for b in BSIZES]
 
 
 @pytest.fixture(autouse=True)
@@ -55,27 +55,25 @@ def _rhs(plan):
     return np.random.default_rng(SEED).standard_normal(plan.n)
 
 
-def _run_plan_case(strategy, bsize, backend="numpy-fast"):
+def _run_plan_case(bsize, backend="numpy-fast"):
     """Compile + run all four ops under a fresh tracer."""
     with trace.tracing() as tr:
         plan = compile_plan(GRID, STENCIL,
-                            PlanConfig(bsize=bsize, strategy=strategy,
-                                       backend=backend))
+                            PlanConfig(bsize=bsize, backend=backend))
         b = _rhs(plan)
         results = {op: plan.execute(op, b) for op in OPS}
     return tr, plan, results
 
 
-def _run_fallback_case(strategies, max_fires):
-    """Force a rung descent with an injected kernel crash."""
+def _run_fallback_case():
+    """Force the DBSR → CSR descent with an injected kernel crash."""
     cache = PlanCache(capacity=4)
     with trace.tracing() as tr:
         plan, _ = cache.get_or_compile(GRID, STENCIL, PlanConfig(bsize=4))
-        chain = FallbackChain(cache=cache, backoff_base=0.0,
+        chain = FallbackChain(cache=cache,
                               breaker=CircuitBreaker(threshold=99))
         fault = FaultPlan((FaultSpec("kernel_exception",
-                                     strategies=strategies,
-                                     max_fires=max_fires),))
+                                     strategies=("dbsr",)),))
         with inject(fault):
             res = chain.execute(plan, "lower", _rhs(plan))
     return tr, plan, res
@@ -110,17 +108,17 @@ def golden(request):
 # 1. Span topology ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("strategy,bsize", PLAN_CASES, ids=PLAN_IDS)
-def test_plan_trace_matches_golden(strategy, bsize, golden):
-    tr, _plan, _ = _run_plan_case(strategy, bsize)
-    golden(f"plan-{strategy}-b{bsize}", canonical_trace(tr.to_dict()))
+@pytest.mark.parametrize("bsize", BSIZES, ids=BSIZE_IDS)
+def test_plan_trace_matches_golden(bsize, golden):
+    tr, _plan, _ = _run_plan_case(bsize)
+    golden(f"plan-dbsr-b{bsize}", canonical_trace(tr.to_dict()))
 
 
 def test_counted_backend_trace_matches_golden(golden):
     """Per-backend golden: the counted tier's span topology differs
     from numpy-fast only in the ``backend`` attrs and the fingerprint
     (the requested backend is part of the structural fingerprint)."""
-    tr, plan, _ = _run_plan_case("dbsr", 4, backend="numpy-counted")
+    tr, plan, _ = _run_plan_case(4, backend="numpy-counted")
     assert plan._backend().name == "numpy-counted"
     golden("plan-dbsr-b4-counted", canonical_trace(tr.to_dict()))
 
@@ -139,23 +137,17 @@ def test_counted_and_fast_goldens_differ_only_in_backend_and_fp():
     assert normalized == blob_f
 
 
-def test_fallback_sell_descent_matches_golden(golden):
-    tr, _plan, res = _run_fallback_case(("dbsr",), 1)
-    assert (res.depth, res.rung) == (1, "sell")
-    golden("fallback-sell", canonical_trace(tr.to_dict()))
-
-
 def test_fallback_csr_descent_matches_golden(golden):
-    tr, _plan, res = _run_fallback_case(("dbsr", "sell"), 2)
-    assert (res.depth, res.rung) == (2, "csr")
+    tr, _plan, res = _run_fallback_case()
+    assert (res.depth, res.rung) == (1, "csr")
     golden("fallback-csr", canonical_trace(tr.to_dict()))
 
 
 def test_canonical_trace_is_run_invariant():
     """Two runs of the same seeded workload canonicalize identically
     even though raw timings and span ids differ."""
-    tr1, _, _ = _run_plan_case("dbsr", 4)
-    tr2, _, _ = _run_plan_case("dbsr", 4)
+    tr1, _, _ = _run_plan_case(4)
+    tr2, _, _ = _run_plan_case(4)
     d1, d2 = tr1.to_dict(), tr2.to_dict()
     # Raw traces carry wall-clock noise; the canonical form strips it.
     assert "seconds" in d1["spans"][0]
@@ -166,9 +158,9 @@ def test_canonical_trace_is_run_invariant():
 # 2. Attributed counts equal the closed forms ------------------------------
 
 
-@pytest.mark.parametrize("strategy,bsize", PLAN_CASES, ids=PLAN_IDS)
-def test_span_counts_equal_closed_forms(strategy, bsize):
-    tr, plan, _ = _run_plan_case(strategy, bsize)
+@pytest.mark.parametrize("bsize", BSIZES, ids=BSIZE_IDS)
+def test_span_counts_equal_closed_forms(bsize):
+    tr, plan, _ = _run_plan_case(bsize)
     execs = [sp for sp in tr.walk() if sp.name == "plan.execute"]
     assert [sp.attrs["op"] for sp in execs] == list(OPS)
     for sp in execs:
@@ -177,17 +169,17 @@ def test_span_counts_equal_closed_forms(strategy, bsize):
         assert sp.counts["bsize"] == bsize
 
 
-def test_fallback_sell_rung_counts_equal_closed_forms():
-    from repro.kernels.counts import sptrsv_sell_counts
+def test_fallback_csr_rung_counts_equal_closed_forms():
+    from repro.kernels.counts import sptrsv_csr_counts
 
-    tr, plan, _res = _run_fallback_case(("dbsr",), 1)
-    sell_execs = [sp for sp in tr.walk()
-                  if sp.name == "plan.execute"
-                  and sp.attrs["strategy"] == "sell"]
-    assert len(sell_execs) == 1
-    arts = plan._fallback_sell  # cached by the chain's sell rung
-    expect = sptrsv_sell_counts(arts["lower"], divide=True)
-    assert sell_execs[0].counts == counts_dict(expect)
+    tr, plan, _res = _run_fallback_case()
+    csr_execs = [sp for sp in tr.walk()
+                 if sp.name == "plan.execute"
+                 and sp.attrs["strategy"] == "csr"]
+    assert len(csr_execs) == 1
+    L, _D, _U = plan._fallback_csr  # cached by the chain's csr rung
+    expect = sptrsv_csr_counts(L, divide=True)
+    assert csr_execs[0].counts == counts_dict(expect)
 
 
 # 3. Differential execution ------------------------------------------------
@@ -196,25 +188,18 @@ def test_fallback_sell_rung_counts_equal_closed_forms():
 def test_rungs_bit_identical_under_traced_inputs():
     cache = PlanCache(capacity=4)
     with trace.tracing():
-        pd, _ = cache.get_or_compile(GRID, STENCIL, PlanConfig(bsize=4))
-        ps, _ = cache.get_or_compile(GRID, STENCIL,
-                                     PlanConfig(bsize=4, strategy="sell"))
-        chain = FallbackChain(cache=cache, backoff_base=0.0)
-        b = _rhs(pd)
+        plan, _ = cache.get_or_compile(GRID, STENCIL, PlanConfig(bsize=4))
+        chain = FallbackChain(cache=cache)
+        b = _rhs(plan)
         for op in ("lower", "upper"):
-            xd = pd.execute(op, b)
-            assert np.array_equal(xd, ps.execute(op, b)), op
             assert np.array_equal(
-                xd, chain.execute_reference(pd, op, b)), op
-        for op in ("spmv", "symgs"):
-            assert np.array_equal(pd.execute(op, b),
-                                  ps.execute(op, b)), op
+                plan.execute(op, b),
+                chain.execute_reference(plan, op, b)), op
 
 
 def test_csr_descent_bitwise_equals_reference():
-    tr, plan, res = _run_fallback_case(("dbsr", "sell"), 2)
-    ref = FallbackChain(backoff_base=0.0).execute_reference(
-        plan, "lower", _rhs(plan))
+    tr, plan, res = _run_fallback_case()
+    ref = FallbackChain().execute_reference(plan, "lower", _rhs(plan))
     assert np.array_equal(res.solution, ref)
 
 
@@ -229,17 +214,16 @@ def test_traced_run_bitwise_equals_untraced():
         assert np.array_equal(untraced[op], traced[op]), op
 
 
-@pytest.mark.parametrize("strategy,bsize", PLAN_CASES, ids=PLAN_IDS)
-def test_backend_tiers_bit_identical_on_golden_cases(strategy, bsize):
+@pytest.mark.parametrize("bsize", BSIZES, ids=BSIZE_IDS)
+def test_backend_tiers_bit_identical_on_golden_cases(bsize):
     """Acceptance criterion: every backend is bit-identical to the
     counted twin on every golden-trace case, pinned the same way
     traced ≡ untraced is."""
     from repro.backends.numba_backend import NumbaBackend
 
-    _, counted_plan, counted = _run_plan_case(strategy, bsize,
+    _, counted_plan, counted = _run_plan_case(bsize,
                                               backend="numpy-counted")
-    _, fast_plan, fast = _run_plan_case(strategy, bsize,
-                                        backend="numpy-fast")
+    _, fast_plan, fast = _run_plan_case(bsize, backend="numpy-fast")
     nb = NumbaBackend(jit=False)
     b = _rhs(counted_plan)
     for op in OPS:
@@ -249,13 +233,12 @@ def test_backend_tiers_bit_identical_on_golden_cases(strategy, bsize):
         assert np.array_equal(got, counted[op]), op
 
 
-@pytest.mark.parametrize("strategy,bsize", PLAN_CASES, ids=PLAN_IDS)
-def test_jit_bit_identical_to_counted_on_golden_cases(strategy, bsize):
+@pytest.mark.parametrize("bsize", BSIZES, ids=BSIZE_IDS)
+def test_jit_bit_identical_to_counted_on_golden_cases(bsize):
     """jit ≡ counted on the golden cases (requires numba)."""
     pytest.importorskip("numba")
-    _, _, counted = _run_plan_case(strategy, bsize,
-                                   backend="numpy-counted")
-    _, jit_plan, jit = _run_plan_case(strategy, bsize, backend="numba")
+    _, _, counted = _run_plan_case(bsize, backend="numpy-counted")
+    _, jit_plan, jit = _run_plan_case(bsize, backend="numba")
     assert jit_plan._backend().name == "numba"
     for op in OPS:
         assert np.array_equal(jit[op], counted[op]), op

@@ -113,7 +113,7 @@ def test_repack_bitwise_equals_cold_compile(snap):
 
     nx, stencil, bsize, seed, scale = snap
     grid = StructuredGrid((nx, nx, nx))
-    config = PlanConfig(strategy="dbsr", bsize=bsize)
+    config = PlanConfig(bsize=bsize)
     plan = compile_ilu_plan(grid, stencil, config)
     rng = np.random.default_rng(seed)
     v2 = plan.values_src * (

@@ -62,7 +62,7 @@ def test_armed_injector_does_not_change_op_counts():
     x_clean, c_clean = counted()
     # Armed, but filtered to an op this run never executes.
     fault = FaultPlan((FaultSpec("kernel_exception", strategies=None,
-                                 ops=("never-this-op",)),))
+                                 ops=("spmv",)),))
     with inject(fault) as inj:
         x_armed, c_armed = counted()
     assert inj.injected == 0

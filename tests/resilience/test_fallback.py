@@ -27,7 +27,6 @@ CONFIG = PlanConfig(bsize=4)
 
 
 def _chain(cache=None, **kw):
-    kw.setdefault("backoff_base", 0.0)
     kw.setdefault("breaker", CircuitBreaker(threshold=3))
     return FallbackChain(cache=cache, **kw)
 
@@ -154,27 +153,33 @@ def test_corruption_heals_by_recompile_bitwise():
     assert not clean.degraded
 
 
-def test_kernel_crash_falls_back_to_sell():
+def test_kernel_crash_falls_back_to_csr():
+    cache, plan, b = _setup()
+    chain = _chain(cache)
+    ref = chain.execute_reference(plan, "lower", b)
+    with inject(FaultPlan((FaultSpec("kernel_exception",
+                                     strategies=("dbsr",)),))):
+        res = chain.execute(plan, "lower", b)
+    assert (res.depth, res.rung) == (1, "csr")
+    assert res.attempts[0][0] == "dbsr"
+    assert np.array_equal(res.solution, ref)
+
+
+def test_descent_never_sleeps(monkeypatch):
+    """The CSR rung shares nothing with the failed DBSR rung, so the
+    chain descends at once: no backoff sleep on any path."""
+    import time
+
+    def no_sleep(seconds):
+        raise AssertionError(f"fallback chain slept {seconds}s")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
     cache, plan, b = _setup()
     chain = _chain(cache)
     with inject(FaultPlan((FaultSpec("kernel_exception",
                                      strategies=("dbsr",)),))):
         res = chain.execute(plan, "lower", b)
-    assert (res.depth, res.rung) == (1, "sell")
-    assert res.attempts[0][0] == "dbsr"
-    assert np.all(np.isfinite(res.solution))
-
-
-def test_double_crash_falls_back_to_csr_bitwise():
-    cache, plan, b = _setup()
-    chain = _chain(cache)
-    ref = chain.execute_reference(plan, "lower", b)
-    with inject(FaultPlan((FaultSpec(
-            "kernel_exception", strategies=("dbsr", "sell"),
-            max_fires=2),))):
-        res = chain.execute(plan, "lower", b)
-    assert (res.depth, res.rung) == (2, "csr")
-    assert np.array_equal(res.solution, ref)
+    assert res.rung == "csr"
 
 
 def test_residual_guard_catches_finite_but_wrong_values():
@@ -190,8 +195,8 @@ def test_residual_guard_catches_finite_but_wrong_values():
     assert np.all(np.isfinite(flat))
     res = chain.execute(plan, "lower", b)
     # Execution-stage failures descend the ladder (no recompile): the
-    # sell rung reads the uncorrupted plan.matrix and recovers.
-    assert (res.depth, res.rung, res.recompiled) == (1, "sell", False)
+    # csr rung reads the uncorrupted plan.matrix and recovers.
+    assert (res.depth, res.rung, res.recompiled) == (1, "csr", False)
     assert res.attempts[0][0] == "dbsr"
     assert "residual guard" in res.attempts[0][1]
     assert np.allclose(res.solution, ref)
@@ -213,51 +218,6 @@ def test_exhausted_raises_and_feeds_breaker():
             chain.execute(plan, "lower", b)
     assert chain.exhausted == 2
     assert chain.breaker.open_events == 1
-
-
-def test_backoff_is_exponential_and_capped():
-    sleeps = []
-    cache, plan, b = _setup()
-    chain = FallbackChain(cache=cache, backoff_base=0.1,
-                          backoff_factor=2.0, backoff_max=0.15,
-                          breaker=CircuitBreaker(threshold=99),
-                          sleep=sleeps.append)
-    with inject(FaultPlan((FaultSpec(
-            "kernel_exception", strategies=("dbsr", "sell"),
-            max_fires=2),))):
-        chain.execute(plan, "lower", b)
-    assert sleeps == [pytest.approx(0.1), pytest.approx(0.15)]
-
-
-def test_sell_strategy_plan_starts_ladder_at_sell():
-    cache = PlanCache(capacity=4)
-    plan, _ = cache.get_or_compile(GRID, "27pt",
-                                   PlanConfig(bsize=4, strategy="sell"))
-    b = np.random.default_rng(3).standard_normal(plan.n)
-    chain = _chain(cache)
-    with inject(FaultPlan((FaultSpec("kernel_exception",
-                                     strategies=("sell",)),))):
-        res = chain.execute(plan, "lower", b)
-    assert (res.depth, res.rung) == (1, "csr")
-
-
-def test_sell_rung_integrity_covers_sell_arrays():
-    # A one-ulp perturbation of a sealed SELL value passes every
-    # structural check and sits far below the residual guard's
-    # tolerance — only the sell_lower/sell_upper digests catch it.
-    cache = PlanCache(capacity=4)
-    plan, _ = cache.get_or_compile(GRID, "27pt",
-                                   PlanConfig(bsize=4, strategy="sell"))
-    b = np.random.default_rng(3).standard_normal(plan.n)
-    ref = plan.execute("lower", b)
-    vals = plan.sell_lower.vals
-    idx = np.unravel_index(np.flatnonzero(vals)[0], vals.shape)
-    vals[idx] = np.nextafter(vals[idx], np.inf)
-    chain = _chain(cache)
-    res = chain.execute(plan, "lower", b)
-    assert res.recompiled
-    assert chain.faults_detected >= 1
-    assert np.array_equal(res.solution, ref)
 
 
 def test_heal_budget_is_atomic_under_concurrency():
@@ -288,9 +248,8 @@ def test_all_ops_survive_full_descent(op):
     cache, plan, b = _setup()
     chain = _chain(cache)
     ref = chain.execute_reference(plan, op, b)
-    with inject(FaultPlan((FaultSpec(
-            "kernel_exception", strategies=("dbsr", "sell"),
-            max_fires=2),))):
+    with inject(FaultPlan((FaultSpec("kernel_exception",
+                                     strategies=("dbsr",)),))):
         res = chain.execute(plan, op, b)
     assert res.rung == "csr"
     assert np.array_equal(res.solution, ref)
@@ -301,9 +260,8 @@ def test_multi_rhs_block_recovery():
     chain = _chain(cache)
     B = np.random.default_rng(5).standard_normal((plan.n, 3))
     ref = chain.execute_reference(plan, "lower", B)
-    with inject(FaultPlan((FaultSpec(
-            "kernel_exception", strategies=("dbsr", "sell"),
-            max_fires=2),))):
+    with inject(FaultPlan((FaultSpec("kernel_exception",
+                                     strategies=("dbsr",)),))):
         res = chain.execute(plan, "lower", B)
     assert res.solution.shape == (plan.n, 3)
     assert np.array_equal(res.solution, ref)
@@ -362,8 +320,8 @@ def test_rung_boundary_still_degrades_on_ordinary_errors():
 
     chain._run_rung = flaky
     res = chain.execute(plan, "lower", b)
-    assert res.rung == "sell"
-    assert np.allclose(res.solution, ref)
+    assert res.rung == "csr"
+    assert np.array_equal(res.solution, ref)
 
 
 @pytest.mark.parametrize("exc_type", [MemoryError, AssertionError])

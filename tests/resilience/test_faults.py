@@ -42,6 +42,21 @@ def test_unknown_value_target_rejected():
         FaultSpec("nan_value", target="values_of_doom")
 
 
+@pytest.mark.parametrize("kw", [
+    {"strategies": ("sell",)},        # a rung the ladder no longer has
+    {"strategies": ("dbrs",)},        # a typo
+    {"strategies": ()},               # strikes nothing
+    {"ops": ("lowr",)},
+    {"ops": ()},
+], ids=["retired-rung", "typo-rung", "empty-rungs", "typo-op",
+        "empty-ops"])
+def test_filters_that_can_never_fire_are_rejected(kw):
+    """A filter naming no reachable rung or op would make its chaos
+    scenario pass vacuously."""
+    with pytest.raises(ValueError, match="subset"):
+        FaultSpec("kernel_exception", **kw)
+
+
 def test_corruption_is_deterministic():
     """Same plan + same seed => corruption lands at the same index."""
     spec = FaultSpec("nan_value", target="lower")

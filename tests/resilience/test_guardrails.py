@@ -17,9 +17,9 @@ from repro.serve.plan import PlanConfig, compile_plan
 pytestmark = pytest.mark.chaos
 
 
-def _fresh_plan(strategy="dbsr"):
+def _fresh_plan():
     return compile_plan(StructuredGrid((6, 6, 6)), "27pt",
-                        PlanConfig(bsize=4, strategy=strategy))
+                        PlanConfig(bsize=4))
 
 
 def test_clean_plan_validates_at_both_levels():
@@ -28,13 +28,10 @@ def test_clean_plan_validates_at_both_levels():
     validate_plan(plan, level="integrity")
 
 
-def test_sell_plan_validates():
-    validate_plan(_fresh_plan(strategy="sell"), level="integrity")
-
-
 def test_compile_seals_integrity_digests():
     plan = _fresh_plan()
-    assert plan.integrity
+    assert set(plan.integrity) == {"ordering.old_to_new", "matrix",
+                                   "dbsr", "lower", "upper", "diag"}
     assert all(len(d) == 64 for d in plan.integrity.values())
 
 

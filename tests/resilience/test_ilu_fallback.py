@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.grids.grid import StructuredGrid
-from repro.resilience.fallback import CircuitBreaker, FallbackChain
+from repro.resilience.errors import FallbackExhausted
+from repro.resilience.fallback import LADDER, CircuitBreaker, FallbackChain
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serve.cache import PlanCache
 from repro.serve.plan import PlanConfig
@@ -12,11 +13,10 @@ from repro.serve.plan import PlanConfig
 pytestmark = pytest.mark.chaos
 
 GRID = StructuredGrid((6, 6, 6))
-CONFIG = PlanConfig(strategy="dbsr", bsize=4)
+CONFIG = PlanConfig(bsize=4)
 
 
 def _chain(cache=None, **kw):
-    kw.setdefault("backoff_base", 0.0)
     kw.setdefault("breaker", CircuitBreaker(threshold=3))
     return FallbackChain(cache=cache, **kw)
 
@@ -62,9 +62,16 @@ def test_kernel_crash_falls_back_to_csr_rung_bitwise():
 
 
 def test_ilu_ladder_is_dbsr_then_csr_no_sell():
+    """ILU plans walk the same two-rung ladder as solve plans: a crash
+    on every rung exhausts after exactly DBSR then CSR."""
     cache, plan, b = _setup()
     chain = _chain(cache)
-    assert chain._ladder_for(plan) == ("dbsr", "csr")
+    assert LADDER == ("dbsr", "csr")
+    with inject(FaultPlan((FaultSpec("kernel_exception", strategies=None,
+                                     max_fires=None),))):
+        with pytest.raises(FallbackExhausted) as ei:
+            chain.execute(plan, "ilu_apply", b)
+    assert [rung for rung, _ in ei.value.attempts] == list(LADDER)
 
 
 def test_corrupted_factors_heal_by_recompile_bitwise():

@@ -29,7 +29,7 @@ pytestmark = pytest.mark.fast
 
 GRID = StructuredGrid((6, 6, 6))
 SIBLING = StructuredGrid((5, 5, 5))
-CONFIG = PlanConfig(strategy="dbsr", bsize=4)
+CONFIG = PlanConfig(bsize=4)
 
 
 def _perturbed(plan, seed=0, scale=0.05):

@@ -32,12 +32,12 @@ from repro.serve.plan import PlanConfig, structural_fingerprint
 pytestmark = pytest.mark.fast
 
 GRID = StructuredGrid((6, 6, 6))
-CONFIG = PlanConfig(strategy="dbsr", bsize=4)
+CONFIG = PlanConfig(bsize=4)
 #: (5,5,5) with bsize 8 pads (125 -> 128): the padded-lane regime
 #: where scalar re-factorization of the padded CSR is *not* a bitwise
 #: reference but the block-factor projection is.
 PADDED_GRID = StructuredGrid((5, 5, 5))
-PADDED_CONFIG = PlanConfig(strategy="dbsr", bsize=8)
+PADDED_CONFIG = PlanConfig(bsize=8)
 
 
 def _perturbed(plan, seed=0, scale=0.05):
@@ -60,12 +60,6 @@ def test_value_digest_seals_the_snapshot():
     assert plan.value_digest == value_digest(plan.values_src)
     v2 = _perturbed(plan)
     assert value_digest(v2) != plan.value_digest
-
-
-def test_compile_rejects_non_dbsr_strategy():
-    with pytest.raises(Exception):
-        compile_ilu_plan(GRID, "27pt", PlanConfig(strategy="sell",
-                                                  bsize=4))
 
 
 def test_values_must_match_assembly_order_length():
@@ -93,7 +87,7 @@ def test_apply_bitwise_equals_projected_csr_factors(grid, config, k):
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_apply_bitwise_identical_across_backends(backend):
-    cfg = PlanConfig(strategy="dbsr", bsize=4, backend=backend)
+    cfg = PlanConfig(bsize=4, backend=backend)
     plan = compile_ilu_plan(GRID, "27pt", cfg)
     rng = np.random.default_rng(5)
     B = rng.standard_normal((plan.n, 4))

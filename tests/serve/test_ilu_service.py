@@ -16,7 +16,7 @@ from repro.serve.service import (
 
 pytestmark = pytest.mark.fast
 
-CFG = PlanConfig(strategy="dbsr", bsize=4, n_workers=2)
+CFG = PlanConfig(bsize=4, n_workers=2)
 GRID = StructuredGrid((6, 6, 6))
 N = GRID.n_points
 

@@ -41,10 +41,10 @@ def test_fingerprint_is_deterministic(grid):
 def test_fingerprint_stable_across_kwarg_orderings(grid):
     """Config fields supplied in any order produce one fingerprint."""
     a = PlanConfig(**{"bsize": 4, "n_workers": 2, "dtype": "f64",
-                      "strategy": "dbsr"})
+                      "machine": "intel"})
     b = PlanConfig(**dict(reversed(list(
         {"bsize": 4, "n_workers": 2, "dtype": "f64",
-         "strategy": "dbsr"}.items()))))
+         "machine": "intel"}.items()))))
     assert structural_fingerprint(grid, "27pt", a) \
         == structural_fingerprint(grid, "27pt", b)
 
@@ -74,7 +74,7 @@ def test_fingerprint_stable_across_processes(grid):
 @pytest.mark.parametrize("change", [
     {"bsize": 8},
     {"dtype": "f32"},
-    {"strategy": "sell"},
+    {"backend": "numpy-counted"},
     {"n_workers": 8},
     {"machine": "phytium"},
     {"groups_per_worker": 2},
@@ -143,17 +143,11 @@ def test_all_ops_accept_single_and_batched(plan, rng):
             assert np.array_equal(X[:, j], plan.execute(op, B[:, j])), op
 
 
-def test_sell_strategy_compiles_and_solves(grid, rng):
-    plan = compile_plan(grid, "27pt",
-                        PlanConfig(bsize=4, strategy="sell"))
-    assert plan.sell_lower is not None
-    b = rng.standard_normal(plan.n)
-    x = plan.execute("lower", b)
-    from repro.kernels.sptrsv_csr import split_triangular
-
-    L, D, _ = split_triangular(plan.matrix)
-    xp = plan.extend(x)
-    assert np.abs(L.matvec(xp) + D * xp - plan.extend(b)).max() < 1e-10
+def test_plans_compile_to_dbsr_only():
+    """SELL is a comparison format, not a serving strategy: there is
+    no knob to select it."""
+    with pytest.raises(TypeError):
+        PlanConfig(strategy="sell")
 
 
 def test_autotune_plan_resolves_bsize(grid):

@@ -158,7 +158,7 @@ def test_request_metrics_contents(service, rng):
     m = t.metrics
     assert m["op"] == "lower"
     assert m["bsize"] == 4
-    assert m["strategy"] == "dbsr"
+    assert m["backend"] == "numpy-fast"
     assert m["seconds"] > 0
     counts = m["counts_per_solve"]
     assert counts["bytes"]["values"] > 0

@@ -128,7 +128,7 @@ def test_ticket_errors_name_request_op_and_fingerprint():
 
 def test_resilient_service_heals_corrupted_plan():
     cache = PlanCache(capacity=4)
-    chain = FallbackChain(cache=cache, backoff_base=0.0,
+    chain = FallbackChain(cache=cache,
                           breaker=CircuitBreaker(threshold=3))
     with SolveService(cache=cache, config=CONFIG,
                       resilience=chain) as svc:
@@ -147,7 +147,7 @@ def test_resilient_service_heals_corrupted_plan():
 
 def test_resilient_service_matches_native_results():
     cache = PlanCache(capacity=4)
-    chain = FallbackChain(cache=cache, backoff_base=0.0,
+    chain = FallbackChain(cache=cache,
                           breaker=CircuitBreaker(threshold=3))
     rhs = _rhs(9)
     with SolveService(config=CONFIG) as native:

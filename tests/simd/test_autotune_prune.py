@@ -96,6 +96,30 @@ def test_measured_ties_break_to_larger_bsize():
     assert result.bsize == max(result.feasible)
 
 
+def test_timed_repeats_interleave_so_one_stall_cannot_flip_the_pick(
+        monkeypatch):
+    """A host stall spanning several consecutive sweeps lands on at
+    most one repeat of each candidate, so best-of still sees every
+    candidate's true cost (timed back to back, a 3-sweep stall would
+    cover all three repeats of the first candidate)."""
+    from repro.simd import autotune
+
+    costs = {16: 1.0, 8: 2.0}
+    clock = [0.0]
+    calls = []
+
+    def sweep(b):
+        stalled = len(calls) < 3  # the stall covers the first 3 sweeps
+        calls.append(b)
+        clock[0] += costs[b] + (100.0 if stalled else 0.0)
+
+    monkeypatch.setattr(autotune.time, "perf_counter", lambda: clock[0])
+    best = autotune._best_of_round_robin(
+        {b: (lambda b=b: sweep(b)) for b in costs}, repeats=3)
+    assert calls == [16, 8] * 3
+    assert best == costs
+
+
 # -- legacy behaviour unchanged --------------------------------------------
 
 def test_prune_none_is_legacy_largest_feasible():

@@ -1,68 +1,49 @@
-"""DecorrelatedJitterBackoff: schedule shape, determinism, budget."""
+"""Backoff: the one capped exponential schedule, and its budget."""
 
 import pytest
 
-from repro.supervise.backoff import DecorrelatedJitterBackoff
+from repro.supervise.backoff import Backoff
 
 pytestmark = pytest.mark.fast
 
 
 def test_first_delay_is_base_then_bounded():
-    b = DecorrelatedJitterBackoff(base=0.05, cap=2.0, seed=3)
-    first = b.next()
-    assert first == 0.05
-    for _ in range(50):
-        d = b.next()
-        assert 0.05 <= d <= 2.0
-
-
-def test_jitter_decorrelates_two_seeds():
-    a = DecorrelatedJitterBackoff(base=0.01, cap=5.0, seed=1)
-    b = DecorrelatedJitterBackoff(base=0.01, cap=5.0, seed=2)
-    a.next(), b.next()  # both deterministic base
-    seq_a = [a.next() for _ in range(8)]
-    seq_b = [b.next() for _ in range(8)]
-    assert seq_a != seq_b
-
-
-def test_same_seed_replays_same_schedule():
-    mk = lambda: DecorrelatedJitterBackoff(base=0.02, cap=1.0,  # noqa: E731
-                                           seed=11)
-    one, two = mk(), mk()
-    assert [one.next() for _ in range(10)] \
-        == [two.next() for _ in range(10)]
-
-
-def test_reset_restarts_the_streak_at_base():
-    b = DecorrelatedJitterBackoff(base=0.03, cap=2.0, seed=0)
-    for _ in range(5):
-        b.next()
-    b.reset()
-    assert b.next() == 0.03
+    b = Backoff(base=0.05, cap=2.0, max_attempts=50)
+    assert b.delay(1) == 0.05
+    delays = [b.delay(a) for a in range(1, 51)]
+    assert all(0.05 <= d <= 2.0 for d in delays)
+    assert delays == sorted(delays)  # never shrinks
+    assert delays[-1] == 2.0
 
 
 def test_max_total_is_the_closed_form_budget_bound():
-    b = DecorrelatedJitterBackoff(base=0.05, cap=0.2, seed=9)
-    assert b.max_total(1) == pytest.approx(0.05)
-    assert b.max_total(4) == pytest.approx(0.05 + 3 * 0.2)
-    total = sum(b.next() for _ in range(4))
-    assert total <= b.max_total(4) + 1e-12
-    assert b.total == pytest.approx(total)
-    assert b.draws == 4
+    assert Backoff(base=0.05, cap=0.2, max_attempts=4).max_total() \
+        == pytest.approx(0.05 + 0.1 + 0.2 + 0.2)
+    for base, cap, attempts in [
+            (0.05, 0.2, 1),
+            (0.02, 0.1, 5),      # cap binds between doublings
+            (0.01, 0.05, 3),     # never reaches the cap
+            (0.5, 0.5, 3),       # cap == base
+            (0.01, 1.0, 0)]:     # no attempts, no sleep
+        b = Backoff(base=base, cap=cap, max_attempts=attempts)
+        total = sum(b.delay(a) for a in range(1, attempts + 1))
+        assert b.max_total() == pytest.approx(total), (base, cap)
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        DecorrelatedJitterBackoff(base=0.0)
-    with pytest.raises(ValueError):
-        DecorrelatedJitterBackoff(base=0.5, cap=0.1)
-    with pytest.raises(ValueError):
-        DecorrelatedJitterBackoff().max_total(0)
+    for bad in ({"base": 0.0}, {"base": -0.1}, {"base": 0.5, "cap": 0.1}):
+        with pytest.raises(ValueError):
+            Backoff(**bad)
 
 
-def test_stats_round_trip():
-    b = DecorrelatedJitterBackoff(base=0.05, cap=2.0, seed=4)
-    b.next()
-    s = b.stats()
-    assert s["draws"] == 1 and s["total_seconds"] == pytest.approx(0.05)
-    assert s["seed"] == 4
+def test_one_type_serves_retry_and_restart():
+    """The gateway's retry and the supervisor's restart campaigns take
+    the same type; no other backoff class exists."""
+    import repro.supervise as supervise
+    from repro.supervise.supervisor import ShardSupervisor
+
+    sup = ShardSupervisor(backoff=Backoff(base=0.01, max_attempts=2))
+    assert sup.backoff.max_attempts == 2
+    assert ShardSupervisor().backoff == Backoff()
+    assert not hasattr(supervise, "RetryPolicy")
+    assert not hasattr(supervise, "DecorrelatedJitterBackoff")

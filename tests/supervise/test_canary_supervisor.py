@@ -16,7 +16,7 @@ from repro.gateway.pool import ElasticShardPool, GatewayShard
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serve.plan import PlanConfig
 from repro.serve.service import SolveService
-from repro.supervise.backoff import DecorrelatedJitterBackoff
+from repro.supervise.backoff import Backoff
 from repro.supervise.canary import CanaryProbe
 from repro.supervise.supervisor import ShardSupervisor
 
@@ -31,11 +31,10 @@ def make_pool(**kw):
     return ElasticShardPool(lambda: SolveService(config=CONFIG), **kw)
 
 
-def make_supervisor(**kw):
+def make_supervisor(max_attempts=3, **kw):
     kw.setdefault("canary", CanaryProbe(CONFIG, nx=4))
-    kw.setdefault("backoff_factory",
-                  lambda: DecorrelatedJitterBackoff(base=0.005,
-                                                    cap=0.02, seed=5))
+    kw.setdefault("backoff", Backoff(base=0.005, cap=0.02,
+                                     max_attempts=max_attempts))
     return ShardSupervisor(**kw)
 
 
@@ -148,7 +147,7 @@ def test_restart_survives_spawn_failures_within_budget():
             FaultSpec(kind="spawn_fail", max_fires=2),
         ))
         pool = make_pool()
-        sup = make_supervisor(max_restarts=4, restart_budget=6)
+        sup = make_supervisor(max_attempts=4, restart_budget=6)
         sup.bind(pool)
         shard = await pool.acquire()
         shard.poison()
@@ -159,8 +158,11 @@ def test_restart_survives_spawn_failures_within_budget():
         assert sup.restarts == 1           # third attempt adopted
         assert sup.budget_left == 6 - 3
         assert pool.n_shards == 1
-        # Total sleep stayed inside the campaign's closed-form bound.
-        assert sup.backoff_total <= sup.backoff_bound() + 1e-9
+        # Three attempts slept the first three delays, inside the
+        # campaign's closed-form bound.
+        assert sup.backoff_total == pytest.approx(
+            sum(sup.backoff.delay(a) for a in (1, 2, 3)))
+        assert sup.backoff_total <= sup.backoff.max_total() + 1e-9
         pool.close()
 
     asyncio.run(run())
@@ -172,7 +174,7 @@ def test_budget_exhaustion_abandons_the_campaign():
             FaultSpec(kind="spawn_fail", max_fires=None),  # persistent
         ))
         pool = make_pool()
-        sup = make_supervisor(max_restarts=10, restart_budget=2)
+        sup = make_supervisor(max_attempts=10, restart_budget=2)
         sup.bind(pool)
         shard = await pool.acquire()
         shard.poison()

@@ -1,15 +1,17 @@
-"""RetryPolicy and HedgePolicy: delays, cold-start, clamping."""
+"""The gateway's per-chunk policies: the retry schedule (a
+:class:`~repro.supervise.backoff.Backoff`) and HedgePolicy — delays,
+cold-start, clamping."""
 
 import pytest
 
-from repro.supervise.hedge import HedgePolicy, RetryPolicy
+from repro.supervise.backoff import Backoff
+from repro.supervise.hedge import HedgePolicy
 
 pytestmark = pytest.mark.fast
 
 
 def test_retry_delay_is_capped_exponential():
-    r = RetryPolicy(max_retries=5, base_delay=0.02, multiplier=2.0,
-                    cap=0.1)
+    r = Backoff(base=0.02, cap=0.1, max_attempts=5)
     assert r.delay(1) == pytest.approx(0.02)
     assert r.delay(2) == pytest.approx(0.04)
     assert r.delay(3) == pytest.approx(0.08)
@@ -19,12 +21,10 @@ def test_retry_delay_is_capped_exponential():
 
 def test_retry_validation():
     with pytest.raises(ValueError):
-        RetryPolicy(max_retries=-1)
+        Backoff(max_attempts=-1)
     with pytest.raises(ValueError):
-        RetryPolicy(base_delay=0.0)
-    with pytest.raises(ValueError):
-        RetryPolicy().delay(0)
-    assert RetryPolicy(max_retries=0).max_retries == 0  # allowed
+        Backoff().delay(0)
+    assert Backoff(max_attempts=0).max_attempts == 0  # no retries
 
 
 def test_hedge_is_cold_until_min_samples():
