@@ -34,7 +34,8 @@ span                    opened by
 ======================  ==================================================
 
 Point events: ``serve.submit``, ``serve.coalesce``, ``serve.requeue``,
-``cache.hit`` / ``cache.miss`` / ``cache.evict`` / ``cache.invalidate``,
+``cache.hit`` / ``cache.miss`` / ``cache.coalesced_hit`` /
+``cache.evict`` / ``cache.invalidate`` / ``cache.stale_put_dropped``,
 ``executor.barrier``, ``fallback.validation_failed`` /
 ``fallback.execution_failed`` / ``fallback.heal``, and ``breaker.open``
 / ``breaker.half_open`` / ``breaker.close``.

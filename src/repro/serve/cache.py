@@ -28,11 +28,15 @@ Two serving-tier extensions share the map:
   permutation/tiling/autotune pick and only re-runs the numeric
   factorization. Invalidation stays **fingerprint-scoped** throughout:
   structural drift on one structure never flushes siblings.
-* **Generation-counted invalidation** closes the resurrection race: an
-  :meth:`invalidate` landing while a compile for the same fingerprint
-  is in flight bumps that fingerprint's generation, and the compile's
-  eventual insert is dropped (counted in ``stale_drops``) instead of
-  resurrecting the just-poisoned entry.
+* **Single flight.** One ``_lock`` guards the map, the counters and
+  ``_inflight``, which holds one :class:`_Flight` per fingerprint whose
+  compile or repack is running. Every lookup decides under that lock
+  to *serve* a resident plan, *lead* a new flight, or *wait* on the
+  flight in the air (with no lock held) and decide again. The leader
+  works with no lock held, then removes its flight, inserts its plan
+  and wakes the waiters in one critical section. An :meth:`invalidate`
+  landing mid-flight marks the flight stale, and its plan is dropped
+  (counted in ``stale_drops``) instead of resurrecting the entry.
 """
 
 from __future__ import annotations
@@ -60,6 +64,28 @@ from repro.utils.validation import check_positive, require
 PICKS_SCHEMA = "dbsr-repro/autotune-picks/v2"
 
 
+class _Flight:
+    """One running compile or repack of a fingerprint.
+
+    ``done`` is held until the leader lands, plan or exception; a
+    ``threading.Event`` would add two heap allocations to every compile,
+    which raised ``tri-large-k8``'s peak RSS by about 5% (2-vCPU x86-64).
+    ``stale`` says an :meth:`PlanCache.invalidate` landed meanwhile.
+    """
+
+    __slots__ = ("done", "stale")
+
+    def __init__(self):
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.stale = False
+
+    def wait(self) -> None:
+        """Block, with no cache lock held, until the flight lands."""
+        with self.done:
+            pass
+
+
 class PlanCache:
     """Thread-safe LRU cache of compiled solve plans.
 
@@ -76,8 +102,8 @@ class PlanCache:
     Notes
     -----
     Concurrent :meth:`get_or_compile` calls for the *same* fingerprint
-    serialize on a per-fingerprint lock so a structure is compiled
-    exactly once; calls for different fingerprints compile in parallel.
+    share one flight, so a structure is compiled exactly once; calls
+    for different fingerprints compile in parallel.
     """
 
     def __init__(self, capacity: int = 8,
@@ -86,16 +112,10 @@ class PlanCache:
         self.persist_path = persist_path
         self._plans: OrderedDict[str, SolvePlan] = OrderedDict()
         self._lock = threading.Lock()
-        #: fp -> [lock, refcount]; entries exist only while compiles
-        #: for that fingerprint are in flight (see get_or_compile), so
-        #: the map is bounded by concurrency, not by distinct
-        #: structures ever seen.
-        self._compile_locks: dict[str, list] = {}
-        #: fp -> invalidation generation. Entries exist only while a
-        #: compile/refresh for that fingerprint is in flight (same
-        #: lifetime as ``_compile_locks``): an invalidate with nothing
-        #: in flight has nothing to race, so the map stays bounded.
-        self._generations: dict[str, int] = {}
+        #: fp -> the compile or repack running for it. An entry lives
+        #: exactly as long as its leader works, so the map is bounded
+        #: by concurrency, not by the structures ever seen.
+        self._inflight: dict[str, _Flight] = {}
         #: Serializes pick-file writes without blocking ``_lock``.
         self._persist_lock = threading.Lock()
         self.hits = 0
@@ -144,21 +164,23 @@ class PlanCache:
         return {fp: entry for fp, entry in picks.items()
                 if isinstance(entry, dict) and "bsize" in entry}
 
-    def _save_picks(self, picks: dict) -> None:
-        """Atomically persist a picks *snapshot*.
+    def _save_picks(self) -> None:
+        """Atomically persist the current picks.
 
-        Runs under ``_persist_lock`` only — never ``_lock`` — so slow
-        file I/O cannot stall concurrent lookups. Callers snapshot
-        ``self._picks`` under ``_lock`` and pass the copy here.
+        The snapshot is taken *after* ``_persist_lock`` is held, so the
+        last writer always writes the newest picks: an older snapshot
+        can never overwrite a newer one. File I/O holds only
+        ``_persist_lock``, never ``_lock``, so it cannot stall lookups.
         """
         if not self.persist_path:
             return
-        blob = {
-            "schema": PICKS_SCHEMA,
-            "autotune_picks": picks,
-        }
         tmp = f"{self.persist_path}.tmp"
         with self._persist_lock:
+            with self._lock:
+                blob = {
+                    "schema": PICKS_SCHEMA,
+                    "autotune_picks": dict(self._picks),
+                }
             with open(tmp, "w") as fh:
                 json.dump(blob, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -187,24 +209,11 @@ class PlanCache:
     def peek(self, fingerprint: str) -> SolvePlan | None:
         """Counter-free lookup: no hit/miss accounting, no LRU touch.
 
-        For observers (the sharded service refreshing a healed plan,
+        For observers (the gateway pool pricing a request, benches,
         tests) that must not perturb the hit-rate statistics.
         """
         with self._lock:
             return self._plans.get(fingerprint)
-
-    def put(self, plan: SolvePlan) -> None:
-        """Insert a plan, evicting LRU entries beyond capacity."""
-        evicted = []
-        with self._lock:
-            self._plans[plan.fingerprint] = plan
-            self._plans.move_to_end(plan.fingerprint)
-            while len(self._plans) > self.capacity:
-                fp, _ = self._plans.popitem(last=False)
-                self.evictions += 1
-                evicted.append(fp)
-        for fp in evicted:
-            trace.event("cache.evict", fingerprint=fp[:12])
 
     def invalidate(self, fingerprint: str) -> bool:
         """Drop a (poisoned) plan; the next request recompiles it.
@@ -215,18 +224,17 @@ class PlanCache:
         cached plan fails validation.
 
         Scope is strictly this fingerprint: siblings keep their entries
-        *and* their hit-rate statistics. If a compile or refresh for
-        this fingerprint is in flight, its generation is bumped so the
-        concurrent worker's eventual ``put`` is dropped instead of
-        resurrecting the plan being poisoned right now.
+        *and* their hit-rate statistics. A compile or repack of this
+        fingerprint in flight is marked stale, so its plan is dropped
+        instead of resurrecting the plan being poisoned right now.
         """
         with self._lock:
             removed = self._plans.pop(fingerprint, None) is not None
             if removed:
                 self.invalidations += 1
-            if fingerprint in self._compile_locks:
-                self._generations[fingerprint] = \
-                    self._generations.get(fingerprint, 0) + 1
+            flight = self._inflight.get(fingerprint)
+            if flight is not None:
+                flight.stale = True
         if removed:
             trace.event("cache.invalidate", fingerprint=fingerprint[:12])
         return removed
@@ -268,105 +276,89 @@ class PlanCache:
         with self._lock:
             return fingerprint in self._plans
 
-    # Per-fingerprint serialization --------------------------------------
-    def _acquire_flock(self, fp: str) -> list:
-        """Refcount-acquire the per-fingerprint compile/refresh lock.
+    # Single flight ------------------------------------------------------
+    def _decide(self, fp: str, digest: str | None = None,
+                waited: bool = False) -> tuple:
+        """The one locked decision of a lookup: ``(what, plan, flight)``.
 
-        The entry lives exactly as long as compiles for this
-        fingerprint are in flight, so ``_compile_locks`` (and the
-        generation map scoped to it) stays bounded by live compiles
-        instead of growing with every structure ever requested.
+        ``what`` is ``"serve"`` (a resident plan whose value digest
+        matches ``digest``, if given; counts a hit), ``"wait"`` (a
+        flight is in the air), ``"repack"`` (resident, but factorized
+        from other values; nothing counted yet) or ``"lead"`` (a new
+        flight is registered; counts a miss).
         """
-        with self._lock:
-            entry = self._compile_locks.get(fp)
-            if entry is None:
-                entry = self._compile_locks[fp] = [threading.Lock(), 0]
-            entry[1] += 1
-        return entry
-
-    def _release_flock(self, fp: str, entry: list) -> None:
-        with self._lock:
-            entry[1] -= 1
-            if entry[1] == 0:
-                self._compile_locks.pop(fp, None)
-                self._generations.pop(fp, None)
-
-    def _guarded_put(self, plan, generation: int) -> bool:
-        """Insert unless the fingerprint was invalidated meanwhile.
-
-        ``generation`` is the fingerprint's invalidation generation
-        snapshotted *before* the compile/repack started. A concurrent
-        :meth:`invalidate` bumps it, in which case this plan is stale —
-        built from state the invalidator declared poisoned — and must
-        not resurrect the entry. Returns whether the plan was inserted.
-        """
-        with self._lock:
-            if self._generations.get(plan.fingerprint, 0) != generation:
-                self.stale_drops += 1
-                stale = True
-            else:
-                stale = False
-        if stale:
-            trace.event("cache.stale_put_dropped",
-                        fingerprint=plan.fingerprint[:12])
-            return False
-        self.put(plan)
-        return True
-
-    # Compile-through ----------------------------------------------------
-    def get_or_compile(self, grid: StructuredGrid, stencil,
-                       config: PlanConfig | None = None
-                       ) -> tuple[SolvePlan, bool]:
-        """Return ``(plan, was_hit)`` for a structure, compiling on miss.
-
-        The compile (and its counters) happens under a per-fingerprint
-        lock: N concurrent first requests of one structure cost one
-        compile, not N.
-        """
-        config = config if config is not None else PlanConfig()
-        fp = structural_fingerprint(grid, stencil, config)
-        plan = self.get(fp)
-        if plan is not None:
-            return plan, True
-        entry = self._acquire_flock(fp)
-        try:
-            with entry[0]:
-                return self._compile_locked(grid, stencil, config, fp)
-        finally:
-            self._release_flock(fp, entry)
-
-    def _compile_locked(self, grid, stencil, config,
-                        fp: str) -> tuple[SolvePlan, bool]:
-        """Compile-or-coalesce under the per-fingerprint lock."""
-        # Double-check: another thread may have compiled meanwhile.
-        # Reclassify this request's miss as a hit — it is served
-        # from cache, so each get_or_compile contributes exactly
-        # one hit-or-miss event.
         with self._lock:
             plan = self._plans.get(fp)
-            if plan is not None:
+            flight = self._inflight.get(fp)
+            if plan is not None \
+                    and (digest is None or digest == plan.value_digest):
                 self._plans.move_to_end(fp)
-                self.misses -= 1
                 self.hits += 1
-            generation = self._generations.get(fp, 0)
-        if plan is not None:
-            trace.event("cache.coalesced_hit", fingerprint=fp[:12])
-            return plan, True
-        hint = self.persisted_bsize(fp) if config.bsize is None \
-            else None
-        t0 = time.perf_counter()
-        plan = compile_plan(grid, stencil, config, bsize_hint=hint)
-        seconds = time.perf_counter() - t0
-        self._record_compile(fp, plan, seconds)
-        # Guarded against a concurrent invalidate: inserting would
-        # resurrect the plan the invalidator just poisoned. The caller
-        # still gets the freshly compiled plan either way.
-        self._guarded_put(plan, generation)
-        return plan, False
+                what = "serve"
+            elif flight is not None:
+                what = "wait"
+            elif plan is not None:
+                what = "repack"
+            else:
+                flight = self._inflight[fp] = _Flight()
+                self.misses += 1
+                what = "lead"
+        if what == "serve":
+            trace.event("cache.coalesced_hit" if waited else "cache.hit",
+                        fingerprint=fp[:12])
+        elif what == "lead":
+            trace.event("cache.miss", fingerprint=fp[:12])
+        return what, plan, flight
 
-    def _record_compile(self, fp: str, plan, seconds: float) -> None:
-        """Count a compile and persist its autotune pick, if any."""
-        snapshot = None
+    def _count_hit(self, fp: str, waited: bool) -> None:
+        """Count a structure hit served through a repack."""
+        with self._lock:
+            self.hits += 1
+        trace.event("cache.coalesced_hit" if waited else "cache.hit",
+                    fingerprint=fp[:12])
+
+    def _lead(self, fp: str, flight: _Flight, build) -> tuple:
+        """Run ``build()`` with no lock held and land it; a failed build
+        lands no plan, so its waiters decide again. ``(plan, seconds)``.
+        """
+        plan = None
+        t0 = time.perf_counter()
+        try:
+            plan = build()
+            seconds = time.perf_counter() - t0
+        finally:
+            self._land(fp, flight, plan)
+        return plan, seconds
+
+    def _land(self, fp: str, flight: _Flight, plan) -> None:
+        """End a flight: remove it, insert its plan unless the flight
+        went stale, and wake its waiters, all in one critical section.
+        """
+        evicted = []
+        with self._lock:
+            del self._inflight[fp]
+            dropped = plan is not None and flight.stale
+            if dropped:
+                self.stale_drops += 1
+            elif plan is not None:
+                self._plans[fp] = plan
+                self._plans.move_to_end(fp)
+                while len(self._plans) > self.capacity:
+                    old, _ = self._plans.popitem(last=False)
+                    self.evictions += 1
+                    evicted.append(old)
+            flight.done.release()
+        if dropped:
+            trace.event("cache.stale_put_dropped", fingerprint=fp[:12])
+        for old in evicted:
+            trace.event("cache.evict", fingerprint=old[:12])
+
+    def _compile(self, fp: str, flight: _Flight, config: PlanConfig,
+                 build) -> SolvePlan:
+        """Lead a compile flight of ``build(bsize_hint)``; count it and
+        persist its autotune pick."""
+        plan, seconds = self._lead(fp, flight, lambda: build(
+            self.persisted_bsize(fp) if config.bsize is None else None))
         with self._lock:
             self.compiles += 1
             self.compile_seconds += seconds
@@ -378,11 +370,32 @@ class PlanCache:
                     "stencil": plan.stencil.name,
                     "backend": plan.config.backend,
                 }
-                # Snapshot under the lock, write outside it: file
-                # I/O must never block concurrent lookups.
-                snapshot = dict(self._picks)
-        if snapshot is not None:
-            self._save_picks(snapshot)
+        if plan.autotuned:
+            self._save_picks()
+        return plan
+
+    # Compile-through ----------------------------------------------------
+    def get_or_compile(self, grid: StructuredGrid, stencil,
+                       config: PlanConfig | None = None
+                       ) -> tuple[SolvePlan, bool]:
+        """Return ``(plan, was_hit)`` for a structure, compiling on miss.
+
+        N concurrent first requests of one structure share one flight:
+        one compile and one miss; the waiters count coalesced hits.
+        """
+        config = config if config is not None else PlanConfig()
+        fp = structural_fingerprint(grid, stencil, config)
+        waited = False
+        while True:
+            what, plan, flight = self._decide(fp, waited=waited)
+            if what == "serve":
+                return plan, True
+            if what == "lead":
+                return self._compile(
+                    fp, flight, config, lambda hint: compile_plan(
+                        grid, stencil, config, bsize_hint=hint)), False
+            flight.wait()
+            waited = True
 
     # ILU compile-through ------------------------------------------------
     def get_or_compile_ilu(self, grid: StructuredGrid, stencil,
@@ -399,7 +412,9 @@ class PlanCache:
         * ``values`` provided with a different digest — the structure
           is unchanged, so this is still a hit, but the numeric factors
           are refreshed through the cheap :meth:`refresh_values` repack
-          (permutation/tiling/autotune all reused).
+          (permutation/tiling/autotune all reused). The hit is counted
+          once the repack completes; a plan evicted or invalidated
+          before the repack starts sends the lookup round again.
         * ``expect_digest`` declared without values and the cached plan
           was factorized from something else — raise
           :class:`~repro.resilience.errors.StaleValuesError`; the
@@ -407,135 +422,67 @@ class PlanCache:
         """
         import numpy as np
 
-        from repro.serve.ilu_plan import (
-            ilu_structural_fingerprint,
-            value_digest,
-        )
+        from repro.resilience.errors import StaleValuesError
+        from repro.serve import ilu_plan
 
         config = config if config is not None else PlanConfig()
-        fp = ilu_structural_fingerprint(grid, stencil, config)
+        fp = ilu_plan.ilu_structural_fingerprint(grid, stencil, config)
         vd = None
         if values is not None:
             values = np.asarray(values,
                                 dtype=config.np_dtype).reshape(-1)
-            vd = value_digest(values)
+            vd = ilu_plan.value_digest(values)
             require(expect_digest is None or expect_digest == vd,
                     "expect_digest contradicts the provided values")
-        plan = self.get(fp)
-        if plan is not None:
-            try:
-                return self._serve_ilu_hit(plan, fp, values, vd,
-                                           expect_digest), True
-            except KeyError:
-                # LRU-evicted or invalidated between the get() and the
-                # repack's residency re-check (plausible under capacity
-                # pressure) — recompile below instead of leaking the
-                # KeyError to the caller and failing the request.
-                pass
-        entry = self._acquire_flock(fp)
-        try:
-            with entry[0]:
-                return self._compile_ilu_locked(
-                    grid, stencil, config, fp, values, vd, expect_digest,
-                    counted_hit=plan is not None)
-        finally:
-            self._release_flock(fp, entry)
-
-    def _serve_ilu_hit(self, plan, fp: str, values, vd,
-                       expect_digest: str | None,
-                       flock_held: bool = False):
-        """Verify-on-hit: digest compare, then repack or raise.
-
-        ``flock_held`` says the caller already holds this fingerprint's
-        compile/refresh lock (``_compile_ilu_locked``'s coalesced-hit
-        path); the repack then runs its lock-assumed body directly —
-        re-entering :meth:`refresh_values` would self-deadlock on the
-        non-reentrant per-fingerprint lock.
-        """
-        from repro.resilience.errors import StaleValuesError
-
-        if vd is not None and vd != plan.value_digest:
-            if flock_held:
-                plan, _ = self._refresh_locked(fp, values)
-            else:
-                plan, _ = self.refresh_values(fp, values)
-            return plan
-        if expect_digest is not None \
-                and expect_digest != plan.value_digest:
-            raise StaleValuesError(fp, expect_digest, plan.value_digest)
-        return plan
-
-    def _compile_ilu_locked(self, grid, stencil, config, fp: str,
-                            values, vd, expect_digest: str | None,
-                            counted_hit: bool = False) -> tuple:
-        """ILU compile-or-coalesce under the per-fingerprint lock.
-
-        ``counted_hit`` says the caller's lookup already counted a hit
-        (the serve-on-hit path fell through here on a KeyError), so a
-        coalesced hit must not reclassify a miss that never happened.
-        """
-        from repro.serve.ilu_plan import compile_ilu_plan
-
-        with self._lock:
-            plan = self._plans.get(fp)
-            if plan is not None:
-                self._plans.move_to_end(fp)
-                if not counted_hit:
-                    self.misses -= 1
-                    self.hits += 1
-                    counted_hit = True
-        if plan is not None:
-            trace.event("cache.coalesced_hit", fingerprint=fp[:12])
-            try:
-                return self._serve_ilu_hit(plan, fp, values, vd,
-                                           expect_digest,
-                                           flock_held=True), True
-            except KeyError:
-                # Invalidated between the double-check and the repack's
-                # residency re-check; fall through to a cold compile.
-                pass
-        if counted_hit:
-            # The lookup was counted as a hit but ends in a compile —
-            # keep one-hit-or-miss-per-request accounting honest.
-            with self._lock:
-                self.hits -= 1
-                self.misses += 1
-        with self._lock:
-            generation = self._generations.get(fp, 0)
-        hint = self.persisted_bsize(fp) if config.bsize is None \
-            else None
-        t0 = time.perf_counter()
-        plan = compile_ilu_plan(grid, stencil, config, values=values,
-                                bsize_hint=hint)
-        seconds = time.perf_counter() - t0
-        self._record_compile(fp, plan, seconds)
-        self._guarded_put(plan, generation)
-        if expect_digest is not None \
-                and expect_digest != plan.value_digest:
-            from repro.resilience.errors import StaleValuesError
-
-            # A cold compile from canonical values cannot satisfy the
-            # declared snapshot; the plan stays cached (a resubmit
-            # carrying values repacks it) but this request must fail
-            # typed rather than solve with the wrong coefficients.
-            raise StaleValuesError(fp, expect_digest, plan.value_digest)
-        return plan, False
+        waited = False
+        while True:
+            what, plan, flight = self._decide(fp, vd, waited)
+            if what == "wait":
+                flight.wait()
+                waited = True
+                continue
+            if what == "repack":
+                try:
+                    plan, _ = self.refresh_values(fp, values)
+                except KeyError:
+                    continue  # evicted or invalidated meanwhile
+                except Exception:
+                    self._count_hit(fp, waited)
+                    raise
+                self._count_hit(fp, waited)
+                return plan, True
+            if what == "lead":
+                # A cold compile from canonical values cannot satisfy
+                # a declared foreign snapshot: the plan stays cached (a
+                # resubmit carrying values repacks it), but the request
+                # fails typed below.
+                plan = self._compile(
+                    fp, flight, config,
+                    lambda hint: ilu_plan.compile_ilu_plan(
+                        grid, stencil, config, values=values,
+                        bsize_hint=hint))
+            if expect_digest is not None \
+                    and expect_digest != plan.value_digest:
+                raise StaleValuesError(fp, expect_digest,
+                                       plan.value_digest)
+            return plan, what == "serve"
 
     def refresh_values(self, fingerprint: str, values) -> tuple:
         """Value-only repack of a cached ILU plan; ``(plan, repacked)``.
 
         The incremental-recompilation fast path: detects an unchanged
         numeric snapshot by digest (returning the cached plan
-        untouched), otherwise re-scatters the DBSR value arrays and
-        re-runs the numeric ILU(0) factorization under the same
-        per-fingerprint lock compiles use — the permutation, tiling and
-        autotune pick are all reused, never recomputed. Raises
-        ``KeyError`` when the fingerprint is not resident (repack needs
-        a skeleton; callers fall back to :meth:`get_or_compile_ilu`).
+        untouched), otherwise leads a repack flight that re-scatters
+        the DBSR value arrays and re-runs the numeric ILU(0)
+        factorization — the permutation, tiling and autotune pick are
+        all reused, never recomputed. Raises ``KeyError`` when the
+        fingerprint is not resident (repack needs a skeleton; callers
+        fall back to :meth:`get_or_compile_ilu`), checked under the
+        lock that registers the flight.
         """
         import numpy as np
 
-        from repro.serve.ilu_plan import value_digest
+        from repro.serve import ilu_plan
 
         plan = self.peek(fingerprint)
         if plan is None:
@@ -546,65 +493,34 @@ class PlanCache:
                 f"plan {fingerprint[:12]}… is not an ILU plan")
         values = np.asarray(values,
                             dtype=plan.config.np_dtype).reshape(-1)
-        if value_digest(values) == plan.value_digest:
-            return plan, False
-        entry = self._acquire_flock(fingerprint)
-        try:
-            with entry[0]:
-                return self._refresh_locked(fingerprint, values)
-        finally:
-            self._release_flock(fingerprint, entry)
-
-    def _refresh_locked(self, fingerprint: str, values) -> tuple:
-        """Repack body; the caller holds this fingerprint's flock.
-
-        Residency is re-checked *under* the lock and a ``KeyError``
-        raised when the plan is gone — an invalidate or eviction
-        landing between the caller's lookup and the lock acquisition
-        must never be papered over by repacking from the caller's stale
-        plan object (that would resurrect a just-poisoned entry and
-        violate the documented not-resident contract). The generation
-        is snapshotted *before* that re-check: an invalidate landing
-        after the snapshot bumps it (the flock entry is live) and
-        :meth:`_guarded_put` drops the repack; one landing before it
-        already evicted the plan and trips the KeyError.
-        """
-        import numpy as np
-
-        from repro.serve.ilu_plan import repack_ilu_plan, value_digest
-
-        with self._lock:
-            generation = self._generations.get(fingerprint, 0)
-        current = self.peek(fingerprint)
-        if current is None:
-            raise KeyError(
-                f"no cached plan for {fingerprint[:12]}…; it was "
-                f"evicted or invalidated before the repack started")
-        require(getattr(current, "kind", "") == "ilu",
-                f"plan {fingerprint[:12]}… is not an ILU plan")
-        values = np.asarray(values,
-                            dtype=current.config.np_dtype).reshape(-1)
-        # A concurrent refresh may have installed this exact snapshot
-        # while we waited on the lock.
-        if value_digest(values) == current.value_digest:
-            return current, False
-        t0 = time.perf_counter()
-        fresh = repack_ilu_plan(current, values)
-        seconds = time.perf_counter() - t0
+        vd = ilu_plan.value_digest(values)
+        while True:
+            with self._lock:
+                current = self._plans.get(fingerprint)
+                flight = self._inflight.get(fingerprint)
+                if current is not None and flight is None \
+                        and current.value_digest != vd:
+                    flight = self._inflight[fingerprint] = _Flight()
+                    break
+            if current is None:
+                raise KeyError(
+                    f"no cached plan for {fingerprint[:12]}…; it was "
+                    f"evicted or invalidated before the repack started")
+            if current.value_digest == vd:
+                return current, False
+            flight.wait()
+        fresh, seconds = self._lead(
+            fingerprint, flight,
+            lambda: ilu_plan.repack_ilu_plan(current, values))
         with self._lock:
             self.refreshes += 1
             self.refresh_seconds += seconds
-        self._guarded_put(fresh, generation)
         return fresh, True
 
     # Reporting ----------------------------------------------------------
     @property
     def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up yet).
-
-        Reads both counters under ``_lock`` so a concurrent
-        miss→hit reclassification cannot be observed half-applied.
-        """
+        """Hits over lookups (0.0 when nothing was looked up yet)."""
         with self._lock:
             hits, total = self.hits, self.hits + self.misses
         return hits / total if total else 0.0

@@ -5,7 +5,7 @@ Three regressions ride along, each pinned to a historical bug:
 * **Resurrection race** — an :meth:`~repro.serve.cache.PlanCache.invalidate`
   landing while a compile/refresh for the same fingerprint is in
   flight used to be overwritten when the worker's ``put`` landed;
-  generation counting now drops the stale insert.
+  the invalidate now marks the flight stale and its insert is dropped.
 * **Verify-on-hit** — a structure hit whose value digest mismatches
   must repack (values provided) or raise a *typed*
   :class:`~repro.resilience.errors.StaleValuesError` (digest declared
@@ -235,15 +235,15 @@ def test_invalidate_during_cold_ilu_compile_drops_stale_put():
 
 # Coalesced-repack deadlock and residency races -----------------------------
 
-def test_coalesced_hit_with_new_snapshot_does_not_deadlock():
+def test_coalesced_hit_with_new_snapshot_does_not_deadlock(flight_waits):
     """Two concurrent first requests, same structure, different values.
 
     The follower coalesces on the leader's compile, sees a mismatched
-    value digest and must repack — while already holding the
-    per-fingerprint lock. The repack used to re-enter
-    ``refresh_values`` and re-acquire that same non-reentrant lock,
-    hanging the drain thread forever; it now runs the lock-assumed
-    repack body directly.
+    value digest and must repack. The repack once ran while the
+    follower still held the per-fingerprint compile lock, re-entered
+    ``refresh_values`` and re-acquired that non-reentrant lock, hanging
+    the drain thread forever. Now the follower waits on the leader's
+    flight with no lock held and then repacks like any other hit.
     """
     from repro.serve import ilu_plan as ilu_mod
     from repro.serve.ilu_plan import value_digest
@@ -281,18 +281,14 @@ def test_coalesced_hit_with_new_snapshot_does_not_deadlock():
         follower = threading.Thread(target=worker, args=("b", v2),
                                     daemon=True)
         follower.start()
-        # Park the follower on the per-fingerprint lock (refcount 2)
-        # before releasing the leader's compile.
-        for _ in range(500):
-            if cache._compile_locks.get(fp, [None, 0])[1] == 2:
-                break
-            threading.Event().wait(0.01)
-        assert cache._compile_locks.get(fp, [None, 0])[1] == 2
+        # Park the follower on the leader's flight before releasing the
+        # leader's compile.
+        assert flight_waits.acquire(timeout=10)
         release.set()
         leader.join(15)
         follower.join(15)
         assert not leader.is_alive() and not follower.is_alive(), \
-            "coalesced repack deadlocked on the per-fingerprint lock"
+            "coalesced repack deadlocked behind the leader's flight"
     finally:
         ilu_mod.compile_ilu_plan = real_compile
 
@@ -306,25 +302,26 @@ def test_coalesced_hit_with_new_snapshot_does_not_deadlock():
 
 
 def test_invalidate_before_flock_raises_not_resurrects(monkeypatch):
-    """Invalidate landing between the peek and the lock acquisition.
+    """Invalidate landing between the peek and the locked re-check.
 
-    No compile is in flight at invalidate time, so no generation bump
-    happens; ``refresh_values`` used to fall back to the caller's
-    stale plan object, repack it, and reinsert — resurrecting the
+    No repack is in flight at invalidate time, so no flight is marked
+    stale; ``refresh_values`` used to fall back to the caller's stale
+    plan object, repack it, and reinsert — resurrecting the
     just-poisoned entry. It must instead honor the documented contract
     and raise ``KeyError``.
     """
     cache = PlanCache(capacity=4)
     plan, _ = cache.get_or_compile_ilu(GRID, "27pt", CONFIG)
     fp = plan.fingerprint
-    real_acquire = cache._acquire_flock
+    real_peek = cache.peek
 
-    def invalidate_then_acquire(f):
+    def peek_then_invalidate(f):
+        found = real_peek(f)
+        monkeypatch.setattr(cache, "peek", real_peek)
         assert cache.invalidate(f)
-        return real_acquire(f)
+        return found
 
-    monkeypatch.setattr(cache, "_acquire_flock",
-                        invalidate_then_acquire)
+    monkeypatch.setattr(cache, "peek", peek_then_invalidate)
     with pytest.raises(KeyError):
         cache.refresh_values(fp, _perturbed(plan, seed=3))
     assert cache.peek(fp) is None
