@@ -91,7 +91,7 @@ async def _run(nx: int, stencil: str, n_requests: int, k_stream: int,
         assert np.all(np.isfinite(warm))
 
         # Claim 2: an impossible deadline is refused pre-compile.
-        compiles_before = gw.pool.compile_totals()[0]
+        compiles_before = gw.pool.cache_tallies().get("compiles", 0)
         rejected, rejection = False, None
         try:
             await gw.submit(grid, stencil,
@@ -101,7 +101,7 @@ async def _run(nx: int, stencil: str, n_requests: int, k_stream: int,
             rejected = True
             rejection = {"reason": exc.reason,
                          "estimate": exc.estimate}
-        compiles_after = gw.pool.compile_totals()[0]
+        compiles_after = gw.pool.cache_tallies().get("compiles", 0)
         admission = {
             "rejected": rejected,
             "rejection": rejection,

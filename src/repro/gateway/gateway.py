@@ -197,7 +197,7 @@ class SolveGateway:
             metrics=self.metrics)
         self.supervisor = supervisor
         if supervisor is not None:
-            supervisor.bind(self.pool, self.metrics)
+            supervisor.bind(self.pool)
         self.hedge = hedge
         self.retry = retry
         self.brownout = brownout
@@ -247,12 +247,14 @@ class SolveGateway:
             "RHS columns per accepted request")
 
     # Tenant bookkeeping -------------------------------------------------
+    _TENANT_HELP = {"accepted": "requests admitted, per tenant",
+                    "rejected": "requests refused at admission, per tenant",
+                    "completed": "columns solved, per tenant"}
+
     def _tenant_counter(self, tenant: str, which: str):
-        safe = "".join(c if (c.isalnum() or c in "._-") else "_"
-                       for c in tenant)
+        """``gateway.tenant.<which>``, one series per ``tenant`` label."""
         return self.metrics.counter(
-            f"gateway.tenant.{safe}.{which}",
-            f"{which} requests of tenant {tenant!r}",
+            f"gateway.tenant.{which}", self._TENANT_HELP[which],
             labels={"tenant": tenant})
 
     # Admission ----------------------------------------------------------
@@ -305,7 +307,6 @@ class SolveGateway:
                 if self.brownout.should_shed(
                         self.scheduler.weight(tenant)):
                     wait = self.brownout.last_wait
-                    self.brownout.shed()
                     self._rejected.inc()
                     self._sheds.inc()
                     self._tenant_counter(tenant, "rejected").inc()
@@ -518,8 +519,7 @@ class SolveGateway:
                             request_id=ticket.request_id, k=kk,
                             shard=shard.index, op=ticket.op,
                             hedge_of=hedge_of):
-                c0, s0 = shard.compile_stats()
-                r0, rs0 = shard.refresh_stats()
+                before = shard.cache_tallies()
                 t0 = time.monotonic()
                 results = await asyncio.to_thread(
                     shard.execute, grid, stencil, ticket.op, config,
@@ -527,17 +527,21 @@ class SolveGateway:
                     getattr(ticket, "_values", None),
                     getattr(ticket, "_value_digest", None))
                 dt = time.monotonic() - t0
-                c1, s1 = shard.compile_stats()
-                r1, rs1 = shard.refresh_stats()
+                after = shard.cache_tallies()
         except BaseException as exc:
             await self._dispose_failed(shard, exc)
             raise
         self._latency.observe(dt)
-        if c1 > c0:
-            self.estimator.observe_compile(s1 - s0)
-        if r1 > r0:
-            self.estimator.observe_compile(rs1 - rs0, kind="refresh")
-        exec_seconds = max(1e-9, dt - (s1 - s0) - (rs1 - rs0))
+        spent = {k: after.get(k, 0) - before.get(k, 0)
+                 for k in ("compiles", "compile_seconds", "refreshes",
+                           "refresh_seconds")}
+        if spent["compiles"]:
+            self.estimator.observe_compile(spent["compile_seconds"])
+        if spent["refreshes"]:
+            self.estimator.observe_compile(spent["refresh_seconds"],
+                                           kind="refresh")
+        exec_seconds = max(1e-9, dt - spent["compile_seconds"]
+                           - spent["refresh_seconds"])
         self.estimator.observe(
             ticket.fingerprint, ticket.op, exec_seconds, k=kk,
             model_seconds=self.estimator.model_seconds(
@@ -705,27 +709,20 @@ class SolveGateway:
 
     # Introspection ------------------------------------------------------
     def stats(self) -> dict:
-        return {
-            "accepted": self._accepted.value,
-            "rejected": self._rejected.value,
-            "completed": self._completed.value,
-            "failed": self._failed.value,
-            "expired": self._expired.value,
-            "queue_depth": self.scheduler.depth,
-            "in_flight": self.scheduler.in_flight,
-            "tenants": self.scheduler.stats(),
-            "pool": self.pool.stats(),
-            "estimator": self.estimator.stats(),
-            "retries": self._retries.value,
-            "hedges": self._hedges.value,
-            "hedge_wins": self._hedge_wins.value,
-            "sheds": self._sheds.value,
-            "queue_wait_estimate": self._queue_wait_estimate(),
-            "supervisor": (self.supervisor.stats()
-                           if self.supervisor is not None else None),
-            "brownout": (self.brownout.stats()
-                         if self.brownout is not None else None),
-            "hedge_policy": (self.hedge.stats()
-                             if self.hedge is not None else None),
-            "metrics": self.metrics.snapshot(),
-        }
+        """The ``gateway.*`` tallies (pool scaling included) plus live
+        queue state and each attached policy's own ``stats()``."""
+        snap = self.metrics.values("gateway.")
+        snap.update(
+            queue_depth=self.scheduler.depth,
+            in_flight=self.scheduler.in_flight,
+            tenants=self.scheduler.stats(),
+            pool=self.pool.stats(),
+            estimator=self.estimator.stats(),
+            queue_wait_estimate=self._queue_wait_estimate(),
+            supervisor=(self.supervisor.stats()
+                        if self.supervisor is not None else None),
+            brownout=(self.brownout.stats()
+                      if self.brownout is not None else None),
+            hedge_policy=(self.hedge.stats()
+                          if self.hedge is not None else None))
+        return snap

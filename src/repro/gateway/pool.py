@@ -36,6 +36,7 @@ import itertools
 from collections import deque
 
 from repro.observe import trace
+from repro.observe.metrics import MetricsRegistry
 from repro.resilience import hooks
 from repro.resilience.errors import NON_RECOVERABLE_ERRORS, FaultInjected
 from repro.utils.validation import check_positive
@@ -67,7 +68,6 @@ class GatewayShard:
         self.defunct = False
         self.poisoned = False
         self.quarantined = False
-        self.chunks_executed = 0
 
     def poison(self) -> None:
         """Chaos hook: make every later ``execute`` raise (until the
@@ -113,22 +113,12 @@ class GatewayShard:
                 out.append(exc)
             except BaseException as exc:  # noqa: BLE001 - per-column
                 out.append(exc)
-        self.chunks_executed += 1
         return out
 
-    def compile_stats(self) -> tuple:
-        """(compiles, compile_seconds) of this shard's cache, if any."""
+    def cache_tallies(self) -> dict:
+        """This shard's ``cache.*`` counters (``{}`` without a cache)."""
         cache = getattr(self.service, "cache", None)
-        if cache is None:
-            return (0, 0.0)
-        return (cache.compiles, cache.compile_seconds)
-
-    def refresh_stats(self) -> tuple:
-        """(refreshes, refresh_seconds) of this shard's cache, if any."""
-        cache = getattr(self.service, "cache", None)
-        if cache is None:
-            return (0, 0.0)
-        return (cache.refreshes, cache.refresh_seconds)
+        return {} if cache is None else cache.metrics.values("cache.")
 
     def has_plan(self, fingerprint: str) -> bool:
         cache = getattr(self.service, "cache", None)
@@ -145,7 +135,6 @@ class GatewayShard:
             "defunct": self.defunct,
             "poisoned": self.poisoned,
             "quarantined": self.quarantined,
-            "chunks_executed": self.chunks_executed,
             "service": self.service.stats(),
         }
 
@@ -170,9 +159,10 @@ class ElasticShardPool:
     cooldown:
         Observations to ignore after any scale event (anti-thrash).
     metrics:
-        Optional :class:`~repro.observe.metrics.MetricsRegistry` to
-        grow ``gateway.scale_up`` / ``gateway.scale_down`` counters
-        and a ``gateway.shards`` gauge on.
+        The :class:`~repro.observe.metrics.MetricsRegistry` holding the
+        ``gateway.scale_up`` / ``gateway.scale_down`` counters and the
+        ``gateway.shards`` gauge (the gateway passes its own; a private
+        one by default).
     """
 
     def __init__(self, factory, min_shards: int = 1,
@@ -203,18 +193,15 @@ class ElasticShardPool:
         #: Health-driven lifecycle events (defunct reaps, quarantines,
         #: adoptions) — separate from the controller's scale_events.
         self.lifecycle_events: list[dict] = []
-        self._metrics = metrics
-        if metrics is not None:
-            self._scale_up = metrics.counter(
-                "gateway.scale_up", "shards added by the controller")
-            self._scale_down = metrics.counter(
-                "gateway.scale_down",
-                "shards warm-drained and reaped by the controller")
-            self._shards_gauge = metrics.gauge(
-                "gateway.shards", "active worker shards")
-        else:
-            self._scale_up = self._scale_down = None
-            self._shards_gauge = None
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
+        self._scale_up = self.metrics.counter(
+            "gateway.scale_up", "shards added by the controller")
+        self._scale_down = self.metrics.counter(
+            "gateway.scale_down",
+            "shards warm-drained and reaped by the controller")
+        self._shards_gauge = self.metrics.gauge(
+            "gateway.shards", "active worker shards")
         for _ in range(self.min_shards):
             self._spawn()
 
@@ -236,8 +223,7 @@ class ElasticShardPool:
         rotation and wake any ``acquire`` waiters."""
         self._shards.append(shard)
         self._free.append(shard)
-        if self._shards_gauge is not None:
-            self._shards_gauge.set(len(self._shards))
+        self._shards_gauge.set(len(self._shards))
         self._notify_soon()
         return shard
 
@@ -251,16 +237,14 @@ class ElasticShardPool:
             self._free.remove(shard)
         except ValueError:
             pass
-        if self._shards_gauge is not None:
-            self._shards_gauge.set(len(self._shards))
+        self._shards_gauge.set(len(self._shards))
 
     def _reap(self, shard: GatewayShard, depth: int,
               deferred: bool) -> None:
         """Close an idle shard (warm drain already satisfied)."""
         self._remove(shard)
         shard.close()
-        if self._scale_down is not None:
-            self._scale_down.inc()
+        self._scale_down.inc()
         event = {"action": "scale_down", "shard": shard.index,
                  "n_shards": len(self._shards), "queue_depth": depth,
                  "warm_drained": deferred}
@@ -316,19 +300,17 @@ class ElasticShardPool:
     def n_draining(self) -> int:
         return sum(1 for s in self._shards if s.draining)
 
-    def refresh_stats(self) -> tuple:
-        """Pool-wide ``(refreshes, refresh_seconds)`` across live shards."""
-        stats = [s.refresh_stats() for s in self._shards]
-        return (sum(r for r, _ in stats), sum(s for _, s in stats))
-
     def has_plan(self, fingerprint: str) -> bool:
         """True when any shard's cache already holds this structure."""
         return any(s.has_plan(fingerprint) for s in self._shards)
 
-    def compile_totals(self) -> tuple:
-        """Pool-wide ``(compiles, compile_seconds)`` across live shards."""
-        stats = [s.compile_stats() for s in self._shards]
-        return (sum(c for c, _ in stats), sum(s for _, s in stats))
+    def cache_tallies(self) -> dict:
+        """The live shards' ``cache.*`` counters, summed by name."""
+        total: dict = {}
+        for shard in self._shards:
+            for name, value in shard.cache_tallies().items():
+                total[name] = total.get(name, 0) + value
+        return total
 
     # Placement ----------------------------------------------------------
     async def acquire(self) -> GatewayShard:
@@ -398,8 +380,7 @@ class ElasticShardPool:
             self._up_streak = 0
             self._cooldown_left = self.cooldown
             shard = self._spawn()
-            if self._scale_up is not None:
-                self._scale_up.inc()
+            self._scale_up.inc()
             event = {"action": "scale_up", "shard": shard.index,
                      "n_shards": len(self._shards),
                      "queue_depth": depth}
@@ -445,8 +426,7 @@ class ElasticShardPool:
             shard.close()
         self._shards.clear()
         self._free.clear()
-        if self._shards_gauge is not None:
-            self._shards_gauge.set(0)
+        self._shards_gauge.set(0)
 
     def stats(self) -> dict:
         return {

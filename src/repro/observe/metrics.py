@@ -1,19 +1,21 @@
 """Metrics registry — counters, gauges, histograms, two exporters.
 
-A :class:`MetricsRegistry` unifies the ad-hoc stats dicts the runtime,
-serving and resilience layers grew independently: named instruments
-with a fixed type, thread-safe updates, and one snapshot call that
-serializes everything. Two export formats:
+A :class:`MetricsRegistry` is the one store for the stack's tallies:
+each component (cache, service, fallback chain, breaker, supervisor,
+canary, brownout, and the gateway with its pool) owns one, and its
+``stats()`` is a view read through :meth:`MetricsRegistry.values`.
+Instruments have a fixed type and thread-safe updates, and are keyed
+by name *and* labels. Two export formats:
 
 * :meth:`MetricsRegistry.to_json` — the machine-readable form embedded
   in ``BENCH_*.json`` reports;
 * :meth:`MetricsRegistry.to_prometheus_text` — the Prometheus text
   exposition format (``repro_`` prefix, dots mapped to underscores,
   counters suffixed ``_total``, histograms as cumulative
-  ``_bucket``/``_sum``/``_count`` series).
+  ``_bucket``/``_sum``/``_count`` series, one ``# TYPE`` per family).
 
-Naming scheme (see ``docs/observability.md``): dotted lowercase
-``<layer>.<noun>[.<verb>]`` — e.g. ``serve.submitted``,
+Naming scheme (``docs/observability.md`` lists every instrument):
+dotted lowercase ``<layer>.<noun>[.<verb>]`` — e.g. ``serve.submitted``,
 ``cache.evictions``, ``fallback.recompiles``.
 
 Histograms use **fixed bucket edges** chosen at registration so that
@@ -40,10 +42,8 @@ def _check_name(name: str) -> str:
     return name
 
 
-class Counter:
-    """Monotonically increasing counter."""
-
-    kind = "counter"
+class _Scalar:
+    """One numeric series: name, help, labels and a lock-guarded value."""
 
     def __init__(self, name: str, help: str = "",
                  labels: dict | None = None):
@@ -52,6 +52,24 @@ class Counter:
         self.labels = dict(labels) if labels else {}
         self._lock = threading.Lock()
         self._value = 0
+
+    def inc(self, n=1) -> None:
+        with self._lock:
+            self._value += n
+
+    @property
+    def value(self):
+        # One attribute load is atomic; the lock serializes updates.
+        return self._value
+
+    def snapshot(self) -> dict:
+        return {"type": self.kind, "value": self.value}
+
+
+class Counter(_Scalar):
+    """Monotonically increasing counter (a count or accumulated seconds)."""
+
+    kind = "counter"
 
     def inc(self, n: int | float = 1) -> None:
         """Add ``n`` (must be >= 0: counters never go down)."""
@@ -61,47 +79,18 @@ class Counter:
         with self._lock:
             self._value += n
 
-    @property
-    def value(self):
-        with self._lock:
-            return self._value
 
-    def snapshot(self) -> dict:
-        return {"type": self.kind, "value": self.value}
-
-
-class Gauge:
+class Gauge(_Scalar):
     """Instantaneous value (may move in either direction)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "",
-                 labels: dict | None = None):
-        self.name = _check_name(name)
-        self.help = help
-        self.labels = dict(labels) if labels else {}
-        self._lock = threading.Lock()
-        self._value = 0
 
     def set(self, v) -> None:
         with self._lock:
             self._value = v
 
-    def inc(self, n=1) -> None:
-        with self._lock:
-            self._value += n
-
     def dec(self, n=1) -> None:
-        with self._lock:
-            self._value -= n
-
-    @property
-    def value(self):
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> dict:
-        return {"type": self.kind, "value": self.value}
+        self.inc(-n)
 
 
 #: Default bucket edges for second-scale latency histograms.
@@ -195,62 +184,108 @@ class Histogram:
             }
 
 
+def _label_key(labels: dict | None) -> tuple:
+    return tuple(sorted((str(k), str(v)) for k, v in labels.items())) \
+        if labels else ()
+
+
+def _labels_text(key: tuple) -> str:
+    if not key:
+        return ""
+    inner = ",".join(
+        '{}="{}"'.format(k, v.replace("\\", "\\\\")
+                         .replace('"', '\\"').replace("\n", "\\n"))
+        for k, v in key)
+    return "{" + inner + "}"
+
+
 class MetricsRegistry:
     """Named instruments with idempotent registration.
 
-    Registering a name twice returns the existing instrument when the
-    type matches (so independent call sites can share a counter) and
-    raises :class:`MetricError` when it does not.
+    An instrument is keyed by ``(name, labels)``. Registering a key
+    twice returns the existing instrument when the type matches (so
+    independent call sites can share a counter); registering a name
+    under a second type, with any labels, raises :class:`MetricError`.
     """
 
     def __init__(self, prefix: str = "repro"):
         self.prefix = prefix
         self._lock = threading.Lock()
-        self._instruments: dict[str, object] = {}
+        self._instruments: dict[tuple, object] = {}
+        self._kinds: dict[str, type] = {}
+        #: prefix -> its ``values`` members; a registration clears it.
+        self._views: dict[str, list] = {}
 
-    def _register(self, cls, name: str, *args, **kwargs):
+    def _register(self, cls, name: str, labels: dict | None, *args):
+        key = (name, _label_key(labels))
         with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if type(existing) is not cls:
-                    raise MetricError(
-                        f"{name!r} already registered as "
-                        f"{existing.kind}, not {cls.kind}")
-                return existing
-            inst = cls(name, *args, **kwargs)
-            self._instruments[name] = inst
+            kind = self._kinds.get(name)
+            if kind is not None and kind is not cls:
+                raise MetricError(
+                    f"{name!r} already registered as "
+                    f"{kind.kind}, not {cls.kind}")
+            inst = self._instruments.get(key)
+            if inst is None:
+                inst = cls(name, *args, labels=labels)
+                self._instruments[key] = inst
+                self._kinds[name] = cls
+                self._views.clear()
             return inst
 
     def counter(self, name: str, help: str = "",
                 labels: dict | None = None) -> Counter:
-        return self._register(Counter, name, help, labels)
+        return self._register(Counter, name, labels, help)
 
     def gauge(self, name: str, help: str = "",
               labels: dict | None = None) -> Gauge:
-        return self._register(Gauge, name, help, labels)
+        return self._register(Gauge, name, labels, help)
 
     def histogram(self, name: str, edges=LATENCY_EDGES, help: str = "",
                   labels: dict | None = None) -> Histogram:
-        return self._register(Histogram, name, edges, help, labels)
+        return self._register(Histogram, name, labels, edges, help)
 
-    def get(self, name: str):
+    def get(self, name: str, labels: dict | None = None):
         with self._lock:
-            return self._instruments.get(name)
+            return self._instruments.get((name, _label_key(labels)))
 
     def names(self) -> list:
+        """Sorted instrument family names (labels collapsed)."""
         with self._lock:
-            return sorted(self._instruments)
+            return sorted(self._kinds)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._instruments)
 
+    def values(self, prefix: str) -> dict:
+        """``{suffix: value}`` of the unlabeled counters and gauges
+        named ``prefix + suffix`` with a dot-free ``suffix``.
+
+        The one read every ``stats()`` view makes: ``values("cache.")``
+        gives ``{"hits": …, "misses": …}``, and a nested prefix such as
+        ``values("fallback.depth.")`` gives one level further down. The
+        gateway reads a shard cache's values twice per chunk, so each
+        prefix's members are found once and remembered.
+        """
+        with self._lock:
+            view = self._views.get(prefix)
+            if view is None:
+                view = self._views[prefix] = [
+                    (name[len(prefix):], inst)
+                    for (name, labels), inst in self._instruments.items()
+                    if not labels and name.startswith(prefix)
+                    and "." not in name[len(prefix):]
+                    and isinstance(inst, _Scalar)]
+        return {suffix: inst.value for suffix, inst in view}
+
     # Export -------------------------------------------------------------
     def snapshot(self) -> dict:
-        """One consistent-enough dict of every instrument's state."""
+        """One consistent-enough dict of every instrument's state,
+        keyed ``name`` or, for a labeled series, ``name{k="v"}``."""
         with self._lock:
             items = sorted(self._instruments.items())
-        return {name: inst.snapshot() for name, inst in items}
+        return {name + _labels_text(key): inst.snapshot()
+                for (name, key), inst in items}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
@@ -259,44 +294,38 @@ class MetricsRegistry:
         flat = name.replace(".", "_").replace("-", "_")
         return f"{self.prefix}_{flat}" if self.prefix else flat
 
-    @staticmethod
-    def _labels_text(labels: dict, extra: dict | None = None) -> str:
-        merged = dict(labels)
-        if extra:
-            merged.update(extra)
-        if not merged:
-            return ""
-        inner = ",".join(f'{k}="{v}"' for k, v in sorted(merged.items()))
-        return "{" + inner + "}"
-
     def to_prometheus_text(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
+        """Prometheus text exposition format (version 0.0.4).
+
+        Series are grouped by exported family name, which gets one
+        ``# HELP``/``# TYPE`` header however many label sets (or
+        dotted names that mangle alike) feed it.
+        """
         with self._lock:
-            items = sorted(self._instruments.items())
+            items = list(self._instruments.items())
+        series = sorted(
+            ((self._prom_name(name)
+              + ("_total" if isinstance(inst, Counter) else ""), key, inst)
+             for (name, key), inst in items), key=lambda s: s[:2])
         lines = []
-        for name, inst in items:
-            pname = self._prom_name(name)
-            if isinstance(inst, Counter):
-                pname += "_total"
-            if inst.help:
-                lines.append(f"# HELP {pname} {inst.help}")
-            lines.append(f"# TYPE {pname} {inst.kind}")
-            if isinstance(inst, (Counter, Gauge)):
-                lines.append(
-                    f"{pname}{self._labels_text(inst.labels)} "
-                    f"{inst.value}")
-            else:
-                snap = inst.snapshot()
-                cum = 0
-                for edge, n in zip(snap["edges"],
-                                   snap["bucket_counts"]):
-                    cum += n
-                    le = self._labels_text(inst.labels, {"le": edge})
-                    lines.append(f"{pname}_bucket{le} {cum}")
-                cum += snap["bucket_counts"][-1]
-                le = self._labels_text(inst.labels, {"le": "+Inf"})
+        declared = set()
+        for pname, key, inst in series:
+            if pname not in declared:
+                declared.add(pname)
+                if inst.help:
+                    lines.append(f"# HELP {pname} {inst.help}")
+                lines.append(f"# TYPE {pname} {inst.kind}")
+            if isinstance(inst, _Scalar):
+                lines.append(f"{pname}{_labels_text(key)} {inst.value}")
+                continue
+            snap = inst.snapshot()
+            cum = 0
+            for edge, n in zip(snap["edges"] + ["+Inf"],
+                               snap["bucket_counts"]):
+                cum += n
+                le = _labels_text(key + (("le", str(edge)),))
                 lines.append(f"{pname}_bucket{le} {cum}")
-                lt = self._labels_text(inst.labels)
-                lines.append(f"{pname}_sum{lt} {snap['sum']}")
-                lines.append(f"{pname}_count{lt} {snap['count']}")
+            lines.append(f"{pname}_sum{_labels_text(key)} {snap['sum']}")
+            lines.append(
+                f"{pname}_count{_labels_text(key)} {snap['count']}")
         return "\n".join(lines) + "\n"

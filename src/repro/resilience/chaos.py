@@ -201,13 +201,14 @@ def run_breaker_scenario(nx: int, stencil: str, bsize: int) -> dict:
             rejected = True
         except FallbackExhausted:
             rejected = False
+    stats = breaker.stats()
     return {
         "scenario": "unrecoverable-persistent-scramble",
         "threshold": breaker.threshold,
         "exhausted_failures": exhausted,
-        "breaker_opened": breaker.open_events > 0,
+        "breaker_opened": stats["open_events"] > 0,
         "fails_fast_when_open": rejected,
-        "breaker": breaker.stats(),
+        "breaker": stats,
     }
 
 

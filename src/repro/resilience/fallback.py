@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.observe import trace
+from repro.observe.metrics import MetricsRegistry
 from repro.resilience import hooks
 from repro.resilience.errors import (
     NON_RECOVERABLE_ERRORS,
@@ -92,8 +93,11 @@ class CircuitBreaker:
         self._state: dict[str, str] = {}
         self._opened_at: dict[str, float] = {}
         self._probe_at: dict[str, float] = {}
-        self.open_events = 0
-        self.rejections = 0
+        self.metrics = MetricsRegistry()
+        self._open_events = self.metrics.counter(
+            "breaker.open_events", "circuits opened (or re-opened)")
+        self._rejections = self.metrics.counter(
+            "breaker.rejections", "solves refused while open or probing")
 
     def state(self, fingerprint: str) -> str:
         with self._lock:
@@ -115,7 +119,7 @@ class CircuitBreaker:
                 if since >= self.cooldown_seconds:
                     self._probe_at[fingerprint] = now
                     return
-                self.rejections += 1
+                self._rejections.inc()
                 raise CircuitOpen(
                     fingerprint, self._failures.get(fingerprint, 0),
                     retry_after=self.cooldown_seconds - since)
@@ -126,7 +130,7 @@ class CircuitBreaker:
                 trace.event("breaker.half_open",
                             fingerprint=fingerprint[:12])
                 return
-            self.rejections += 1
+            self._rejections.inc()
             raise CircuitOpen(fingerprint,
                               self._failures.get(fingerprint, 0),
                               retry_after=self.cooldown_seconds - elapsed)
@@ -151,7 +155,7 @@ class CircuitBreaker:
                 self._state[fingerprint] = OPEN
                 self._opened_at[fingerprint] = self.clock()
                 self._probe_at.pop(fingerprint, None)
-                self.open_events += 1
+                self._open_events.inc()
         if opened:
             trace.event("breaker.open", fingerprint=fingerprint[:12],
                         failures=n)
@@ -162,8 +166,7 @@ class CircuitBreaker:
             return {
                 "threshold": self.threshold,
                 "cooldown_seconds": self.cooldown_seconds,
-                "open_events": self.open_events,
-                "rejections": self.rejections,
+                **self.metrics.values("breaker."),
                 "states": dict(self._state),
                 "failures": dict(self._failures),
             }
@@ -216,16 +219,31 @@ class FallbackChain:
         self.residual_check = residual_check
         self.residual_scale = float(residual_scale)
         self.integrity = integrity
+        #: Guards the heal budget, and keeps each finished solve's
+        #: counts (solves, depth, seconds, recovered) one update for
+        #: :meth:`stats`.
         self._lock = threading.Lock()
-        # Counters -------------------------------------------------------
-        self.solves = 0
-        self.faults_detected = 0
-        self.recovered = 0
-        self.recompiles = 0
-        self.exhausted = 0
-        self.depth_histogram = {i: 0 for i in range(len(LADDER))}
-        self.rung_failures = {r: 0 for r in LADDER}
-        self.seconds_by_depth = {i: 0.0 for i in range(len(LADDER))}
+        self.metrics = MetricsRegistry()
+        count = self.metrics.counter
+        self._solves = count("fallback.solves", "ladder executions")
+        self._faults = count("fallback.faults_detected",
+                             "rung validations or executions that failed")
+        self._recovered = count("fallback.recovered",
+                                "solves served after a fault, heal or descent")
+        self._recompiles = count("fallback.recompiles",
+                                 "heals: poisoned plans recompiled")
+        self._exhausted = count("fallback.exhausted",
+                                "solves that failed on every rung")
+        self._depth = [count(f"fallback.depth.{d}",
+                             "solves served at this ladder depth")
+                       for d in range(len(LADDER))]
+        self._depth_seconds = [
+            count(f"fallback.seconds_by_depth.{d}",
+                  "wall seconds of solves served at this depth")
+            for d in range(len(LADDER))]
+        self._rung_failures = {
+            r: count(f"fallback.rung_failures.{r}",
+                     "failed attempts on this rung") for r in LADDER}
 
     # Public API -----------------------------------------------------------
     def execute(self, plan, op: str, B: np.ndarray) -> FallbackResult:
@@ -271,8 +289,8 @@ class FallbackChain:
                                       attempts=list(attempts),
                                       seconds=seconds)
             with self._lock:
-                self.solves += 1
-                self.exhausted += 1
+                self._solves.inc()
+                self._exhausted.inc()
             if sp is not None:
                 sp.attrs["outcome"] = "exhausted"
             self.breaker.record_failure(fp)
@@ -298,12 +316,12 @@ class FallbackChain:
             if rsp is not None:
                 rsp.attrs["outcome"] = "validation_failed"
             if healed_already:
-                self._count_rung_failure(rung)
+                self._rung_failures[rung].inc()
                 return False, None
-            self._count("faults_detected")
+            self._faults.inc()
             healed = self._heal(current)
             if healed is None:
-                self._count_rung_failure(rung)
+                self._rung_failures[rung].inc()
                 return False, None
             trace.event("fallback.heal", rung=rung,
                         fingerprint=current.fingerprint[:12])
@@ -316,8 +334,8 @@ class FallbackChain:
             # rung cannot fix these — surface them to the caller.
             raise
         except Exception as exc:  # noqa: BLE001 - ladder boundary
-            self._count("faults_detected")
-            self._count_rung_failure(rung)
+            self._faults.inc()
+            self._rung_failures[rung].inc()
             attempts.append((rung, repr(exc)))
             trace.event("fallback.execution_failed", rung=rung,
                         depth=depth)
@@ -338,22 +356,14 @@ class FallbackChain:
         return self._run_csr(plan, op, B, fire=False)
 
     # Internals -------------------------------------------------------------
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + n)
-
-    def _count_rung_failure(self, rung: str) -> None:
-        with self._lock:
-            self.rung_failures[rung] += 1
-
     def _record_success(self, fp: str, depth: int, attempts,
                         recompiled: bool, seconds: float) -> None:
         with self._lock:
-            self.solves += 1
-            self.depth_histogram[depth] += 1
-            self.seconds_by_depth[depth] += seconds
+            self._solves.inc()
+            self._depth[depth].inc()
+            self._depth_seconds[depth].inc(seconds)
             if depth > 0 or recompiled or attempts:
-                self.recovered += 1
+                self._recovered.inc()
         self.breaker.record_success(fp)
 
     def _heal(self, plan):
@@ -365,7 +375,7 @@ class FallbackChain:
             if self.recompiles_used_for(plan) >= self.max_recompiles:
                 return None
             plan._heal_attempts = self.recompiles_used_for(plan) + 1
-            self.recompiles += 1
+            self._recompiles.inc()
         is_ilu = getattr(plan, "kind", "") == "ilu"
         try:
             if self.cache is not None:
@@ -588,17 +598,12 @@ class FallbackChain:
 
     # Reporting -------------------------------------------------------------
     def stats(self) -> dict:
+        values = self.metrics.values
         with self._lock:
-            return {
-                "solves": self.solves,
-                "faults_detected": self.faults_detected,
-                "recovered": self.recovered,
-                "recompiles": self.recompiles,
-                "exhausted": self.exhausted,
-                "depth_histogram": {str(k): v for k, v
-                                    in self.depth_histogram.items()},
-                "rung_failures": dict(self.rung_failures),
-                "seconds_by_depth": {str(k): v for k, v
-                                     in self.seconds_by_depth.items()},
-                "breaker": self.breaker.stats(),
-            }
+            snap = values("fallback.")
+            snap.update(
+                depth_histogram=values("fallback.depth."),
+                rung_failures=values("fallback.rung_failures."),
+                seconds_by_depth=values("fallback.seconds_by_depth."))
+        snap["breaker"] = self.breaker.stats()
+        return snap

@@ -8,9 +8,10 @@ expensive reorder/convert/autotune pipeline runs on the first request
 of a structure and every subsequent request pays only the kernel cost.
 
 Counters (hits, misses, evictions, compiles, compile seconds) make the
-amortization measurable — the ``serve`` bench reports the hit rate
-and the per-request amortized setup time straight from
-:meth:`PlanCache.stats`.
+amortization measurable. They live in the cache's own
+:class:`~repro.observe.metrics.MetricsRegistry` (``cache.*``), and the
+``serve`` bench reports the hit rate and the per-request amortized
+setup time straight from :meth:`PlanCache.stats`, a view over it.
 
 Autotune picks can optionally be **persisted** across processes: with a
 ``persist_path``, every autotuned ``bsize`` is recorded under its
@@ -49,6 +50,7 @@ from collections import OrderedDict
 
 from repro.grids.grid import StructuredGrid
 from repro.observe import trace
+from repro.observe.metrics import MetricsRegistry
 from repro.serve.plan import (
     PlanConfig,
     SolvePlan,
@@ -118,15 +120,24 @@ class PlanCache:
         self._inflight: dict[str, _Flight] = {}
         #: Serializes pick-file writes without blocking ``_lock``.
         self._persist_lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.compiles = 0
-        self.invalidations = 0
-        self.compile_seconds = 0.0
-        self.refreshes = 0
-        self.refresh_seconds = 0.0
-        self.stale_drops = 0
+        #: Tallies (``cache.*``); updated under ``_lock`` so that
+        #: :meth:`stats` reads one consistent snapshot.
+        self.metrics = MetricsRegistry()
+        count = self.metrics.counter
+        self._hits = count("cache.hits", "lookups served a resident plan")
+        self._misses = count("cache.misses", "lookups with no resident plan")
+        self._evictions = count("cache.evictions", "LRU evictions")
+        self._compiles = count("cache.compiles", "plans compiled")
+        self._invalidations = count("cache.invalidations",
+                                    "resident plans invalidated")
+        self._compile_seconds = count("cache.compile_seconds",
+                                      "wall seconds spent compiling")
+        self._refreshes = count("cache.refreshes",
+                                "value-only ILU repacks")
+        self._refresh_seconds = count("cache.refresh_seconds",
+                                      "wall seconds spent repacking")
+        self._stale_drops = count("cache.stale_drops",
+                                  "plans dropped: invalidated mid-flight")
         self._picks = self._load_picks()
 
     # Persistence -------------------------------------------------------
@@ -198,10 +209,10 @@ class PlanCache:
         with self._lock:
             plan = self._plans.get(fingerprint)
             if plan is None:
-                self.misses += 1
+                self._misses.inc()
             else:
                 self._plans.move_to_end(fingerprint)
-                self.hits += 1
+                self._hits.inc()
         trace.event("cache.hit" if plan is not None else "cache.miss",
                     fingerprint=fingerprint[:12])
         return plan
@@ -231,7 +242,7 @@ class PlanCache:
         with self._lock:
             removed = self._plans.pop(fingerprint, None) is not None
             if removed:
-                self.invalidations += 1
+                self._invalidations.inc()
             flight = self._inflight.get(fingerprint)
             if flight is not None:
                 flight.stale = True
@@ -293,7 +304,7 @@ class PlanCache:
             if plan is not None \
                     and (digest is None or digest == plan.value_digest):
                 self._plans.move_to_end(fp)
-                self.hits += 1
+                self._hits.inc()
                 what = "serve"
             elif flight is not None:
                 what = "wait"
@@ -301,7 +312,7 @@ class PlanCache:
                 what = "repack"
             else:
                 flight = self._inflight[fp] = _Flight()
-                self.misses += 1
+                self._misses.inc()
                 what = "lead"
         if what == "serve":
             trace.event("cache.coalesced_hit" if waited else "cache.hit",
@@ -313,7 +324,7 @@ class PlanCache:
     def _count_hit(self, fp: str, waited: bool) -> None:
         """Count a structure hit served through a repack."""
         with self._lock:
-            self.hits += 1
+            self._hits.inc()
         trace.event("cache.coalesced_hit" if waited else "cache.hit",
                     fingerprint=fp[:12])
 
@@ -339,13 +350,13 @@ class PlanCache:
             del self._inflight[fp]
             dropped = plan is not None and flight.stale
             if dropped:
-                self.stale_drops += 1
+                self._stale_drops.inc()
             elif plan is not None:
                 self._plans[fp] = plan
                 self._plans.move_to_end(fp)
                 while len(self._plans) > self.capacity:
                     old, _ = self._plans.popitem(last=False)
-                    self.evictions += 1
+                    self._evictions.inc()
                     evicted.append(old)
             flight.done.release()
         if dropped:
@@ -360,8 +371,8 @@ class PlanCache:
         plan, seconds = self._lead(fp, flight, lambda: build(
             self.persisted_bsize(fp) if config.bsize is None else None))
         with self._lock:
-            self.compiles += 1
-            self.compile_seconds += seconds
+            self._compiles.inc()
+            self._compile_seconds.inc(seconds)
             if plan.autotuned:
                 self._picks[fp] = {
                     "bsize": int(plan.bsize),
@@ -513,42 +524,22 @@ class PlanCache:
             fingerprint, flight,
             lambda: ilu_plan.repack_ilu_plan(current, values))
         with self._lock:
-            self.refreshes += 1
-            self.refresh_seconds += seconds
+            self._refreshes.inc()
+            self._refresh_seconds.inc(seconds)
         return fresh, True
 
     # Reporting ----------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up yet)."""
-        with self._lock:
-            hits, total = self.hits, self.hits + self.misses
-        return hits / total if total else 0.0
-
     def stats(self) -> dict:
-        """Machine-readable counter snapshot.
+        """The ``cache.*`` tallies plus size, capacity and ``hit_rate``.
 
-        The whole snapshot is taken under one ``_lock`` acquisition —
-        every counter pair is mutually consistent (no torn reads), and
-        ``hit_rate`` is derived from the snapshot itself rather than
-        re-read.
+        Read under ``_lock``, which every update holds, so every counter
+        pair is mutually consistent (no torn reads), and ``hit_rate`` is
+        derived from the snapshot itself rather than re-read.
         """
         with self._lock:
-            hits, misses = self.hits, self.misses
-            snap = {
-                "capacity": self.capacity,
-                "size": len(self._plans),
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / (hits + misses)
-                if hits + misses else 0.0,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "compiles": self.compiles,
-                "compile_seconds": self.compile_seconds,
-                "refreshes": self.refreshes,
-                "refresh_seconds": self.refresh_seconds,
-                "stale_drops": self.stale_drops,
-                "persisted_picks": len(self._picks),
-            }
+            snap = self.metrics.values("cache.")
+            snap.update(capacity=self.capacity, size=len(self._plans),
+                        persisted_picks=len(self._picks))
+        lookups = snap["hits"] + snap["misses"]
+        snap["hit_rate"] = snap["hits"] / lookups if lookups else 0.0
         return snap

@@ -103,8 +103,7 @@ def sibling_isolation_report(grid, alt_grid, stencil: str,
     for _ in range(3):
         cache.get_or_compile_ilu(grid, stencil, config)
         cache.get_or_compile_ilu(alt_grid, stencil, config)
-    hits_before = cache.hits
-    compiles_before = cache.compiles
+    before = cache.stats()
     cache.invalidate(plan_a.fingerprint)
     sibling_resident = cache.peek(plan_b.fingerprint) is not None
     served_b, hit_b = cache.get_or_compile_ilu(alt_grid, stencil,
@@ -119,8 +118,8 @@ def sibling_isolation_report(grid, alt_grid, stencil: str,
         "sibling_resident_after_invalidate": bool(sibling_resident),
         "sibling_hit_after_invalidate": bool(hit_b and same_object),
         "sibling_untouched_after_refresh": bool(still_b),
-        "hits_before": int(hits_before),
-        "compiles_before": int(compiles_before),
+        "hits_before": int(before["hits"]),
+        "compiles_before": int(before["compiles"]),
         "isolated": bool(sibling_resident and hit_b and same_object
                          and still_b),
         "cache": cache.stats(),

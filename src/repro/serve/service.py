@@ -172,11 +172,10 @@ class SolveService:
         self._closed = False
         self._pending: list[_Pending] = []
         self._ids = itertools.count()
-        #: Unified instrument registry (naming scheme in
-        #: ``docs/observability.md``); the legacy ``submitted``/
-        #: ``completed``/``failed``/``batches_executed`` attributes are
-        #: properties reading straight from it, so the counters survive
-        #: any number of :meth:`stats` calls and drain/requeue cycles.
+        #: The service's tallies (``serve.*``, listed in
+        #: ``docs/observability.md``); :meth:`stats` is a view over
+        #: them, so they survive any number of :meth:`stats` calls and
+        #: drain/requeue cycles.
         self.metrics = MetricsRegistry()
         self._submitted = self.metrics.counter(
             "serve.submitted", "requests accepted by submit()")
@@ -196,23 +195,6 @@ class SolveService:
         self._drain_seconds = self.metrics.histogram(
             "serve.drain_seconds", LATENCY_EDGES,
             "wall seconds per drain() call")
-
-    # Legacy counter attributes (kept readable for existing callers) -----
-    @property
-    def submitted(self) -> int:
-        return self._submitted.value
-
-    @property
-    def completed(self) -> int:
-        return self._completed.value
-
-    @property
-    def failed(self) -> int:
-        return self._failed.value
-
-    @property
-    def batches_executed(self) -> int:
-        return self._batches.value
 
     # Submission ---------------------------------------------------------
     def submit(self, grid: StructuredGrid, stencil, rhs: np.ndarray,
@@ -548,21 +530,17 @@ class SolveService:
         not the store, so building it repeatedly (or across a
         ``drain(timeout=)`` requeue cycle) never resets anything.
         """
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "requeued": self._requeued.value,
-            "pending": self.n_pending,
-            "batches_executed": self.batches_executed,
-            "max_batch": self.max_batch,
-            "max_pending": self.max_pending,
-            "cache": self.cache.stats(),
-            "phases": self.session.phase_report(),
-            "metrics": self.metrics.snapshot(),
-            "resilience": (self.resilience.stats()
-                           if self.resilience is not None else None),
-        }
+        snap = self.metrics.values("serve.")
+        snap["batches_executed"] = snap.pop("batches")
+        snap.update(
+            pending=self.n_pending,
+            max_batch=self.max_batch,
+            max_pending=self.max_pending,
+            cache=self.cache.stats(),
+            phases=self.session.phase_report(),
+            resilience=(self.resilience.stats()
+                        if self.resilience is not None else None))
+        return snap
 
     def close(self) -> None:
         """Shut the service down; never leaves a ticket pending.

@@ -28,6 +28,7 @@ back through ``degraded`` before reaching ``normal``.
 
 from __future__ import annotations
 
+from repro.observe.metrics import MetricsRegistry
 from repro.utils.validation import check_positive
 
 STAGES = ("normal", "degraded", "shed")
@@ -81,8 +82,9 @@ class BrownoutController:
         self._enter_streak = 0
         self._exit_streak = 0
         self.last_wait = 0.0
-        self.observations = 0
-        self.sheds = 0
+        self.metrics = MetricsRegistry()
+        self._observations = self.metrics.counter(
+            "brownout.observations", "queue-wait samples fed")
         #: Stage-change history: ``{"from", "to", "queue_wait"}`` dicts.
         self.transitions: list[dict] = []
 
@@ -102,7 +104,7 @@ class BrownoutController:
         """
         wait = float(queue_wait)
         self.last_wait = wait
-        self.observations += 1
+        self._observations.inc()
         here = STAGES.index(self.stage)
         target = STAGES.index(self._target(wait))
         if target > here:
@@ -148,17 +150,11 @@ class BrownoutController:
             queue_wait)
         return max(self.retry_after_floor, wait)
 
-    def shed(self) -> None:
-        """Count one refused admission (the gateway calls this as it
-        raises :class:`~repro.gateway.errors.BrownoutShed`)."""
-        self.sheds += 1
-
     def stats(self) -> dict:
         return {
             "stage": self.stage,
             "last_queue_wait": self.last_wait,
-            "observations": self.observations,
-            "sheds": self.sheds,
+            **self.metrics.values("brownout."),
             "transitions": list(self.transitions),
             "degrade_wait": self.degrade_wait,
             "shed_wait": self.shed_wait,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grids.grid import StructuredGrid
+from repro.observe.metrics import MetricsRegistry
 from repro.serve.plan import PlanConfig, _resolve_stencil
 from repro.serve.service import SolveService
 from repro.utils.validation import check_positive
@@ -52,9 +53,11 @@ class CanaryProbe:
         self.op = op
         rng = np.random.default_rng(seed)
         self.rhs = rng.standard_normal(self.grid.n_points)
-        #: Probes run so far (across all shards).
-        self.probes = 0
-        self.failures = 0
+        self.metrics = MetricsRegistry()
+        self._probes = self.metrics.counter(
+            "canary.probes", "probes run, across all shards")
+        self._failures = self.metrics.counter(
+            "canary.failures", "probes that raised or mismatched")
         # The known answer, computed once through the plain sync path.
         with SolveService(config=self.config) as svc:
             ticket = svc.submit(self.grid, self.stencil, self.rhs,
@@ -71,26 +74,26 @@ class CanaryProbe:
         whatever the next real chunk would see (including armed
         ``gateway.shard`` faults — chaos tests rely on that).
         """
-        self.probes += 1
+        self._probes.inc()
         try:
             out = shard.execute(self.grid, self.stencil, self.op,
                                 self.config, [self.rhs])
         except BaseException as exc:  # noqa: BLE001 - any raise = sick
-            self.failures += 1
+            self._failures.inc()
             return False, f"probe raised {type(exc).__name__}: {exc}"
         if len(out) != 1:
-            self.failures += 1
+            self._failures.inc()
             return False, f"probe returned {len(out)} columns, not 1"
         result = out[0]
         if isinstance(result, BaseException):
-            self.failures += 1
+            self._failures.inc()
             return False, (f"probe column failed with "
                            f"{type(result).__name__}: {result}")
         if not np.array_equal(result, self.expected):
-            self.failures += 1
+            self._failures.inc()
             return False, "probe answer is not bit-identical"
         return True, "ok"
 
     def stats(self) -> dict:
         return {"nx": int(self.grid.dims[0]), "op": self.op,
-                "probes": self.probes, "failures": self.failures}
+                **self.metrics.values("canary.")}

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.observe import trace
+from repro.observe.metrics import MetricsRegistry
 from repro.supervise.backoff import Backoff
 from repro.supervise.canary import CanaryProbe
 from repro.utils.validation import check_positive
@@ -63,25 +64,28 @@ class ShardSupervisor:
                                              "restart_budget")
         self.budget_left = self.restart_budget
         self.pool = None
-        self.quarantines = 0
-        self.restarts = 0          # successful adoptions
-        self.restart_failures = 0  # attempts that did not adopt
-        self.releases_healthy = 0  # probed-healthy shards returned
-        self.backoff_total = 0.0   # seconds slept across campaigns
+        self.metrics = MetricsRegistry()
+        count = self.metrics.counter
+        self._quarantines = count(
+            "supervisor.quarantines",
+            "shards pulled from rotation after a failed probe")
+        self._restarts = count(
+            "supervisor.restarts",
+            "replacement shards adopted after a canary pass")
+        self._restart_failures = count(
+            "supervisor.restart_failures",
+            "restart attempts that did not adopt")
+        self._releases_healthy = count(
+            "supervisor.releases_healthy",
+            "failed shards probed healthy and returned to rotation")
+        self._backoff_seconds = count(
+            "supervisor.backoff_total_seconds",
+            "seconds slept between restart attempts")
         self._campaigns: set = set()
-        self._quarantined_counter = None
-        self._restarted_counter = None
 
-    def bind(self, pool, metrics=None) -> "ShardSupervisor":
+    def bind(self, pool) -> "ShardSupervisor":
         """Attach to the gateway's pool (the gateway calls this)."""
         self.pool = pool
-        if metrics is not None:
-            self._quarantined_counter = metrics.counter(
-                "gateway.quarantines",
-                "shards pulled from rotation by the supervisor")
-            self._restarted_counter = metrics.counter(
-                "gateway.restarts",
-                "replacement shards adopted after a canary pass")
         if self.canary is None:
             # Default probe under the pool's own service config, so the
             # probe path is the traffic path.
@@ -106,7 +110,7 @@ class ShardSupervisor:
         healthy, reason = await asyncio.to_thread(self.canary.check,
                                                   shard)
         if healthy:
-            self.releases_healthy += 1
+            self._releases_healthy.inc()
             await self.pool.release(shard)
             return
         await self._quarantine(shard, reason)
@@ -135,9 +139,7 @@ class ShardSupervisor:
         return sick
 
     async def _quarantine(self, shard, reason: str) -> None:
-        self.quarantines += 1
-        if self._quarantined_counter is not None:
-            self._quarantined_counter.inc()
+        self._quarantines.inc()
         self.pool.quarantine(shard)
         trace.event("supervise.quarantine", shard=shard.index,
                     reason=reason)
@@ -159,12 +161,12 @@ class ShardSupervisor:
                 return
             self.budget_left -= 1
             delay = self.backoff.delay(attempt)
-            self.backoff_total += delay
+            self._backoff_seconds.inc(delay)
             await asyncio.sleep(delay)
             try:
                 shard = self.pool.build_shard()
             except BaseException as exc:  # noqa: BLE001 - chaos spawn
-                self.restart_failures += 1
+                self._restart_failures.inc()
                 trace.event("supervise.restart_failed",
                             dead_shard=dead_index, phase="spawn",
                             error=type(exc).__name__)
@@ -172,16 +174,14 @@ class ShardSupervisor:
             healthy, reason = await asyncio.to_thread(
                 self.canary.check, shard)
             if not healthy:
-                self.restart_failures += 1
+                self._restart_failures.inc()
                 trace.event("supervise.restart_failed",
                             dead_shard=dead_index, phase="probe",
                             error=reason)
                 shard.close()
                 continue
             self.pool.adopt(shard)
-            self.restarts += 1
-            if self._restarted_counter is not None:
-                self._restarted_counter.inc()
+            self._restarts.inc()
             self.pool.lifecycle_events.append(
                 {"action": "restart", "shard": shard.index,
                  "replaces": dead_index,
@@ -209,13 +209,9 @@ class ShardSupervisor:
     # Introspection ------------------------------------------------------
     def stats(self) -> dict:
         return {
-            "quarantines": self.quarantines,
-            "restarts": self.restarts,
-            "restart_failures": self.restart_failures,
-            "releases_healthy": self.releases_healthy,
+            **self.metrics.values("supervisor."),
             "restart_budget": self.restart_budget,
             "budget_left": self.budget_left,
-            "backoff_total_seconds": self.backoff_total,
             "campaigns_active": len(self._campaigns),
             "canary": (self.canary.stats()
                        if self.canary is not None else None),

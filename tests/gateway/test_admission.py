@@ -114,12 +114,12 @@ def test_infeasible_deadline_rejected_with_zero_compile_delta():
             # Warm: one real solve gives the estimator a live EWMA
             # and the shard cache its one plan.
             await gw.solve(GRID, "27pt", _rhs(0))
-            compiles, _ = gw.pool.compile_totals()
+            compiles = gw.pool.cache_tallies()["compiles"]
             assert compiles == 1
             with pytest.raises(AdmissionRejected) as ei:
                 await gw.submit(GRID, "27pt", _rhs(1),
                                 deadline=1e-12)
-            assert gw.pool.compile_totals()[0] == compiles
+            assert gw.pool.cache_tallies()["compiles"] == compiles
             return ei.value, gw.stats()
 
     exc, stats = asyncio.run(run())
@@ -139,7 +139,7 @@ def test_cold_structure_rejection_uses_model_without_compiling():
                                 max_shards=1) as gw:
             with pytest.raises(AdmissionRejected) as ei:
                 await gw.submit(GRID, "27pt", _rhs(0), deadline=0.0)
-            assert gw.pool.compile_totals()[0] == 0
+            assert gw.pool.cache_tallies()["compiles"] == 0
             return ei.value
 
     exc = asyncio.run(run())
@@ -180,3 +180,28 @@ def test_queued_quota_refusal_is_atomic_and_typed():
     assert exc.reason == "quota" and exc.quota == "queued"
     assert exc.limit == 2 and exc.tenant == "t"
     assert isinstance(exc, AdmissionRejected)
+
+
+def test_per_tenant_counters_are_distinct_series_of_one_family():
+    """Tenant names that flatten alike (``"team a"``/``"team_a"``,
+    ``"x.y"``/``"x_y"``) keep their own counts, and the exported text
+    declares each family once."""
+    tenants = ("team a", "team_a", "x.y", "x_y")
+
+    async def run():
+        async with SolveGateway(config=CONFIG, min_shards=1,
+                                max_shards=1) as gw:
+            for i, tenant in enumerate(tenants):
+                for j in range(i + 1):
+                    await gw.solve(GRID, "27pt", _rhs(j), tenant=tenant)
+            return gw.metrics.to_prometheus_text().splitlines()
+
+    lines = asyncio.run(run())
+    for i, tenant in enumerate(tenants):
+        for which in ("accepted", "completed"):
+            sample = (f"repro_gateway_tenant_{which}_total"
+                      f'{{tenant="{tenant}"}} {i + 1}')
+            assert sample in lines, sample
+    families = [ln.split()[2] for ln in lines if ln.startswith("# TYPE ")]
+    assert len(families) == len(set(families)), sorted(families)
+    assert "repro_gateway_tenant_accepted_total" in families

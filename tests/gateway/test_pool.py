@@ -193,8 +193,7 @@ def test_close_closes_every_shard():
 def test_shard_execute_not_needed_for_pool_logic():
     # GatewayShard over a FakeService still reports stats/compiles.
     shard = GatewayShard(0, FakeService())
-    assert shard.compile_stats() == (0, 0.0)
-    assert shard.refresh_stats() == (0, 0.0)
+    assert shard.cache_tallies() == {}
     assert shard.has_plan("deadbeef") is False
     assert shard.stats()["index"] == 0
 
@@ -204,8 +203,11 @@ def test_pool_refresh_stats_aggregates_across_shards():
     # self.service (copy-paste from GatewayShard) and raised
     # AttributeError; it must sum over the live shards instead.
     pool, services = make_pool(min_shards=2, max_shards=2)
-    assert pool.refresh_stats() == (0, 0.0)
+    assert pool.cache_tallies() == {}
     for i, svc in enumerate(services):
-        svc.cache = SimpleNamespace(refreshes=i + 1,
-                                    refresh_seconds=0.5 * (i + 1))
-    assert pool.refresh_stats() == (3, 1.5)
+        metrics = MetricsRegistry()
+        metrics.counter("cache.refreshes").inc(i + 1)
+        metrics.counter("cache.refresh_seconds").inc(0.5 * (i + 1))
+        svc.cache = SimpleNamespace(metrics=metrics)
+    assert pool.cache_tallies() == {"refreshes": 3,
+                                    "refresh_seconds": 1.5}

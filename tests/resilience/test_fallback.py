@@ -59,7 +59,7 @@ def test_breaker_opens_after_threshold():
     with pytest.raises(CircuitOpen) as ei:
         br.allow("fp")
     assert ei.value.retry_after == pytest.approx(10.0)
-    assert br.rejections == 1
+    assert br.stats()["rejections"] == 1
 
 
 def test_breaker_half_open_probe_then_close():
@@ -84,7 +84,7 @@ def test_breaker_half_open_failure_reopens():
     # A single half-open failure reopens, below the closed threshold.
     assert br.record_failure("fp")
     assert br.state("fp") == OPEN
-    assert br.open_events == 2
+    assert br.stats()["open_events"] == 2
 
 
 def test_breaker_half_open_admits_single_probe():
@@ -95,7 +95,7 @@ def test_breaker_half_open_admits_single_probe():
     br.allow("fp")  # claims the half-open probe slot
     with pytest.raises(CircuitOpen):
         br.allow("fp")  # concurrent solve rejected while probing
-    assert br.rejections == 1
+    assert br.stats()["rejections"] == 1
     br.record_success("fp")
     br.allow("fp")
     assert br.state("fp") == CLOSED
@@ -130,7 +130,7 @@ def test_clean_solve_is_depth_zero_and_bitwise_native():
     assert not res.degraded
     assert np.array_equal(res.solution, plan.execute("lower", b))
     assert chain.stats()["depth_histogram"]["0"] == 1
-    assert chain.recovered == 0
+    assert chain.stats()["recovered"] == 0
 
 
 def test_corruption_heals_by_recompile_bitwise():
@@ -144,8 +144,8 @@ def test_corruption_heals_by_recompile_bitwise():
     assert (res.depth, res.recompiled) == (0, True)
     assert np.array_equal(res.solution, ref)
     assert cache.stats()["invalidations"] == 1
-    assert chain.recovered == 1
-    assert chain.recompiles == 1
+    assert chain.stats()["recovered"] == 1
+    assert chain.stats()["recompiles"] == 1
     # The healed plan now serves later requests cleanly from cache.
     healed, hit = cache.get_or_compile(GRID, "27pt", CONFIG)
     assert hit
@@ -216,8 +216,8 @@ def test_exhausted_raises_and_feeds_breaker():
             chain.execute(plan, "lower", b)
         with pytest.raises(CircuitOpen):
             chain.execute(plan, "lower", b)
-    assert chain.exhausted == 2
-    assert chain.breaker.open_events == 1
+    assert chain.stats()["exhausted"] == 2
+    assert chain.breaker.stats()["open_events"] == 1
 
 
 def test_heal_budget_is_atomic_under_concurrency():
@@ -239,7 +239,7 @@ def test_heal_budget_is_atomic_under_concurrency():
         t.join()
     # Exactly one thread may win the single budget slot.
     assert sum(r is not None for r in results) == 1
-    assert chain.recompiles == 1
+    assert chain.stats()["recompiles"] == 1
     assert FallbackChain.recompiles_used_for(plan) == 1
 
 

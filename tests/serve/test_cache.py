@@ -25,11 +25,11 @@ def test_miss_then_hit_counters():
     again, hit2 = cache.get_or_compile(_grid(), "27pt", CFG)
     assert hit2
     assert again is plan  # same object, not a recompile
-    assert cache.hits == 1
-    assert cache.misses == 1
-    assert cache.compiles == 1
-    assert cache.compile_seconds > 0
-    assert cache.hit_rate == 0.5
+    assert cache.stats()["hits"] == 1
+    assert cache.stats()["misses"] == 1
+    assert cache.stats()["compiles"] == 1
+    assert cache.stats()["compile_seconds"] > 0
+    assert cache.stats()["hit_rate"] == 0.5
     assert len(cache) == 1
     assert plan.fingerprint in cache
 
@@ -41,20 +41,20 @@ def test_lru_eviction_order():
     # Touch p1 so p2 becomes least-recently-used.
     cache.get_or_compile(_grid(4), "7pt", CFG)
     cache.get_or_compile(_grid(6), "7pt", CFG)  # evicts p2
-    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
     assert p1.fingerprint in cache
     assert p2.fingerprint not in cache
     # Re-requesting the evicted structure recompiles.
     _, hit = cache.get_or_compile(_grid(4), "27pt", CFG)
     assert not hit
-    assert cache.compiles == 4
+    assert cache.stats()["compiles"] == 4
 
 
 def test_get_without_entry_counts_miss():
     cache = PlanCache()
     assert cache.get("0" * 64) is None
-    assert cache.misses == 1
-    assert cache.hit_rate == 0.0
+    assert cache.stats()["misses"] == 1
+    assert cache.stats()["hit_rate"] == 0.0
 
 
 def test_cached_plan_results_bit_identical_to_fresh(rng):
@@ -86,12 +86,12 @@ def test_concurrent_same_structure_compiles_once():
         t.start()
     for t in threads:
         t.join()
-    assert cache.compiles == 1
+    assert cache.stats()["compiles"] == 1
     plans = {id(plan) for plan, _ in results}
     assert len(plans) == 1  # everyone got the same object
     # Exactly one miss; the other three are (reclassified) hits.
-    assert cache.misses == 1
-    assert cache.hits == 3
+    assert cache.stats()["misses"] == 1
+    assert cache.stats()["hits"] == 3
 
 
 def test_autotune_pick_persisted_across_instances(tmp_path):

@@ -60,7 +60,7 @@ class TestCompileLockPruning:
             cache.get_or_compile(g, "5pt", PlanConfig(bsize=2))
         # 5 distinct structures (3 already evicted) — no flight leak.
         assert cache._inflight == {}
-        assert cache.compiles == len(GRIDS)
+        assert cache.stats()["compiles"] == len(GRIDS)
 
     def test_map_bounded_by_live_compiles(self, monkeypatch,
                                           flight_waits):
@@ -97,7 +97,7 @@ class TestCompileLockPruning:
         for t in threads:
             t.join(10)
         assert cache._inflight == {}
-        assert cache.compiles == 1
+        assert cache.stats()["compiles"] == 1
         assert len(results) == 4
         # Exactly one miss; the coalesced followers count hits.
         assert cache.stats()["misses"] == 1
@@ -230,7 +230,8 @@ class TestFlightFailure:
         assert cache._inflight == {}
         # Each led compile counted one miss; only the retry compiled.
         assert len(compiles) == 2
-        assert (cache.misses, cache.hits, cache.compiles) == (2, 2, 1)
+        s = cache.stats()
+        assert (s["misses"], s["hits"], s["compiles"]) == (2, 2, 1)
 
 
 class TestSnapshotConsistency:
@@ -272,7 +273,7 @@ class TestSnapshotConsistency:
         snap = cache.stats()
         assert snap["hits"] + snap["misses"] == 8 * 300
         assert snap["compiles"] == len(GRIDS)
-        assert cache.hit_rate == snap["hits"] / (8 * 300)
+        assert cache.stats()["hit_rate"] == snap["hits"] / (8 * 300)
 
     def test_peek_does_not_touch_counters(self, monkeypatch):
         _stub_compile(monkeypatch)
@@ -351,7 +352,7 @@ class TestIluStress:
         assert not any(t.is_alive() for t in threads)
         assert len(lookups) == len(threads)
         assert not stale, f"served old coefficients: {stale[:3]}"
-        assert cache.hits + cache.misses == sum(lookups)
-        assert cache.compiles == builds["compile"]
-        assert cache.refreshes == builds["repack"]
+        assert cache.stats()["hits"] + cache.stats()["misses"] == sum(lookups)
+        assert cache.stats()["compiles"] == builds["compile"]
+        assert cache.stats()["refreshes"] == builds["repack"]
         assert cache._inflight == {}

@@ -421,7 +421,7 @@ class PlanCacheMachine(RuleBasedStateMachine):
         assert {fp: f.stale for fp, f in self.cache._inflight.items()} \
             == {fp: f.stale for fp, f in self.model.flights.items()}
         for name in Model.COUNTERS:
-            assert getattr(self.cache, name) == getattr(self.model, name), \
+            assert self.cache.stats()[name] == getattr(self.model, name), \
                 name
 
     @invariant()
@@ -437,8 +437,8 @@ class PlanCacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def counters_match_the_builds(self):
-        assert self.cache.compiles == self.built["compile"]
-        assert self.cache.refreshes == self.built["repack"]
+        assert self.cache.stats()["compiles"] == self.built["compile"]
+        assert self.cache.stats()["refreshes"] == self.built["repack"]
 
     def teardown(self):
         try:
@@ -453,7 +453,8 @@ class PlanCacheMachine(RuleBasedStateMachine):
                 worker.thread.join(HANDOFF_TIMEOUT)
                 assert not worker.thread.is_alive(), worker.name
             self.cache_matches_model()
-            assert self.cache.hits + self.cache.misses == self.lookups
+            s = self.cache.stats()
+            assert s["hits"] + s["misses"] == self.lookups
             assert self.cache._inflight == {}
         finally:
             for worker in self.workers:

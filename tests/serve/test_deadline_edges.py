@@ -68,7 +68,7 @@ def test_deadline_expiring_between_admission_and_staging(clock):
         assert ei.value.request_id == stale.request_id
         assert ei.value.deadline_seconds == 0.5
         assert np.all(np.isfinite(fresh.result(timeout=0)))
-        assert svc.failed == 1 and svc.completed == 1
+        assert svc.stats()["failed"] == 1 and svc.stats()["completed"] == 1
 
 
 def test_drain_requeue_preserves_per_ticket_deadlines():

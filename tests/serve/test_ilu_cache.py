@@ -58,7 +58,7 @@ def test_hit_with_matching_digest_serves_cached_object():
     served, hit = cache.get_or_compile_ilu(
         GRID, "27pt", CONFIG, values=plan.values_src)
     assert hit and served is plan
-    assert cache.refreshes == 0
+    assert cache.stats()["refreshes"] == 0
 
 
 def test_hit_with_new_values_repacks_in_place():
@@ -68,7 +68,7 @@ def test_hit_with_new_values_repacks_in_place():
     served, hit = cache.get_or_compile_ilu(GRID, "27pt", CONFIG,
                                            values=v2)
     assert hit and served is not plan
-    assert served.refreshed and cache.refreshes == 1
+    assert served.refreshed and cache.stats()["refreshes"] == 1
     assert cache.peek(plan.fingerprint) is served
 
 
@@ -84,7 +84,7 @@ def test_refresh_values_same_digest_is_a_noop():
     served, repacked = cache.refresh_values(plan.fingerprint,
                                             plan.values_src)
     assert not repacked and served is plan
-    assert cache.refreshes == 0
+    assert cache.stats()["refreshes"] == 0
 
 
 def test_refresh_values_rejects_non_ilu_plans():
@@ -191,7 +191,7 @@ def test_invalidate_during_refresh_drops_stale_put():
     assert repacked  # the caller still gets its freshly packed plan
     # ... but the cache must NOT have been resurrected with it.
     assert cache.peek(fp) is None
-    assert cache.stale_drops == 1
+    assert cache.stats()["stale_drops"] == 1
 
 
 def test_invalidate_during_cold_ilu_compile_drops_stale_put():
@@ -230,7 +230,7 @@ def test_invalidate_during_cold_ilu_compile_drops_stale_put():
     plan, hit = results["out"]
     assert not hit and plan.kind == "ilu"
     assert cache.peek(fp) is None
-    assert cache.stale_drops == 1
+    assert cache.stats()["stale_drops"] == 1
 
 
 # Coalesced-repack deadlock and residency races -----------------------------
@@ -295,7 +295,7 @@ def test_coalesced_hit_with_new_snapshot_does_not_deadlock(flight_waits):
     plan_a, hit_a = results["a"]
     plan_b, hit_b = results["b"]
     assert not hit_a and hit_b
-    assert plan_b.refreshed and cache.refreshes == 1
+    assert plan_b.refreshed and cache.stats()["refreshes"] == 1
     assert plan_b.value_digest == value_digest(
         np.asarray(v2, dtype=plan_b.config.np_dtype).reshape(-1))
     assert cache.peek(fp) is plan_b
@@ -325,7 +325,7 @@ def test_invalidate_before_flock_raises_not_resurrects(monkeypatch):
     with pytest.raises(KeyError):
         cache.refresh_values(fp, _perturbed(plan, seed=3))
     assert cache.peek(fp) is None
-    assert cache.refreshes == 0
+    assert cache.stats()["refreshes"] == 0
 
 
 def test_eviction_between_hit_and_repack_falls_back_to_compile(
@@ -363,12 +363,12 @@ def test_invalidation_and_refresh_are_fingerprint_scoped():
     for _ in range(3):
         cache.get_or_compile_ilu(GRID, "27pt", CONFIG)
         cache.get_or_compile_ilu(SIBLING, "27pt", CONFIG)
-    hits_before = cache.hits
+    hits_before = cache.stats()["hits"]
     assert cache.invalidate(plan_a.fingerprint)
     # B is still resident, still the same object, still a pure hit.
     served_b, hit = cache.get_or_compile_ilu(SIBLING, "27pt", CONFIG)
     assert hit and served_b is plan_b
-    assert cache.hits == hits_before + 1
+    assert cache.stats()["hits"] == hits_before + 1
     # Refreshing A's values (after recompiling it) leaves B alone.
     plan_a2, _ = cache.get_or_compile_ilu(GRID, "27pt", CONFIG)
     cache.refresh_values(plan_a2.fingerprint,

@@ -75,7 +75,7 @@ def test_submitted_values_trigger_one_repack(service):
                             op="ilu_apply", values=v2)
     service.drain()
     second.result(timeout=0)
-    assert service.cache.refreshes == 1
+    assert service.cache.stats()["refreshes"] == 1
     refreshed = service.cache.get(first.fingerprint)
     assert refreshed.refreshed
 

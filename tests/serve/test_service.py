@@ -52,7 +52,7 @@ def test_coalesced_batch_bitwise_matches_individual(service, rng):
     tickets = [service.submit(GRID, "27pt", b) for b in rhss]
     service.drain()
     assert all(t.metrics["batch_k"] == 4 for t in tickets)
-    assert service.batches_executed == 1
+    assert service.stats()["batches_executed"] == 1
 
     solo = SolveService(config=CFG, max_batch=4)
     for t, b in zip(tickets, rhss):
@@ -66,7 +66,7 @@ def test_batches_respect_max_batch(service, rng):
     tickets = [service.submit(GRID, "27pt", b) for b in _rhs(rng, 6)]
     assert service.drain() == 6
     # 6 requests, max_batch 4 -> one batch of 4 + one of 2.
-    assert service.batches_executed == 2
+    assert service.stats()["batches_executed"] == 2
     widths = sorted(t.metrics["batch_k"] for t in tickets)
     assert widths == [2, 2, 4, 4, 4, 4]
 
@@ -89,8 +89,8 @@ def test_per_request_cache_hit_metric(service, rng):
     service.drain()
     hits = [t.metrics["cache_hit"] for t in tickets]
     assert hits == [False, True, True]
-    assert service.cache.hits == 2
-    assert service.cache.misses == 1
+    assert service.cache.stats()["hits"] == 2
+    assert service.cache.stats()["misses"] == 1
 
 
 def test_backpressure(service, rng):
@@ -110,7 +110,7 @@ def test_submit_rejects_bad_requests(service, rng):
         service.submit(GRID, "27pt", rng.standard_normal(N - 1))
     with pytest.raises(RequestError):
         service.submit(GRID, "27pt", rng.standard_normal((N, 2)))
-    assert service.submitted == 0
+    assert service.stats()["submitted"] == 0
 
 
 def test_nonfinite_rhs_isolated_at_drain(service, rng):
@@ -123,8 +123,8 @@ def test_nonfinite_rhs_isolated_at_drain(service, rng):
     t_good.result()  # fine
     with pytest.raises(RequestError):
         t_bad.result()
-    assert service.failed == 1
-    assert service.completed == 1
+    assert service.stats()["failed"] == 1
+    assert service.stats()["completed"] == 1
 
 
 def test_kernel_failure_falls_back_to_individual(service, rng,
@@ -211,7 +211,7 @@ def test_result_timeout_before_drain(service, rng):
 
 def test_drain_empty_is_noop(service):
     assert service.drain() == 0
-    assert service.batches_executed == 0
+    assert service.stats()["batches_executed"] == 0
 
 
 def test_shared_cache_across_services(rng):
@@ -223,7 +223,7 @@ def test_shared_cache_across_services(rng):
         t = b.submit(GRID, "27pt", rng.standard_normal(N))
         b.drain()
     assert t.metrics["cache_hit"]
-    assert cache.compiles == 1
+    assert cache.stats()["compiles"] == 1
 
 
 def test_stats_aggregates(service, rng):

@@ -34,7 +34,7 @@ def test_close_fails_queued_tickets():
         with pytest.raises(ServiceClosed) as ei:
             t.result(timeout=0)
         assert ei.value.ticket_ids == [t.request_id]
-    assert svc.failed == 3
+    assert svc.stats()["failed"] == 3
     assert svc.n_pending == 0
 
 
@@ -97,7 +97,7 @@ def test_close_is_idempotent():
     svc.submit(GRID, "27pt", _rhs())
     svc.close()
     svc.close()
-    assert svc.failed == 1
+    assert svc.stats()["failed"] == 1
 
 
 def test_requeue_into_closed_service_fails_instead():

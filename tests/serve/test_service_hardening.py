@@ -98,7 +98,7 @@ def test_expired_deadline_fails_only_that_request():
             stale.result()
         assert ei.value.request_id == stale.request_id
         assert np.all(np.isfinite(fresh.result()))
-        assert svc.failed == 1 and svc.completed == 1
+        assert svc.stats()["failed"] == 1 and svc.stats()["completed"] == 1
 
 
 def test_generous_deadline_is_met():

@@ -35,13 +35,14 @@ def test_service_owns_a_metrics_registry():
             assert name in snap, name
 
 
-def test_legacy_attributes_are_registry_views():
+def test_stats_counts_are_registry_views():
     with SolveService(config=CONFIG) as svc:
         svc.submit(GRID, "27pt", _rhs())
-        assert svc.submitted == 1
+        assert svc.stats()["submitted"] == 1
         svc.drain()
-        assert (svc.submitted, svc.completed, svc.failed,
-                svc.batches_executed) == (1, 1, 0, 1)
+        s = svc.stats()
+        assert (s["submitted"], s["completed"], s["failed"],
+                s["batches_executed"]) == (1, 1, 0, 1)
         snap = svc.metrics.snapshot()
         assert snap["serve.submitted"]["value"] == 1
         assert snap["serve.completed"]["value"] == 1
@@ -62,7 +63,7 @@ def test_stats_survive_drain_timeout_requeue_cycle():
         assert mid["completed"] == 0
         assert mid["pending"] == 3
         assert mid["requeued"] == 3
-        assert mid["metrics"]["serve.requeued"]["value"] == 3
+        assert svc.metrics.get("serve.requeued").value == 3
 
         assert svc.drain() == 3
         after = svc.stats()

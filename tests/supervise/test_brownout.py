@@ -81,8 +81,6 @@ def test_retry_after_floors_and_tracks_backlog():
     b.observe(3.0)
     assert b.retry_after() == pytest.approx(3.0)
     assert b.retry_after(0.0) == pytest.approx(0.05)
-    b.shed()
-    assert b.sheds == 1
 
 
 def test_validation():

@@ -56,7 +56,7 @@ def test_probe_fails_a_poisoned_shard():
     shard.poison()
     healthy, reason = probe.check(shard)
     assert not healthy and "raised" in reason
-    assert probe.failures == 1
+    assert probe.stats()["failures"] == 1
     pool.close()
 
 
@@ -96,8 +96,8 @@ def test_healthy_shard_returns_to_rotation_after_failure():
         # the shard goes back to the free list.
         await sup.handle_failure(shard, RuntimeError("chunk blew up"))
         assert pool.n_free == 1 and pool.n_shards == 1
-        assert sup.quarantines == 0
-        assert sup.releases_healthy == 1
+        assert sup.stats()["quarantines"] == 0
+        assert sup.stats()["releases_healthy"] == 1
         pool.close()
 
     asyncio.run(run())
@@ -109,10 +109,10 @@ def test_defunct_shard_goes_straight_to_the_reaper():
         sup = make_supervisor().bind(pool)
         shard = await pool.acquire()
         shard.defunct = True
-        probes_before = sup.canary.probes
+        probes_before = sup.canary.stats()["probes"]
         await sup.handle_failure(shard, MemoryError("oom"))
         # No probe wasted on a condemned shard; pool replenished.
-        assert sup.canary.probes == probes_before
+        assert sup.canary.stats()["probes"] == probes_before
         assert shard not in pool._shards
         assert pool.n_shards == 1  # _reap_defunct refilled min_shards
         pool.close()
@@ -127,10 +127,10 @@ def test_sick_shard_is_quarantined_and_restarted():
         shard = await pool.acquire()
         shard.poison()  # probe will raise -> unhealthy
         await sup.handle_failure(shard, RuntimeError("suspicious"))
-        assert sup.quarantines == 1
+        assert sup.stats()["quarantines"] == 1
         assert shard.quarantined and shard not in pool._shards
         await sup.drain(cancel=False)  # let the campaign finish
-        assert sup.restarts == 1
+        assert sup.stats()["restarts"] == 1
         assert pool.n_shards == 1 and pool.n_free == 1
         replacement = pool._shards[0]
         assert replacement is not shard
@@ -154,15 +154,16 @@ def test_restart_survives_spawn_failures_within_budget():
         with inject(plan):
             await sup.handle_failure(shard, RuntimeError("sick"))
             await sup.drain(cancel=False)
-        assert sup.restart_failures == 2   # both armed spawn faults
-        assert sup.restarts == 1           # third attempt adopted
+        assert sup.stats()["restart_failures"] == 2   # both armed spawn faults
+        assert sup.stats()["restarts"] == 1           # third attempt adopted
         assert sup.budget_left == 6 - 3
         assert pool.n_shards == 1
         # Three attempts slept the first three delays, inside the
         # campaign's closed-form bound.
-        assert sup.backoff_total == pytest.approx(
+        assert sup.stats()["backoff_total_seconds"] == pytest.approx(
             sum(sup.backoff.delay(a) for a in (1, 2, 3)))
-        assert sup.backoff_total <= sup.backoff.max_total() + 1e-9
+        assert sup.stats()["backoff_total_seconds"] \
+            <= sup.backoff.max_total() + 1e-9
         pool.close()
 
     asyncio.run(run())
@@ -182,7 +183,8 @@ def test_budget_exhaustion_abandons_the_campaign():
             await sup.handle_failure(shard, RuntimeError("sick"))
             await sup.drain(cancel=False)
         assert sup.budget_left == 0
-        assert sup.restarts == 0 and sup.restart_failures == 2
+        s = sup.stats()
+        assert s["restarts"] == 0 and s["restart_failures"] == 2
         assert pool.n_shards == 0  # converged small, no restart storm
         pool.close()
 
