@@ -83,6 +83,10 @@ class DBSRMatrix(SparseMatrix):
         self._nnz = int(np.count_nonzero(values)) if nnz_hint is None \
             else int(nnz_hint)
         self._dia_ptr = None
+        #: Optional :class:`~repro.formats.dbsr_levels.LevelSchedule`
+        #: the batched sweeps walk; attached once when a plan or
+        #: smoother is built, never on a request.
+        self.schedule = None
 
     # Construction -----------------------------------------------------
     @classmethod

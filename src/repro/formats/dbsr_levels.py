@@ -1,0 +1,248 @@
+"""Block-row level schedules for the DBSR sweeps.
+
+Every DBSR sweep (Algorithm 2's lower and upper solves, SYMGS and the
+two sweeps of a block ILU(0) application) solves block-rows one after
+another, and each tile of row ``i`` reads the ``bsize``-long window
+``x[anchor : anchor + bsize]``. After vectorized BMC, many block-rows
+read no window that another one writes. A *level* gathers block-rows
+with no such coupling: each row's level is one more than the highest
+level among the earlier block-rows it shares a tile window with, in
+either direction (a window of one covers part of the other's rows).
+That is the block form of Anderson–Saad level scheduling
+(:func:`repro.kernels.sptrsv_level.build_levels` is the scalar CSR
+form).
+
+Two properties make a level batch bit-identical to the row loop:
+
+* every earlier coupled row sits in an earlier level and every later
+  coupled row in a later one, so a row reads exactly the ``x`` values
+  it reads in the sequential sweep (forward or, walking the levels in
+  reverse, backward);
+* coupling is decided by whole windows, not by non-zero lanes, so the
+  zero-valued overrun lanes of a window also read the same ``x`` and
+  ``0 * inf`` still produces the same NaN.
+
+Levels depend only on the skeleton, so one :class:`BlockLevels` serves
+every operator that shares it (the full operator and its strict
+triangles, or an ILU(0) factor skeleton across value repacks). A
+:class:`TileLayout` lays one sweep's tiles out per level in slot-major
+order — slot ``s`` holds the ``s``-th tile of every row that has one,
+rows sorted by descending tile count — so the batched kernels of
+:mod:`repro.serve.batch` update a level with one contiguous-slice
+operation per slot while each row still takes its tiles in storage
+order. A :class:`LevelSchedule` bundles the levels with the layouts of
+one matrix and rides on it as :attr:`DBSRMatrix.schedule`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.formats.dbsr import DBSRMatrix
+from repro.utils.validation import require
+
+
+@dataclass(frozen=True, eq=False)
+class BlockLevels:
+    """A block-row level partition of one DBSR skeleton.
+
+    Attributes
+    ----------
+    level_of:
+        ``(brow,)`` level of every block-row.
+    level_ptr:
+        ``(n_levels + 1,)`` cumulative row counts: level ``L`` holds
+        ``level_ptr[L + 1] - level_ptr[L]`` block-rows.
+    """
+
+    level_of: np.ndarray
+    level_ptr: np.ndarray
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.level_ptr) - 1
+
+
+def build_block_levels(matrix: DBSRMatrix) -> BlockLevels:
+    """Level every block-row of ``matrix`` by its tile windows.
+
+    A window ``x[a : a + bsize]`` covers block-row ``a // bsize`` and,
+    when ``a`` is unaligned, the next one; windows reaching into the
+    zero padding outside ``[0, n)`` couple with nothing. Rows are
+    visited in order: a row takes one more than the highest level among
+    the earlier rows its windows cover and the earlier rows whose
+    windows cover it (pushed forward as ``floor``).
+    """
+    bs, brow = matrix.bsize, matrix.brow
+    require(matrix.n_cols == matrix.n_rows,
+            "level schedules need a square matrix")
+    anchors = matrix.anchors
+    first = anchors // bs
+    row = np.repeat(np.arange(brow, dtype=np.int64),
+                    2 * np.diff(matrix.blk_ptr))
+    other = np.stack([first, first + (anchors % bs != 0)], 1).ravel()
+    keep = (other >= 0) & (other < brow) & (other != row)
+    row, other = row[keep], other[keep]
+    # Tiles are stored by ascending anchor, so most repeats are
+    # adjacent; the rest are harmless to the max below.
+    fresh = np.ones(len(row), dtype=bool)
+    fresh[1:] = (row[1:] != row[:-1]) | (other[1:] != other[:-1])
+    ptr = np.searchsorted(row[fresh], np.arange(brow + 1)).tolist()
+    touched = other[fresh].tolist()
+    level = [0] * brow
+    floor = [0] * brow
+    for i in range(brow):
+        lv = floor[i]
+        later = []
+        for j in touched[ptr[i]:ptr[i + 1]]:
+            if j > i:
+                later.append(j)
+            elif level[j] >= lv:
+                lv = level[j] + 1
+        level[i] = lv
+        for j in later:
+            if floor[j] <= lv:
+                floor[j] = lv + 1
+    level_of = np.asarray(level, dtype=np.int64)
+    n_levels = int(level_of.max()) + 1 if brow else 0
+    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
+    np.cumsum(np.bincount(level_of, minlength=n_levels),
+              out=level_ptr[1:])
+    return BlockLevels(level_of=level_of, level_ptr=level_ptr)
+
+
+class LevelBatch:
+    """One level of two or more rows, laid out for one sweep.
+
+    ``rows`` are sorted by descending tile count and ``rows1`` is
+    ``rows + 1`` (their block index in the padded buffer). ``tiles``
+    and ``windows`` (tile anchors shifted by ``bsize``: window starts
+    in the padded buffer) list the level's tiles slot-major: slot ``s``
+    holds the ``s``-th tile of ``rows[:slots[s]]``, right after the
+    tiles of slots ``0 .. s - 1``.
+    """
+
+    __slots__ = ("rows", "rows1", "tiles", "windows", "slots")
+
+    def __init__(self, rows: np.ndarray, tiles: np.ndarray,
+                 windows: np.ndarray, slots: tuple):
+        self.rows = rows
+        self.rows1 = rows + 1
+        self.tiles = tiles
+        self.windows = windows
+        self.slots = slots
+
+
+class TileLayout:
+    """One sweep's tiles over a :class:`BlockLevels`.
+
+    Block-row ``i`` owns tiles ``lo[i]:hi[i]``. :attr:`steps` walks the
+    levels in order; each step is either a :class:`LevelBatch` or a
+    tuple of block-rows whose levels hold one row each (run through the
+    per-row body in that order). :attr:`lo`, :attr:`hi` and
+    :attr:`anchors` are Python-int lists for that body.
+    """
+
+    __slots__ = ("lo", "hi", "anchors", "steps")
+
+    def __init__(self, levels: BlockLevels | None, lo: np.ndarray,
+                 hi: np.ndarray, anchors: np.ndarray):
+        self.lo = lo.tolist()
+        self.hi = hi.tolist()
+        if levels is None:
+            self.anchors = anchors.tolist()
+            self.steps = (tuple(range(len(self.lo))),)
+            return
+        cnt = hi - lo
+        brow = len(cnt)
+        lv, lptr = levels.level_of, levels.level_ptr
+        n_levels = len(lptr) - 1
+        width = int(cnt.max(initial=0)) + 1
+        # Rows by (level, descending tile count, row).
+        order = np.argsort(lv * width + (width - 1 - cnt), kind="stable")
+        c_o = cnt[order]
+        rank = np.arange(brow) - lptr[lv[order]]
+        # Tile (row position p, slot s) of level L lands at
+        # start[L, s] + rank[p], where start[L, s] counts the level's
+        # earlier tiles and its lower slots (m[L, s'] tiles each).
+        pos = np.repeat(np.arange(brow), c_o)
+        slot = np.arange(len(pos)) - np.repeat(np.cumsum(c_o) - c_o, c_o)
+        cell = lv[order][pos] * width + slot
+        m = np.bincount(cell, minlength=n_levels * width)
+        start = np.cumsum(m) - m
+        ids = lo[order][pos] + slot
+        tiles = np.empty(len(pos), dtype=np.intp)
+        tiles[start[cell] + rank[pos]] = ids
+        windows = anchors[tiles]
+        rows = order.astype(np.intp)
+        # Only single-row levels read the per-row lists; batched tiles
+        # keep a shared 0 there instead of an int object each.
+        alone = ids[np.diff(lptr)[lv[order]][pos] == 1]
+        sparse = np.zeros_like(anchors)
+        sparse[alone] = anchors[alone]
+        self.anchors = sparse.tolist()
+        m2 = m.reshape(n_levels, width)
+        tptr = start[::width].tolist() + [len(pos)]
+        m_l = m2.tolist()
+        n_slots = (m2 > 0).sum(axis=1).tolist()
+        lp = lptr.tolist()
+        steps, run = [], []
+        for L in range(n_levels):
+            r0, r1 = lp[L], lp[L + 1]
+            if r1 - r0 == 1:
+                run.append(int(order[r0]))
+                continue
+            if run:
+                steps.append(tuple(run))
+                run = []
+            t0, t1 = tptr[L], tptr[L + 1]
+            steps.append(LevelBatch(rows[r0:r1], tiles[t0:t1],
+                                    windows[t0:t1],
+                                    tuple(m_l[L][:n_slots[L]])))
+        if run:
+            steps.append(tuple(run))
+        self.steps = tuple(steps)
+
+
+@dataclass(frozen=True, eq=False)
+class LevelSchedule:
+    """A matrix's levels and the tile layouts of the sweeps run on it.
+
+    ``full`` lays out every tile of each block-row (lower, upper and
+    SYMGS sweeps); ``below`` and ``above`` lay out the tiles before and
+    after each row's diagonal tile (the forward and backward sweeps of
+    an ILU(0) application). Unused layouts are ``None``.
+    """
+
+    levels: BlockLevels
+    full: TileLayout | None = None
+    below: TileLayout | None = None
+    above: TileLayout | None = None
+
+
+def schedule_sweeps(matrix: DBSRMatrix, levels: BlockLevels) -> None:
+    """Attach the full-row sweep layout of ``matrix`` over ``levels``.
+
+    ``levels`` must come from a skeleton whose tile windows include
+    ``matrix``'s: its own, or the full operator's for a strict
+    triangle.
+    """
+    ptr = matrix.blk_ptr.astype(np.int64)
+    matrix.schedule = LevelSchedule(levels, full=TileLayout(
+        levels, ptr[:-1], ptr[1:], matrix.anchors + matrix.bsize))
+
+
+def schedule_ilu_sweeps(matrix: DBSRMatrix, dia_ptr: np.ndarray) -> None:
+    """Level an ILU(0) factor skeleton and attach the layouts of its two
+    application sweeps; block-row ``i`` has its diagonal tile at
+    ``dia_ptr[i]``."""
+    levels = build_block_levels(matrix)
+    ptr = matrix.blk_ptr.astype(np.int64)
+    dia = np.asarray(dia_ptr, dtype=np.int64)
+    anchors = matrix.anchors + matrix.bsize
+    matrix.schedule = LevelSchedule(
+        levels,
+        below=TileLayout(levels, ptr[:-1], dia, anchors),
+        above=TileLayout(levels, dia + 1, ptr[1:], anchors))

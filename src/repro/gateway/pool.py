@@ -115,10 +115,15 @@ class GatewayShard:
                 out.append(exc)
         return out
 
+    def cache_metrics(self):
+        """The registry of this shard's cache (``None`` without one)."""
+        cache = getattr(self.service, "cache", None)
+        return None if cache is None else cache.metrics
+
     def cache_tallies(self) -> dict:
         """This shard's ``cache.*`` counters (``{}`` without a cache)."""
-        cache = getattr(self.service, "cache", None)
-        return {} if cache is None else cache.metrics.values("cache.")
+        metrics = self.cache_metrics()
+        return {} if metrics is None else metrics.values("cache.")
 
     def has_plan(self, fingerprint: str) -> bool:
         cache = getattr(self.service, "cache", None)
@@ -193,6 +198,9 @@ class ElasticShardPool:
         #: Health-driven lifecycle events (defunct reaps, quarantines,
         #: adoptions) — separate from the controller's scale_events.
         self.lifecycle_events: list[dict] = []
+        #: Cache registries of shards that left the pool, by identity:
+        #: their final counts stay in :meth:`cache_tallies`.
+        self._retired_caches: dict[int, MetricsRegistry] = {}
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         self._scale_up = self.metrics.counter(
@@ -231,6 +239,7 @@ class ElasticShardPool:
         return self.adopt(self.build_shard())
 
     def _remove(self, shard: GatewayShard) -> None:
+        self._retire_cache(shard)
         if shard in self._shards:
             self._shards.remove(shard)
         try:
@@ -304,11 +313,24 @@ class ElasticShardPool:
         """True when any shard's cache already holds this structure."""
         return any(s.has_plan(fingerprint) for s in self._shards)
 
+    def _retire_cache(self, shard: GatewayShard) -> None:
+        metrics = shard.cache_metrics()
+        if metrics is not None:
+            self._retired_caches[id(metrics)] = metrics
+
     def cache_tallies(self) -> dict:
-        """The live shards' ``cache.*`` counters, summed by name."""
-        total: dict = {}
+        """``cache.*`` counters summed by name over every distinct cache
+        the pool has served from: each live shard's cache once, however
+        many shards share it, and the caches of shards that were reaped,
+        quarantined or closed (so the total never drops)."""
+        caches = dict(self._retired_caches)
         for shard in self._shards:
-            for name, value in shard.cache_tallies().items():
+            metrics = shard.cache_metrics()
+            if metrics is not None:
+                caches.setdefault(id(metrics), metrics)
+        total: dict = {}
+        for metrics in caches.values():
+            for name, value in metrics.values("cache.").items():
                 total[name] = total.get(name, 0) + value
         return total
 
@@ -423,6 +445,7 @@ class ElasticShardPool:
     def close(self) -> None:
         """Close every shard (callers must have drained in-flight)."""
         for shard in self._shards:
+            self._retire_cache(shard)
             shard.close()
         self._shards.clear()
         self._free.clear()

@@ -36,6 +36,7 @@ class StructuredGrid:
         for d in dims[:-1]:
             strides.append(strides[-1] * d)
         self.strides = tuple(strides)
+        self._coords = None
 
     # Index <-> coordinate ------------------------------------------------
     def index(self, coord) -> int:
@@ -56,19 +57,20 @@ class StructuredGrid:
         return tuple(out)
 
     def coords_array(self) -> np.ndarray:
-        """Return the ``(n_points, ndim)`` coordinate array, id order."""
-        axes = [np.arange(d) for d in self.dims]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        # meshgrid 'ij' puts axis 0 slowest; lexicographic wants x
-        # fastest, so build via strides instead.
-        ids = np.arange(self.n_points)
-        out = np.empty((self.n_points, self.ndim), dtype=np.int64)
-        rem = ids
-        for axis, d in enumerate(self.dims):
-            out[:, axis] = rem % d
-            rem = rem // d
-        del mesh
-        return out
+        """Return the ``(n_points, ndim)`` coordinate array, id order.
+
+        Computed once per grid and shared by every caller, so it is
+        read-only.
+        """
+        if self._coords is None:
+            out = np.empty((self.n_points, self.ndim), dtype=np.int64)
+            rem = np.arange(self.n_points)
+            for axis, d in enumerate(self.dims):
+                out[:, axis] = rem % d
+                rem = rem // d
+            out.flags.writeable = False
+            self._coords = out
+        return self._coords
 
     # Neighborhoods --------------------------------------------------------
     def shift_ids(self, offset) -> tuple:

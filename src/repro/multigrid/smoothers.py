@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.dbsr import DBSRMatrix
+from repro.formats.dbsr_levels import build_block_levels, schedule_sweeps
 from repro.formats.sell import SELLMatrix
 from repro.grids.grid import StructuredGrid
 from repro.grids.stencils import Stencil
@@ -103,6 +104,7 @@ class DBSRSymgsSmoother:
         self.vbmc = build_vbmc(grid, stencil, block_dims, bsize)
         reordered = self.vbmc.apply_matrix(matrix)
         self.dbsr = DBSRMatrix.from_csr(reordered, bsize)
+        schedule_sweeps(self.dbsr, build_block_levels(self.dbsr))
         self.diag = reordered.diagonal()
         self.bsize = bsize
         self.n_colors = self.vbmc.n_colors

@@ -26,6 +26,7 @@ from repro.observe.metrics import (
     Gauge,
     Histogram,
     MetricError,
+    MetricNameCollision,
     MetricsRegistry,
 )
 from repro.observe.trace import Span, Tracer, tracing
@@ -35,6 +36,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricError",
+    "MetricNameCollision",
     "MetricsRegistry",
     "Span",
     "Tracer",

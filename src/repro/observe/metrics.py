@@ -36,6 +36,19 @@ class MetricError(ValueError):
     """Invalid metric registration or update."""
 
 
+class MetricNameCollision(MetricError):
+    """Two instrument names export as one Prometheus family (``x.y``
+    and ``x_y`` both become ``repro_x_y``)."""
+
+    def __init__(self, name: str, existing: str, family: str):
+        self.name = name
+        self.existing = existing
+        self.family = family
+        super().__init__(
+            f"metric {name!r} collides with {existing!r}: both export "
+            f"as Prometheus family {family!r}")
+
+
 def _check_name(name: str) -> str:
     if not name or any(c.isspace() for c in name):
         raise MetricError(f"invalid metric name {name!r}")
@@ -213,6 +226,8 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict[tuple, object] = {}
         self._kinds: dict[str, type] = {}
+        #: Exported family name -> the instrument name that owns it.
+        self._families: dict[str, str] = {}
         #: prefix -> its ``values`` members; a registration clears it.
         self._views: dict[str, list] = {}
 
@@ -224,11 +239,19 @@ class MetricsRegistry:
                 raise MetricError(
                     f"{name!r} already registered as "
                     f"{kind.kind}, not {cls.kind}")
+            if kind is None:
+                family = self._prom_name(name) + (
+                    "_total" if cls is Counter else "")
+                owner = self._families.get(family)
+                if owner is not None:
+                    raise MetricNameCollision(name, owner, family)
             inst = self._instruments.get(key)
             if inst is None:
                 inst = cls(name, *args, labels=labels)
                 self._instruments[key] = inst
-                self._kinds[name] = cls
+                if kind is None:
+                    self._kinds[name] = cls
+                    self._families[family] = name
                 self._views.clear()
             return inst
 
@@ -298,8 +321,9 @@ class MetricsRegistry:
         """Prometheus text exposition format (version 0.0.4).
 
         Series are grouped by exported family name, which gets one
-        ``# HELP``/``# TYPE`` header however many label sets (or
-        dotted names that mangle alike) feed it.
+        ``# HELP``/``# TYPE`` header however many label sets feed it;
+        registration rejects a second name that would mangle into the
+        same family (:class:`MetricNameCollision`).
         """
         with self._lock:
             items = list(self._instruments.items())

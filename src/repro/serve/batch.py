@@ -20,18 +20,25 @@ the vector-stream traffic stays linear.
 Layout note: the sweeps work on a zero-padded ``(n + 2*bsize, k)``
 buffer, so every tile window ``Xp[a:a + bsize]`` is one contiguous
 ``(bsize, k)`` block and each tile's values broadcast across the ``k``
-columns as ``values[t][:, None]`` — the gather-free property of
-Algorithm 2 survives batching (the sweeps index only with slices; the
-gather-lint runs over this module). ``blk_ptr``, ``dia_ptr`` and the
-tile anchors are turned into Python ints once per call. SpMV has no
+columns as ``values[t][:, None]``. A matrix that carries a block-row
+level schedule (:mod:`repro.formats.dbsr_levels`, attached when a plan
+or smoother is built) is swept level by level: a level of two or more
+rows gathers its tiles' whole contiguous windows at once, one window
+per tile (``sliding_window_view(Xp, bsize, axis=0)[anchors]``), and
+updates its rows with one contiguous-slice operation per tile slot;
+single-row levels, and matrices without a schedule, run the per-row
+body. The ``*_counted`` twins still model Algorithm 2's contiguous
+loads tile by tile. The gather-lint covers this module's engine-taking
+functions (the counted twins), not the fast bodies. SpMV has no
 row-to-row dependence, so it instead builds every tile window at once
 on an RHS-major ``(k, n + 2*bsize)`` buffer.
 
 Batching reorders no floating-point operation within a column, so
 column ``j`` of a ``k``-wide call is bit-identical to the ``k = 1``
-call on column ``j``. SpMV accumulates each row's tiles as a
-*sequential* chain in storage order — the canonical backend-tier
-rounding sequence — so it matches
+call on column ``j``; nor does level batching, since coupled rows
+never share a level and each row takes its tiles in storage order.
+SpMV accumulates each row's tiles as a *sequential* chain in storage
+order — the canonical backend-tier rounding sequence — so it matches
 :meth:`~repro.formats.dbsr.DBSRMatrix.matvec` (pairwise ``reduceat``
 summation) to roundoff rather than bitwise. The ``*_counted`` twins
 execute the same operation order through a
@@ -42,8 +49,10 @@ forms of :mod:`repro.kernels.counts` exactly.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.formats.dbsr import DBSRMatrix
+from repro.formats.dbsr_levels import LevelBatch, TileLayout
 from repro.simd.engine import VectorEngine
 from repro.utils.validation import require
 
@@ -82,17 +91,67 @@ def sweep_block_rows(Xp: np.ndarray, vals: np.ndarray, anchors: list,
         Xp[bs + r0:bs + r0 + bs] = acc
 
 
-def _sweep(values: np.ndarray, anchors: list, lo: list, hi: list,
-           B: np.ndarray, diag: np.ndarray | None,
-           forward: bool) -> np.ndarray:
+def _full_layout(matrix: DBSRMatrix) -> TileLayout:
+    """The matrix's scheduled full-row layout, or a row-by-row one."""
+    sched = matrix.schedule
+    if sched is not None and sched.full is not None:
+        return sched.full
+    ptr, anchors = matrix.blk_ptr, matrix.anchors + matrix.bsize
+    return TileLayout(None, ptr[:-1], ptr[1:], anchors)
+
+
+def _level_views(Xp: np.ndarray, B: np.ndarray, diag, bs: int) -> tuple:
+    """Block-row views ``(X3, windows, B3, d3)`` of the sweep buffers:
+    ``X3[i + 1]`` is padded block-row ``i``, ``windows[a]`` the
+    ``(bsize, k)`` window starting at padded slot ``a``."""
+    k = Xp.shape[1]
+    windows = sliding_window_view(Xp, bs, axis=0).transpose(0, 2, 1)
+    brow = Xp.shape[0] // bs - 2
+    d3 = None if diag is None else diag.reshape(brow, bs, 1)
+    return (Xp.reshape(brow + 2, bs, k), windows,
+            B.reshape(brow, bs, k), d3)
+
+
+def _level_products(windows: np.ndarray, vals: np.ndarray,
+                    level: LevelBatch) -> np.ndarray:
+    """Every tile product of one level, slot-major: one window gather
+    and one multiply (``vals[t] * window``, the row body's order)."""
+    prod = windows[level.windows]
+    np.multiply(vals[level.tiles], prod, out=prod)
+    return prod
+
+
+def _sweep(values: np.ndarray, layout: TileLayout, B: np.ndarray,
+           diag: np.ndarray | None, forward: bool) -> np.ndarray:
     """One whole-matrix sweep; returns the padded ``(n + 2*bsize, k)``
-    solution."""
+    solution.
+
+    A level of two or more rows is solved at once: each slot's tiles
+    update the accumulators of the rows that own one with a single
+    contiguous-slice subtract, so every row still subtracts its tiles
+    in storage order. Runs of single-row levels take the row body.
+    """
     n, k = B.shape
     bs = values.shape[1]
     Xp = np.zeros((n + 2 * bs, k), dtype=np.result_type(values, B))
-    rows = range(len(lo)) if forward else range(len(lo) - 1, -1, -1)
-    sweep_block_rows(Xp, values[:, :, None], anchors, lo, hi, B, diag,
-                     rows)
+    vals = values[:, :, None]
+    X3, windows, B3, d3 = _level_views(Xp, B, diag, bs)
+    for step in (layout.steps if forward else reversed(layout.steps)):
+        if type(step) is tuple:
+            sweep_block_rows(Xp, vals, layout.anchors, layout.lo,
+                             layout.hi, B, diag,
+                             step if forward else reversed(step))
+            continue
+        acc = B3[step.rows].astype(Xp.dtype)
+        if step.slots:
+            prod = _level_products(windows, vals, step)
+            a = 0
+            for m in step.slots:
+                acc[:m] -= prod[a:a + m]
+                a += m
+        if d3 is not None:
+            acc /= d3[step.rows]
+        X3[step.rows1] = acc
     return Xp
 
 
@@ -101,10 +160,8 @@ def _sptrsv_multi(matrix: DBSRMatrix, B: np.ndarray,
     """Shared forward/backward multi-RHS Algorithm 2 sweep."""
     B = _check_rhs_block(matrix, B)
     n, bs = B.shape[0], matrix.bsize
-    ptr = matrix.blk_ptr.tolist()
     d = None if diag is None else np.asarray(diag)[:, None]
-    Xp = _sweep(matrix.values, (matrix.anchors + bs).tolist(),
-                ptr[:-1], ptr[1:], B, d, forward)
+    Xp = _sweep(matrix.values, _full_layout(matrix), B, d, forward)
     return Xp[bs:bs + n].copy()
 
 
@@ -155,6 +212,22 @@ def spmv_dbsr_multi(matrix: DBSRMatrix, X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(Y.reshape(k, -1).T)
 
 
+def _symgs_rows(Xp: np.ndarray, vals: np.ndarray, anchors: list,
+                lo: list, hi: list, B: np.ndarray, d: np.ndarray,
+                rows) -> None:
+    """The SYMGS row update ``x += (b - rowsum) / d`` of block-rows
+    ``rows``, in the order given."""
+    bs, k = vals.shape[1], Xp.shape[1]
+    for i in rows:
+        r0 = i * bs
+        rowsum = np.zeros((bs, k), dtype=Xp.dtype)
+        for t in range(lo[i], hi[i]):
+            a = anchors[t]
+            rowsum += vals[t] * Xp[a:a + bs]
+        Xp[bs + r0:bs + r0 + bs] += \
+            (B[r0:r0 + bs] - rowsum) / d[r0:r0 + bs]
+
+
 def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
                      X: np.ndarray, B: np.ndarray) -> np.ndarray:
     """One SYMGS sweep (forward + backward GS) over ``(n, k)`` blocks.
@@ -162,7 +235,8 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
     Updates ``X`` in place and returns it. Same-color blocks never
     couple, so within a block-row the only self-reference is the main
     diagonal: the row sum over *all* tiles includes ``d * x_i``, which
-    the ``x += (b - rowsum) / d`` update adds back.
+    the ``x += (b - rowsum) / d`` update adds back. Levels run forward,
+    then in reverse, each as one batch (see :func:`_sweep`).
     """
     B = _check_rhs_block(matrix, B)
     require(X.shape == B.shape, "X/B block shape mismatch")
@@ -173,18 +247,24 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
     Xp[bs:bs + n] = X
     vals = matrix.values[:, :, None]
     d = np.asarray(diag)[:, None]
-    ptr = matrix.blk_ptr.tolist()
-    anchors = (matrix.anchors + bs).tolist()
-    brow = matrix.brow
-    for rows in (range(brow), range(brow - 1, -1, -1)):
-        for i in rows:
-            r0 = i * bs
-            rowsum = np.zeros((bs, k), dtype=dtype)
-            for t in range(ptr[i], ptr[i + 1]):
-                a = anchors[t]
-                rowsum += vals[t] * Xp[a:a + bs]
-            Xp[bs + r0:bs + r0 + bs] += \
-                (B[r0:r0 + bs] - rowsum) / d[r0:r0 + bs]
+    layout = _full_layout(matrix)
+    X3, windows, B3, d3 = _level_views(Xp, B, d, bs)
+    for forward in (True, False):
+        for step in (layout.steps if forward
+                     else reversed(layout.steps)):
+            if type(step) is tuple:
+                _symgs_rows(Xp, vals, layout.anchors, layout.lo,
+                            layout.hi, B, d,
+                            step if forward else reversed(step))
+                continue
+            rowsum = np.zeros((len(step.rows), bs, k), dtype=dtype)
+            if step.slots:
+                prod = _level_products(windows, vals, step)
+                a = 0
+                for m in step.slots:
+                    rowsum[:m] += prod[a:a + m]
+                    a += m
+            X3[step.rows1] += (B3[step.rows] - rowsum) / d3[step.rows]
     X[:] = Xp[bs:bs + n]
     return X
 
@@ -201,14 +281,18 @@ def ilu_apply_dbsr_multi(factors, B: np.ndarray) -> np.ndarray:
     m = factors.matrix
     B = _check_rhs_block(m, B)
     n, bs = B.shape[0], m.bsize
-    ptr = m.blk_ptr.tolist()
-    dia = factors.dia_ptr.tolist()
-    anchors = (m.anchors + bs).tolist()
+    sched = m.schedule
+    if sched is not None and sched.below is not None:
+        below, above = sched.below, sched.above
+    else:
+        ptr, anchors = m.blk_ptr, m.anchors + bs
+        below = TileLayout(None, ptr[:-1], factors.dia_ptr, anchors)
+        above = TileLayout(None, factors.dia_ptr + 1, ptr[1:], anchors)
     # Forward: (L + I) Y = B.
-    Y = _sweep(m.values, anchors, ptr[:-1], dia, B, None, True)
+    Y = _sweep(m.values, below, B, None, True)
     # Backward: (D + U) Z = Y.
-    Z = _sweep(m.values, anchors, [p + 1 for p in dia], ptr[1:],
-               Y[bs:bs + n], factors.diag_vector()[:, None], False)
+    Z = _sweep(m.values, above, Y[bs:bs + n],
+               factors.diag_vector()[:, None], False)
     return Z[bs:bs + n].copy()
 
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.dbsr import DBSRMatrix
+from repro.formats.dbsr_levels import schedule_ilu_sweeps
 from repro.grids.grid import StructuredGrid
 from repro.grids.stencils import Stencil
 from repro.ilu.ilu0_dbsr import (
@@ -427,6 +428,7 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
         }
         matrix, factors = _build_numeric(skeleton, values_src, np_dtype)
         schedule = build_ilu0_schedule(factors.matrix)
+        schedule_ilu_sweeps(factors.matrix, factors.dia_ptr)
 
         plan = ILUPlan(
             fingerprint=fingerprint,
@@ -479,6 +481,8 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray) -> ILUPlan:
         matrix, factors = _build_numeric(_skeleton_of(plan),
                                          values_src, np_dtype,
                                          schedule=plan.schedule)
+        # Same skeleton, so the same level schedule, by identity.
+        factors.matrix.schedule = plan.factors.matrix.schedule
         fresh = ILUPlan(
             fingerprint=plan.fingerprint,
             value_digest=digest,

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.dbsr import DBSRMatrix
+from repro.formats.dbsr_levels import build_block_levels, schedule_sweeps
 from repro.grids.grid import StructuredGrid
 from repro.grids.stencils import Stencil, stencil_by_name
 from repro.observe import trace
@@ -386,6 +387,12 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
         L, D, U = split_triangular(Ap)
         Ld = DBSRMatrix.from_csr(L, bsize)
         Ud = DBSRMatrix.from_csr(U, bsize)
+        # One level schedule of the full operator's windows drives the
+        # lower, upper and SYMGS sweeps (a triangle's windows are a
+        # subset of the full operator's).
+        levels = build_block_levels(dbsr)
+        for m in (dbsr, Ld, Ud):
+            schedule_sweeps(m, levels)
 
         plan = SolvePlan(
             fingerprint=fingerprint,

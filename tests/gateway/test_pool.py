@@ -211,3 +211,39 @@ def test_pool_refresh_stats_aggregates_across_shards():
         svc.cache = SimpleNamespace(metrics=metrics)
     assert pool.cache_tallies() == {"refreshes": 3,
                                     "refresh_seconds": 1.5}
+
+
+def _cache(compiles=0):
+    metrics = MetricsRegistry()
+    metrics.counter("cache.compiles").inc(compiles)
+    return SimpleNamespace(metrics=metrics)
+
+
+def test_pool_tallies_count_a_shared_cache_once():
+    pool, services = make_pool(min_shards=2, max_shards=2)
+    shared = _cache()
+    for svc in services:
+        svc.cache = shared
+    shared.metrics.get("cache.compiles").inc()
+    assert pool.cache_tallies() == {"compiles": 1}
+
+
+def test_reaping_a_shard_never_lowers_the_pool_tallies():
+    pool, services = make_pool(min_shards=1, max_shards=3)
+    services[0].cache = _cache(compiles=2)
+    pool._spawn()
+    pool._spawn()
+    services[1].cache = _cache(compiles=3)
+    services[2].cache = services[1].cache      # shared by two shards
+    assert pool.cache_tallies() == {"compiles": 5}
+    shard0, shard1, shard2 = list(pool._shards)
+    pool._reap(shard1, depth=0, deferred=False)
+    assert pool.cache_tallies() == {"compiles": 5}
+    pool._reap_defunct(shard0)
+    assert pool.cache_tallies() == {"compiles": 5}
+    # The retired shared cache is still counted once after its last
+    # live holder goes too, and keeps counting what it did before.
+    pool.quarantine(shard2)
+    assert pool.cache_tallies() == {"compiles": 5}
+    pool.close()
+    assert pool.cache_tallies() == {"compiles": 5}

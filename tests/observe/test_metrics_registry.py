@@ -13,6 +13,7 @@ from repro.observe.metrics import (
     Gauge,
     Histogram,
     MetricError,
+    MetricNameCollision,
     MetricsRegistry,
 )
 
@@ -134,3 +135,32 @@ def test_prometheus_no_prefix():
     reg = MetricsRegistry(prefix="")
     reg.counter("c").inc()
     assert "c_total 1" in reg.to_prometheus_text()
+
+
+@pytest.mark.parametrize("first, second, family", [
+    (("counter", "x.y"), ("counter", "x_y"), "repro_x_y_total"),
+    (("gauge", "x_y"), ("gauge", "x.y"), "repro_x_y"),
+    (("gauge", "a.b-c"), ("histogram", "a.b.c"), "repro_a_b_c"),
+    (("counter", "q"), ("gauge", "q.total"), "repro_q_total"),
+])
+def test_names_exporting_as_one_family_are_rejected(first, second,
+                                                    family):
+    reg = MetricsRegistry()
+    getattr(reg, first[0])(first[1])
+    with pytest.raises(MetricNameCollision) as err:
+        getattr(reg, second[0])(second[1])
+    assert (err.value.name, err.value.existing) == (second[1], first[1])
+    assert err.value.family == family
+    assert first[1] in str(err.value) and second[1] in str(err.value)
+    # The rejected name registered nothing, and the export keeps one
+    # series per family.
+    assert reg.names() == [first[1]]
+    text = reg.to_prometheus_text()
+    assert text.count(f"# TYPE {family} ") == 1
+
+
+def test_same_name_new_labels_is_not_a_collision():
+    reg = MetricsRegistry()
+    reg.counter("gateway.tenant.admitted", labels={"tenant": "a"})
+    reg.counter("gateway.tenant.admitted", labels={"tenant": "b"})
+    assert len(reg) == 2
