@@ -1,9 +1,16 @@
-"""Color-barrier thread pool execution.
+"""Color-barrier thread pool execution and the one parallel sweep.
 
 The executor maps one task per vector group, synchronizing between
 colors. Group tasks only read ``x`` entries produced by earlier colors
 (the vectorized-BMC independence guarantee), so concurrent execution
 within a color is race-free.
+
+:func:`sweep_parallel` is the one group-parallel sweep: the lower and
+upper solves here and both sweeps of
+:func:`~repro.ilu.parallel_apply.ilu0_apply_dbsr_parallel` call it with
+their own tile bounds. Workers only compute; once a sweep completes the
+caller tallies its closed form from :mod:`repro.kernels.counts` on the
+calling thread, and a sweep that raises tallies nothing.
 
 Pools can be shared: pass an existing ``ThreadPoolExecutor`` (e.g. the
 one owned by a :class:`~repro.runtime.session.SolverSession`) via the
@@ -23,6 +30,7 @@ from repro.observe import trace
 from repro.resilience import hooks
 
 from repro.formats.dbsr import DBSRMatrix
+from repro.kernels.counts import sptrsv_dbsr_counts
 from repro.ordering.vbmc import ColorSchedule
 from repro.simd.counters import OpCounter
 from repro.utils.validation import check_positive, require
@@ -88,30 +96,23 @@ class ColorParallelExecutor:
             if not f.cancelled():
                 f.result()
 
-    def run_forward(self, task, on_color=None) -> None:
-        """Run ``task(group)`` for every group, colors in order.
-
-        ``on_color(color, groups)``, if given, runs on the calling
-        thread after each color's barrier — the deterministic merge
-        point for per-group/worker op counters.
-        """
-        for color in range(self.schedule.n_colors):
+    def _run(self, task, colors, direction: str) -> None:
+        """Run ``task(group)`` for every group, color by color in the
+        order of ``colors``, with a barrier after each color."""
+        for color in colors:
             groups = self.schedule.groups_of_color(color)
             self._run_color(task, groups)
             trace.event("executor.barrier", color=color,
-                        n_groups=len(groups), direction="forward")
-            if on_color is not None:
-                on_color(color, groups)
+                        n_groups=len(groups), direction=direction)
 
-    def run_backward(self, task, on_color=None) -> None:
+    def run_forward(self, task) -> None:
+        """Run ``task(group)`` for every group, colors in order."""
+        self._run(task, range(self.schedule.n_colors), "forward")
+
+    def run_backward(self, task) -> None:
         """Run ``task(group)`` for every group, colors reversed."""
-        for color in range(self.schedule.n_colors - 1, -1, -1):
-            groups = self.schedule.groups_of_color(color)
-            self._run_color(task, groups)
-            trace.event("executor.barrier", color=color,
-                        n_groups=len(groups), direction="backward")
-            if on_color is not None:
-                on_color(color, groups)
+        self._run(task, reversed(range(self.schedule.n_colors)),
+                  "backward")
 
     def shutdown(self) -> None:
         """Shut down the pool — only if this executor created it."""
@@ -125,29 +126,54 @@ class ColorParallelExecutor:
         self.shutdown()
 
 
-def _tally_group(matrix: DBSRMatrix, rows: range, divide: bool,
-                 counter: OpCounter) -> None:
-    """Closed-form Algorithm 2 tallies for one group's block-rows.
+def open_executor(schedule: ColorSchedule, n_workers: int,
+                  session=None) -> ColorParallelExecutor:
+    """An executor on ``session``'s shared pool, else on a pool of its
+    own (shut down when the executor is left)."""
+    if session is not None:
+        return session.executor(schedule)
+    return ColorParallelExecutor(schedule, n_workers)
 
-    Matches :func:`repro.kernels.counts.sptrsv_dbsr_counts` exactly
-    when summed over all groups (plus the kernel-level ``blk_ptr``
-    sentinel load charged once per sweep by the caller).
+
+def sweep_parallel(ex: ColorParallelExecutor, matrix: DBSRMatrix,
+                   b: np.ndarray, lo: list, hi: list,
+                   diag: np.ndarray | None, forward: bool) -> np.ndarray:
+    """One group-parallel Algorithm-2 sweep over tiles ``lo[i]:hi[i]``
+    of each block-row, following ``ex.schedule``; returns ``x``.
+
+    Each group task runs the block kernel's
+    :func:`~repro.serve.batch.sweep_block_rows` over the group's
+    block-rows (reversed for a backward sweep) at ``k = 1``, on one
+    shared padded buffer. The lower, upper and both ILU(0) sweeps all
+    run this body.
     """
-    nr = len(rows)
-    k = int(matrix.blk_ptr[rows.stop] - matrix.blk_ptr[rows.start])
-    bs = matrix.bsize
-    item = matrix.values.itemsize
-    counter.vload += 2 * k + nr + (nr if divide else 0)
-    counter.vfma += k
-    counter.vstore += nr
-    counter.vdiv += nr if divide else 0
-    counter.sload += 2 * k
-    counter.bytes_values += k * bs * item
-    counter.bytes_index += (
-        k * (matrix.blk_ind.itemsize + matrix.blk_offset.itemsize)
-        + nr * matrix.blk_ptr.itemsize)
-    counter.bytes_vector += (k + 2 * nr
-                             + (nr if divide else 0)) * bs * item
+    from repro.serve.batch import sweep_block_rows
+
+    n, bs = matrix.n_rows, matrix.bsize
+    schedule = ex.schedule
+    xp = np.zeros((n + 2 * bs, 1), dtype=np.result_type(matrix.values, b))
+    B = np.asarray(b)[:, None]
+    d = None if diag is None else np.asarray(diag)[:, None]
+    vals = matrix.values[:, :, None]
+    anchors = (matrix.anchors + bs).tolist()
+
+    def task(group: int) -> None:
+        rows = schedule.block_rows_of_group(group)
+        sweep_block_rows(xp, vals, anchors, lo, hi, B, d,
+                         rows if forward else reversed(rows))
+
+    (ex.run_forward if forward else ex.run_backward)(task)
+    return xp[bs:bs + n, 0].copy()
+
+
+def tally(counts: OpCounter, session=None,
+          counter: OpCounter | None = None) -> None:
+    """Charge a completed sweep's closed-form ``counts`` to ``counter``
+    if given, else to ``session``'s ledger (under its lock)."""
+    if counter is not None:
+        counter.merge(counts)
+    elif session is not None:
+        session.tally(counts)
 
 
 def _sptrsv_parallel(matrix: DBSRMatrix, b: np.ndarray,
@@ -155,60 +181,17 @@ def _sptrsv_parallel(matrix: DBSRMatrix, b: np.ndarray,
                      diag: np.ndarray | None, n_workers: int,
                      forward: bool, session=None,
                      counter: OpCounter | None = None) -> np.ndarray:
-    """Shared driver of the forward/backward parallel sweeps.
-
-    Each group task runs the block kernel's
-    :func:`~repro.serve.batch.sweep_block_rows` over the group's
-    block-rows at ``k = 1``, on one shared padded buffer.
-    """
-    from repro.serve.batch import sweep_block_rows
-
-    n = matrix.n_rows
-    bs = matrix.bsize
-    require(b.shape == (n,), "b has wrong length")
-    require(schedule.bsize == bs, "schedule bsize mismatch")
-    xp = np.zeros((n + 2 * bs, 1), dtype=np.result_type(matrix.values, b))
-    B = np.asarray(b)[:, None]
-    d = None if diag is None else np.asarray(diag)[:, None]
-    vals = matrix.values[:, :, None]
-    anchors = (matrix.anchors + bs).tolist()
+    """A whole-row parallel sweep, tallied as
+    :func:`~repro.kernels.counts.sptrsv_dbsr_counts` once it completes."""
+    require(b.shape == (matrix.n_rows,), "b has wrong length")
+    require(schedule.bsize == matrix.bsize, "schedule bsize mismatch")
     ptr = matrix.blk_ptr.tolist()
-    lo, hi = ptr[:-1], ptr[1:]
-
-    sink = counter if counter is not None else (
-        session.counter if session is not None else None)
-    group_counters: dict[int, OpCounter] = {}
-
-    def task(group: int) -> None:
-        rows = schedule.block_rows_of_group(group)
-        sweep_block_rows(xp, vals, anchors, lo, hi, B, d,
-                         rows if forward else reversed(rows))
-        if sink is not None:
-            gc = group_counters[group] = OpCounter(bsize=bs)
-            _tally_group(matrix, rows, divide=d is not None, counter=gc)
-
-    on_color = None
-    if sink is not None:
-        # One sweep-level sentinel blk_ptr load (the +1 of brow+1).
-        sink.bytes_index += matrix.blk_ptr.itemsize
-
-        def on_color(color, groups):
-            # Deterministic merge point: group order, on the caller's
-            # thread, after the color barrier.
-            for g in groups:
-                gc = group_counters.pop(g, None)
-                if gc is not None:
-                    sink.merge(gc)
-
-    if session is not None:
-        ex = session.executor(schedule)
-        run = ex.run_forward if forward else ex.run_backward
-        run(task, on_color=on_color)
-    else:
-        with ColorParallelExecutor(schedule, n_workers) as ex:
-            run = ex.run_forward if forward else ex.run_backward
-            run(task, on_color=on_color)
-    return xp[bs:bs + n, 0].copy()
+    with open_executor(schedule, n_workers, session) as ex:
+        x = sweep_parallel(ex, matrix, b, ptr[:-1], ptr[1:], diag,
+                           forward)
+    tally(sptrsv_dbsr_counts(matrix, divide=diag is not None),
+          session, counter)
+    return x
 
 
 def sptrsv_dbsr_lower_parallel(lower: DBSRMatrix, b: np.ndarray,
@@ -223,8 +206,9 @@ def sptrsv_dbsr_lower_parallel(lower: DBSRMatrix, b: np.ndarray,
     runs).
 
     Pass ``session`` (a :class:`~repro.runtime.session.SolverSession`)
-    to reuse its long-lived thread pool and accumulate op counts into
-    its counter; pass ``counter`` to collect counts standalone.
+    to reuse its long-lived thread pool and tally the sweep's
+    closed-form op counts into its ledger; pass ``counter`` to collect
+    them standalone instead.
     """
     return _sptrsv_parallel(lower, b, schedule, diag, n_workers,
                             forward=True, session=session,

@@ -2,10 +2,11 @@
 
 The runtime layer makes performance *measurable*: a
 :class:`~repro.runtime.session.SolverSession` keeps one thread pool
-alive across every color sweep and CG iteration of a solve, merges
-per-worker op counters deterministically at color barriers, and times
-each phase; :mod:`repro.runtime.kernel_bench` serializes the result to
-``BENCH_runtime.json`` (``repro bench all --only runtime``).
+alive across every color sweep and CG iteration of a solve, keeps one
+op ledger that each completed kernel or sweep charges once from the
+calling thread, and times each phase; :mod:`repro.runtime.kernel_bench`
+serializes the result to ``BENCH_runtime.json`` (``repro bench all
+--only runtime``).
 """
 
 from repro.runtime.kernel_bench import (

@@ -12,8 +12,11 @@ serializes it to
 Per-kernel op mixes come from the closed forms in
 :mod:`repro.kernels.counts` (validated against the instrumented engine
 twins by the test suite); sequential wall-clock numbers time the
-requested backend tier's kernels at ``k = 1`` — the kernels plans
-serve — best-of-``repeats``, so Python-level jitter is damped.
+requested backend tier's kernels at ``k = 1`` on matrices carrying the
+block-row level schedule :func:`repro.serve.plan.compile_plan`
+attaches — the kernels plans serve — best-of-``repeats``, so
+Python-level jitter is damped. The parallel sweeps follow the color
+schedule and ignore the level schedule.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ def collect_bench_runtime(nx: int = 8, stencil: str = "27pt",
         resolve_backend,
     )
     from repro.formats.dbsr import DBSRMatrix
+    from repro.formats.dbsr_levels import build_block_levels, schedule_sweeps
     from repro.grids.problems import poisson_problem
     from repro.kernels.counts import (
         spmv_csr_counts,
@@ -112,6 +116,11 @@ def collect_bench_runtime(nx: int = 8, stencil: str = "27pt",
             L, D, U = split_triangular(Ap)
             Ld = DBSRMatrix.from_csr(L, bsize)
             Ud = DBSRMatrix.from_csr(U, bsize)
+            # The level schedule compile_plan attaches, so the
+            # sequential and backend timings run the served sweeps.
+            levels = build_block_levels(dbsr)
+            for m in (dbsr, Ld, Ud):
+                schedule_sweeps(m, levels)
 
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(Ap.n_rows).astype(np_dtype)

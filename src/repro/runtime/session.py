@@ -8,11 +8,11 @@ every parallel sweep:
   ``pools_created`` (and the module-wide
   :data:`repro.parallel.executor.pool_stats`) make the "exactly one
   pool per solve" property assertable by tests.
-* **A master :class:`~repro.simd.counters.OpCounter`** into which
-  per-group / per-worker counters are merged deterministically (group
-  order, on the calling thread, after each color barrier) — the
-  parallel path counts the same ops as the closed forms of
-  :mod:`repro.kernels.counts` instead of racing on a shared counter or not counting at all.
+* **A master :class:`~repro.simd.counters.OpCounter`** ledger.
+  Kernels charge it through :meth:`SolverSession.tally`, under the
+  session lock; a parallel sweep charges its closed form from
+  :mod:`repro.kernels.counts` once, on the calling thread, after the
+  sweep completes, so worker threads never touch it.
 * **Structured phase timers**: ``with session.phase("sweep"): ...``
   records wall-clock seconds, call counts and the counter delta per
   named phase (reorder, convert, sweep, spmv, vcycle, ...), feeding
@@ -81,8 +81,6 @@ class SolverSession:
         self.counter = OpCounter(bsize=1)
         self.phases: dict[str, PhaseRecord] = {}
         self._lock = threading.Lock()
-        self._worker_counters: list[OpCounter] = []
-        self._tls = threading.local()
 
     # Pool ----------------------------------------------------------------
     @property
@@ -117,35 +115,10 @@ class SolverSession:
 
     # Op accounting --------------------------------------------------------
     def tally(self, counter: OpCounter) -> None:
-        """Merge a finished kernel's counter into the session ledger."""
+        """Merge a finished kernel's counter into the session ledger
+        (thread-safe)."""
         with self._lock:
             self.counter.merge(counter)
-
-    def worker_counter(self) -> OpCounter:
-        """This thread's private counter (created on first call).
-
-        Worker tasks tally into their thread-local counter without any
-        synchronization; :meth:`drain_workers` folds all of them into
-        the master ledger at a barrier.
-        """
-        c = getattr(self._tls, "counter", None)
-        if c is None:
-            c = OpCounter(bsize=1)
-            self._tls.counter = c
-            with self._lock:
-                self._worker_counters.append(c)
-        return c
-
-    def drain_workers(self) -> None:
-        """Merge and reset all thread-local counters (deterministic:
-        registration order on the calling thread — the totals are
-        order-independent sums either way)."""
-        with self._lock:
-            for c in self._worker_counters:
-                self.counter.merge(c)
-                for f in fields(OpCounter):
-                    if f.name != "bsize":
-                        setattr(c, f.name, 0)
 
     # Phase timers ---------------------------------------------------------
     @contextmanager

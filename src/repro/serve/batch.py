@@ -5,9 +5,10 @@ lower/upper solves, the SYMGS smoother and the block ILU(0) application
 — runs here, over an ``(n, k)`` block of right-hand sides. Single-vector
 callers (:func:`repro.kernels.sptrsv_dbsr.sptrsv_dbsr_lower`, the
 multigrid smoother, the ILU strategies, autotune) run the same kernels
-at ``k = 1`` through the :mod:`repro.backends` registry, and the
-color-parallel sweeps of :mod:`repro.parallel` run
-:func:`sweep_block_rows` over one color group at a time.
+at ``k = 1`` through the :mod:`repro.backends` registry, and the one
+color-parallel sweep of :mod:`repro.parallel` (behind the parallel
+lower, upper and ILU(0) solves) runs :func:`sweep_block_rows` over one
+vector group's block-rows per task.
 
 The SELL-C-σ line of work (Kreutzer et al.) and Bramas & Kus's
 block-based AVX-512 SpMV both observe that wide-SIMD sparse formats pay
@@ -75,8 +76,10 @@ def sweep_block_rows(Xp: np.ndarray, vals: np.ndarray, anchors: list,
     shifted by ``bsize`` and ``diag`` an ``(n, 1)`` column or ``None``;
     ``anchors``, ``lo`` and ``hi`` are lists of Python ints. Every row a
     tile reads must already be solved in ``Xp``: the whole-matrix
-    sweeps pass all rows in order, the color-parallel sweeps of
-    :mod:`repro.parallel` one group's rows per call.
+    sweeps pass their runs of single-row levels (every row, without a
+    schedule) in sweep order, and
+    :func:`repro.parallel.executor.sweep_parallel` passes one vector
+    group's rows per task, reversed for a backward sweep.
     """
     bs = vals.shape[1]
     for i in rows:

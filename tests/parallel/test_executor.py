@@ -221,28 +221,9 @@ def test_parallel_bit_identical_sweep(dims, stencil, block_dims, bsize,
 
 # Parallel-path op accounting ----------------------------------------------
 
-def test_parallel_counter_matches_closed_form(setup, rng):
-    """The per-group tallies merged at color barriers reproduce the
-    closed-form Algorithm 2 counts exactly."""
-    from dataclasses import fields
-
-    from repro.kernels.counts import sptrsv_dbsr_counts
-    from repro.simd.counters import OpCounter
-
-    vb, L, D, U, Ld, Ud = setup
-    b = rng.standard_normal(L.n_rows)
-    for dbsr, fn in ((Ld, sptrsv_dbsr_lower_parallel),
-                     (Ud, sptrsv_dbsr_upper_parallel)):
-        c = OpCounter(bsize=dbsr.bsize)
-        fn(dbsr, b, vb.schedule, diag=D, n_workers=4, counter=c)
-        expect = sptrsv_dbsr_counts(dbsr, divide=True)
-        for f in fields(OpCounter):
-            assert getattr(c, f.name) == getattr(expect, f.name), f.name
-
-
 def test_parallel_counter_is_deterministic(setup, rng):
     """Counter totals are identical run to run and across thread
-    counts (merge order cannot leak into the tallies)."""
+    counts."""
     from repro.simd.counters import OpCounter
 
     vb, L, D, U, Ld, Ud = setup
@@ -256,3 +237,92 @@ def test_parallel_counter_is_deterministic(setup, rng):
             totals.add((c.vload, c.vfma, c.vstore, c.vdiv,
                         c.total_bytes))
     assert len(totals) == 1
+
+
+
+# One driver, closed-form tallies -----------------------------------------
+
+@pytest.fixture(scope="module")
+def ilu_factors(setup):
+    from repro.grids.problems import poisson_problem
+    from repro.ilu.ilu0_dbsr import ilu0_factorize_dbsr
+
+    vb = setup[0]
+    csr = vb.apply_matrix(poisson_problem((8, 8, 8), "27pt").matrix)
+    return ilu0_factorize_dbsr(DBSRMatrix.from_csr(csr, 4))
+
+
+@pytest.mark.parametrize("sink", ["counter", "session"])
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
+@pytest.mark.parametrize("case", ["lower", "lower-nodiag", "upper",
+                                  "upper-nodiag", "ilu"])
+def test_parallel_counter_matches_closed_form(setup, ilu_factors, case,
+                                              n_workers, sink):
+    """Every parallel path tallies its kernel's closed form on every
+    counter field, into ``counter=`` or the session ledger, and returns
+    exactly the ``k = 1`` numpy-fast kernel's answer."""
+    from dataclasses import replace
+
+    from repro.backends import get_backend
+    from repro.ilu.parallel_apply import ilu0_apply_dbsr_parallel
+    from repro.kernels.counts import ilu_apply_dbsr_counts, \
+        sptrsv_dbsr_counts
+    from repro.runtime.session import SolverSession
+    from repro.simd.counters import OpCounter, counter_to_dict
+
+    vb, L, D, U, Ld, Ud = setup
+    fast = get_backend("numpy-fast")
+    b = np.random.default_rng(11).standard_normal(Ld.n_rows)
+    if case == "ilu":
+        def run(**kw):
+            return ilu0_apply_dbsr_parallel(
+                ilu_factors, b, vb.schedule, n_workers=n_workers, **kw)
+
+        ref = fast.ilu_apply_dbsr_multi(ilu_factors, b[:, None])[:, 0]
+        expect = ilu_apply_dbsr_counts(ilu_factors)
+    else:
+        forward = case.startswith("lower")
+        diag = None if case.endswith("nodiag") else D
+        matrix = Ld if forward else Ud
+        fn = (sptrsv_dbsr_lower_parallel if forward
+              else sptrsv_dbsr_upper_parallel)
+
+        def run(**kw):
+            return fn(matrix, b, vb.schedule, diag=diag,
+                      n_workers=n_workers, **kw)
+
+        ref = fast.sptrsv_dbsr_multi(matrix, b[:, None], diag,
+                                     forward)[:, 0]
+        expect = sptrsv_dbsr_counts(matrix, divide=diag is not None)
+    if sink == "counter":
+        got = OpCounter(bsize=expect.bsize)
+        x = run(counter=got)
+    else:
+        with SolverSession(n_workers=n_workers) as s:
+            x = run(session=s)
+        got, expect = s.counter, replace(expect, bsize=1)
+    assert np.array_equal(x, ref)
+    assert counter_to_dict(got) == counter_to_dict(expect)
+
+
+def test_failed_sweep_tallies_nothing(setup):
+    """A sweep whose worker raises charges no counts."""
+    from repro.resilience.errors import FaultInjected
+    from repro.resilience.faults import FaultPlan, FaultSpec, inject
+    from repro.runtime.session import SolverSession
+    from repro.simd.counters import OpCounter, counter_to_dict
+
+    vb, L, D, U, Ld, Ud = setup
+    b = np.ones(Ld.n_rows)
+    c = OpCounter(bsize=Ld.bsize)
+    with SolverSession(n_workers=2) as s:
+        for sink in ({"counter": c}, {"session": s}):
+            # A fresh one-fire plan per sweep: two workers could spend
+            # both fires of one shared two-fire plan in the first sweep.
+            with inject(FaultPlan((FaultSpec("worker_exception"),))):
+                with pytest.raises(FaultInjected):
+                    sptrsv_dbsr_lower_parallel(Ld, b, vb.schedule,
+                                               diag=D, **sink)
+        assert counter_to_dict(s.counter) == \
+            counter_to_dict(OpCounter(bsize=1))
+    assert counter_to_dict(c) == counter_to_dict(OpCounter(bsize=c.bsize))

@@ -92,3 +92,24 @@ def test_f32_report_halves_value_bytes():
     b32 = r32["kernels"]["sptrsv_dbsr_lower"]["counts"]["bytes"]
     assert b32["values"] * 2 == b64["values"]
     assert r32["config"]["dtype"] == "float32"
+
+
+def test_sequential_timings_run_the_served_sweeps(monkeypatch):
+    """The sequential and backend-tier timings run matrices carrying the
+    level schedule plans attach, so they time the served sweep rather
+    than the per-row body."""
+    from repro.backends.numpy_fast import NumpyFastBackend
+
+    seen = []
+    for name in ("sptrsv_dbsr_multi", "symgs_dbsr_multi"):
+        orig = getattr(NumpyFastBackend, name)
+
+        def spy(self, matrix, *args, _orig=orig):
+            seen.append(matrix.schedule)
+            return _orig(self, matrix, *args)
+
+        monkeypatch.setattr(NumpyFastBackend, name, spy)
+    collect_bench_runtime(nx=4, stencil="7pt", bsize=2, n_workers=2,
+                          repeats=1, pcg_iters=1)
+    assert seen
+    assert all(s is not None and s.full is not None for s in seen)

@@ -132,24 +132,6 @@ def test_timed_wrapper_records_calls():
         assert s.phases["spmv"].calls == 2
 
 
-def test_worker_counters_merge_on_drain(setup):
-    p, vb, csr, factors = setup
-    with SolverSession(n_workers=4) as s:
-
-        def task(group):
-            c = s.worker_counter()
-            c.vfma += 1
-            c.bytes_vector += 8
-
-        ex = s.executor(vb.schedule)
-        ex.run_forward(task)
-        s.drain_workers()
-        assert s.counter.vfma == vb.schedule.n_groups
-        assert s.counter.bytes_vector == 8 * vb.schedule.n_groups
-        s.drain_workers()  # idempotent: locals were reset
-        assert s.counter.vfma == vb.schedule.n_groups
-
-
 def test_session_close_allows_reopen(setup):
     p, vb, csr, factors = setup
     s = SolverSession(n_workers=2)
