@@ -100,6 +100,8 @@ class ServiceTimeEstimator:
         self._lo, self._hi = calibration_bounds
         self._lock = threading.Lock()
         self._latency: dict[tuple, Ewma] = {}
+        #: ``(fingerprint, op, k) -> model_seconds``, priced once.
+        self._models: dict[tuple, float] = {}
         self._calibration = Ewma(alpha)
         self._compile = Ewma(alpha)
         # Value-only ILU repacks are a small fraction of a cold
@@ -163,6 +165,16 @@ class ServiceTimeEstimator:
             counter, threads=config.n_workers,
             dtype_bytes=int(np.dtype(config.np_dtype).itemsize),
             n_barriers=n_colors)
+
+    def _model(self, fingerprint: str, grid, stencil, config, op: str,
+               k: int) -> float:
+        """:meth:`model_seconds`, priced once per ``(fingerprint, op,
+        k)``; admission and the post-chunk calibration both read it."""
+        key = (fingerprint, op, k)
+        if key not in self._models:
+            self._models[key] = self.model_seconds(grid, stencil, config,
+                                                   op, k)
+        return self._models[key]
 
     # Live feedback ------------------------------------------------------
     def observe(self, fingerprint: str, op: str, seconds: float,
@@ -243,14 +255,13 @@ class ServiceTimeEstimator:
         value digest changed: it is charged the (much cheaper) repack
         EWMA instead of the cold-compile one.
         """
-        model = self.model_seconds(grid, stencil, config, op, k)
+        model = self._model(fingerprint, grid, stencil, config, op, k)
         live = self.latency(fingerprint, op)
         if live is not None:
             service, source = live * k, "ewma"
         else:
             service, source = model * self.calibration(), "model"
-        per_chunk = (self.latency(fingerprint, op)
-                     or service / max(1, k))
+        per_chunk = live or service / max(1, k)
         queue_wait = (backlog_chunks * per_chunk
                       / max(1, int(n_shards)))
         compile_s = self.compile_seconds() if cold else 0.0

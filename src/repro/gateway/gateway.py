@@ -21,8 +21,9 @@ layer in front of :class:`~repro.serve.service.SolveService`:
   ``asyncio.to_thread``; the pool scales against queue depth with
   hysteresis and warm-drains shards on the way down.
 
-The synchronous engine is composed, never modified: every numeric
-result is produced by the same ``submit → drain`` path direct callers
+The synchronous engine is composed, never modified: each chunk is one
+:meth:`~repro.serve.service.SolveService.solve_block` call, which runs
+the same per-batch body as the ``submit → drain`` path direct callers
 use, so gatewayed solves are bit-identical to direct ones.
 """
 
@@ -44,9 +45,8 @@ from repro.observe.metrics import (LATENCY_EDGES, WIDTH_EDGES,
                                    MetricsRegistry)
 from repro.resilience.errors import (NON_RECOVERABLE_ERRORS,
                                      DeadlineExceeded)
-from repro.serve.plan import (PlanConfig, _resolve_stencil,
-                              structural_fingerprint)
-from repro.serve.service import SolveService
+from repro.serve.plan import PlanConfig, _resolve_stencil
+from repro.serve.service import SolveService, _request_key
 from repro.utils.validation import check_positive
 
 
@@ -59,7 +59,7 @@ class _Chunk:
                  columns: list):
         self.ticket = ticket
         self.cols = cols          # column indices into the ticket
-        self.columns = columns    # the RHS vectors themselves
+        self.columns = columns    # views of the request's RHS columns
 
 
 class GatewayTicket:
@@ -73,7 +73,8 @@ class GatewayTicket:
 
     def __init__(self, request_id: int, tenant: str, op: str, k: int,
                  fingerprint: str, deadline: float | None,
-                 estimate: dict, single: bool):
+                 estimate: dict, single: bool, work: tuple,
+                 values=None, value_digest: str | None = None):
         self.request_id = request_id
         self.tenant = tenant
         self.op = op
@@ -82,7 +83,9 @@ class GatewayTicket:
         self.deadline_seconds = deadline
         self.deadline_at = (None if deadline is None
                             else time.monotonic() + float(deadline))
-        self._work = None  # (grid, stencil, config), set by the gateway
+        self._work = work  # (grid, stencil, config)
+        self._values = values  # ILU snapshot forwarded to the shard
+        self._value_digest = value_digest
         #: Admission-time service estimate (breakdown dict).
         self.estimate = estimate
         self._single = single
@@ -257,6 +260,12 @@ class SolveGateway:
             f"gateway.tenant.{which}", self._TENANT_HELP[which],
             labels={"tenant": tenant})
 
+    def _reject(self, tenant: str, event: str, **attrs) -> None:
+        """Count one refused admission and trace it as ``event``."""
+        self._rejected.inc()
+        self._tenant_counter(tenant, "rejected").inc()
+        trace.event(event, tenant=tenant, **attrs)
+
     # Admission ----------------------------------------------------------
     async def submit(self, grid, stencil, rhs, op: str = "lower",
                      config: PlanConfig | None = None,
@@ -274,6 +283,9 @@ class SolveGateway:
         ``values``/``value_digest`` (``op="ilu_apply"`` only) carry the
         coefficient snapshot: a warm structure with a changed digest is
         charged the repack EWMA, not the cold-compile one.
+
+        Chunks hold views of ``rhs``, read when each chunk executes:
+        leave ``rhs`` unmodified until the ticket has resolved.
         """
         if self._closed:
             raise GatewayClosed("submit after close")
@@ -281,24 +293,10 @@ class SolveGateway:
         stencil = _resolve_stencil(stencil)
         rhs = np.asarray(rhs)
         single = rhs.ndim == 1
-        columns = [rhs] if single else \
-            [np.ascontiguousarray(rhs[:, j])
-             for j in range(rhs.shape[1])]
-        k = len(columns)
-        if op == "ilu_apply":
-            from repro.serve.ilu_plan import (
-                ilu_structural_fingerprint,
-                value_digest as _digest_of,
-            )
-
-            fingerprint = ilu_structural_fingerprint(grid, stencil,
-                                                     config)
-            if values is not None:
-                values = np.asarray(
-                    values, dtype=config.np_dtype).reshape(-1)
-                value_digest = _digest_of(values)
-        else:
-            fingerprint = structural_fingerprint(grid, stencil, config)
+        k = 1 if single else rhs.shape[1]
+        fingerprint, values, vd = _request_key(grid, stencil, config, op,
+                                               values)
+        value_digest = vd or value_digest
         request_id = next(self._ids)
         with trace.span("gateway.admit", tenant=tenant, op=op, k=k,
                         fingerprint=fingerprint[:12]):
@@ -307,13 +305,10 @@ class SolveGateway:
                 if self.brownout.should_shed(
                         self.scheduler.weight(tenant)):
                     wait = self.brownout.last_wait
-                    self._rejected.inc()
                     self._sheds.inc()
-                    self._tenant_counter(tenant, "rejected").inc()
-                    trace.event("gateway.brownout_shed",
-                                tenant=tenant,
-                                stage=self.brownout.stage,
-                                queue_wait=wait)
+                    self._reject(tenant, "gateway.brownout_shed",
+                                 stage=self.brownout.stage,
+                                 queue_wait=wait)
                     raise BrownoutShed(
                         tenant, self.brownout.retry_after(wait),
                         stage=self.brownout.stage, queue_wait=wait)
@@ -331,19 +326,21 @@ class SolveGateway:
             if deadline is not None and \
                     estimate["total_seconds"] \
                     > float(deadline) * self.admission_slack:
-                self._rejected.inc()
-                self._tenant_counter(tenant, "rejected").inc()
-                trace.event("gateway.reject", tenant=tenant,
-                            reason="deadline", deadline=deadline,
-                            estimate=estimate["total_seconds"])
+                self._reject(tenant, "gateway.reject", reason="deadline",
+                             deadline=deadline,
+                             estimate=estimate["total_seconds"])
                 raise AdmissionRejected(
                     f"estimated {estimate['total_seconds']:.3g}s "
                     f"({estimate['source']}) exceeds the {deadline:g}s "
                     f"deadline", tenant=tenant, reason="deadline",
                     estimate=estimate)
+            # With values in hand the digest is not forwarded: the cache
+            # digests them itself and is the one consistency check.
             ticket = GatewayTicket(
                 request_id, tenant, op, k, fingerprint,
-                deadline=deadline, estimate=estimate, single=single)
+                deadline=deadline, estimate=estimate, single=single,
+                work=(grid, stencil, config), values=values,
+                value_digest=value_digest if values is None else None)
             chunk_size = (self.stream_chunk if self.brownout is None
                           else self.brownout.effective_chunk(
                               self.stream_chunk))
@@ -351,18 +348,12 @@ class SolveGateway:
             for start in range(0, k, chunk_size):
                 cols = list(range(start,
                                   min(start + chunk_size, k)))
-                chunks.append(_Chunk(
-                    ticket, cols, [columns[i] for i in cols]))
-            ticket._work = (grid, stencil, config)
-            ticket._values = values
-            ticket._value_digest = value_digest
+                chunks.append(_Chunk(ticket, cols, [rhs] if single else
+                                     [rhs[:, i] for i in cols]))
             try:
                 self.scheduler.push_many(tenant, chunks)
             except QuotaExceeded:
-                self._rejected.inc()
-                self._tenant_counter(tenant, "rejected").inc()
-                trace.event("gateway.reject", tenant=tenant,
-                            reason="quota")
+                self._reject(tenant, "gateway.reject", reason="quota")
                 raise
         self._warm.add(fingerprint)
         if value_digest is not None:
@@ -523,9 +514,7 @@ class SolveGateway:
                 t0 = time.monotonic()
                 results = await asyncio.to_thread(
                     shard.execute, grid, stencil, ticket.op, config,
-                    chunk.columns,
-                    getattr(ticket, "_values", None),
-                    getattr(ticket, "_value_digest", None))
+                    chunk.columns, ticket._values, ticket._value_digest)
                 dt = time.monotonic() - t0
                 after = shard.cache_tallies()
         except BaseException as exc:
@@ -544,8 +533,9 @@ class SolveGateway:
                            - spent["refresh_seconds"])
         self.estimator.observe(
             ticket.fingerprint, ticket.op, exec_seconds, k=kk,
-            model_seconds=self.estimator.model_seconds(
-                grid, stencil, config, ticket.op, kk))
+            model_seconds=self.estimator._model(
+                ticket.fingerprint, grid, stencil, config, ticket.op,
+                kk))
         await self.pool.release(shard)
         return results, dt
 

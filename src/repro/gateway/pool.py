@@ -1,8 +1,8 @@
 """Elastic worker-shard pool with hysteresis and warm draining.
 
 A :class:`GatewayShard` owns one synchronous
-:class:`~repro.serve.service.SolveService` (or any submit/drain
-compatible frontend): because every shard owns its own
+:class:`~repro.serve.service.SolveService` (or any frontend with its
+``solve_block`` entry): because every shard owns its own
 :class:`~repro.serve.cache.PlanCache` and — when configured — its own
 fallback chain, shards are fully independent and elasticity reduces
 to lifecycle + work placement.
@@ -47,7 +47,8 @@ class GatewayShard:
 
     ``execute`` runs in a worker thread (``asyncio.to_thread``); the
     shard is handed to exactly one chunk at a time by the pool, so the
-    underlying service never sees concurrent drains from the gateway.
+    underlying service never sees concurrent block calls from the
+    gateway.
 
     Three health flags drive lifecycle decisions:
 
@@ -77,8 +78,9 @@ class GatewayShard:
     def execute(self, grid, stencil, op: str, config,
                 columns: list, values=None,
                 value_digest: str | None = None) -> list:
-        """Solve ``columns`` (same structure + op) as one coalesced
-        batch; returns one result *or exception* per column.
+        """Solve ``columns`` (same structure + op) with one
+        :meth:`~repro.serve.service.SolveService.solve_block` call;
+        returns one result *or exception* per column.
 
         ``values``/``value_digest`` forward ILU coefficient snapshots
         to the service (``op="ilu_apply"`` only).
@@ -88,31 +90,16 @@ class GatewayShard:
             raise FaultInjected(
                 "gateway.shard", "shard_poison",
                 f"shard {self.index} is poisoned until restart")
-        extra = {}
-        if values is not None:
-            extra["values"] = values
-        if value_digest is not None:
-            extra["value_digest"] = value_digest
         try:
-            tickets = [self.service.submit(grid, stencil, rhs, op=op,
-                                           config=config, **extra)
-                       for rhs in columns]
-            self.service.drain()
+            out = self.service.solve_block(grid, stencil, columns, op,
+                                           config, values, value_digest)
         except NON_RECOVERABLE_ERRORS:
             self.defunct = True
             raise
-        out = []
-        for t in tickets:
-            try:
-                out.append(t.result(timeout=0))
-            except NON_RECOVERABLE_ERRORS as exc:
-                # The service's internals tripped resource exhaustion
-                # or a violated invariant: surface the column error AND
-                # condemn the shard — release() will reap it.
-                self.defunct = True
-                out.append(exc)
-            except BaseException as exc:  # noqa: BLE001 - per-column
-                out.append(exc)
+        if any(isinstance(res, NON_RECOVERABLE_ERRORS) for res in out):
+            # Resource exhaustion or a violated invariant: surface the
+            # column error AND condemn the shard; release() reaps it.
+            self.defunct = True
         return out
 
     def cache_metrics(self):

@@ -48,9 +48,13 @@ import threading
 import time
 from collections import OrderedDict
 
+import numpy as np
+
 from repro.grids.grid import StructuredGrid
 from repro.observe import trace
 from repro.observe.metrics import MetricsRegistry
+from repro.resilience.errors import StaleValuesError
+from repro.serve import ilu_plan
 from repro.serve.plan import (
     PlanConfig,
     SolvePlan,
@@ -431,11 +435,6 @@ class PlanCache:
           :class:`~repro.resilience.errors.StaleValuesError`; the
           service must never silently solve with old coefficients.
         """
-        import numpy as np
-
-        from repro.resilience.errors import StaleValuesError
-        from repro.serve import ilu_plan
-
         config = config if config is not None else PlanConfig()
         fp = ilu_plan.ilu_structural_fingerprint(grid, stencil, config)
         vd = None
@@ -454,7 +453,7 @@ class PlanCache:
                 continue
             if what == "repack":
                 try:
-                    plan, _ = self.refresh_values(fp, values)
+                    plan, _ = self._refresh(fp, values, vd)
                 except KeyError:
                     continue  # evicted or invalidated meanwhile
                 except Exception:
@@ -491,10 +490,6 @@ class PlanCache:
         fall back to :meth:`get_or_compile_ilu`), checked under the
         lock that registers the flight.
         """
-        import numpy as np
-
-        from repro.serve import ilu_plan
-
         plan = self.peek(fingerprint)
         if plan is None:
             raise KeyError(
@@ -504,7 +499,12 @@ class PlanCache:
                 f"plan {fingerprint[:12]}… is not an ILU plan")
         values = np.asarray(values,
                             dtype=plan.config.np_dtype).reshape(-1)
-        vd = ilu_plan.value_digest(values)
+        return self._refresh(fingerprint, values,
+                             ilu_plan.value_digest(values))
+
+    def _refresh(self, fingerprint: str, values, vd: str) -> tuple:
+        """:meth:`refresh_values` for normalized ``values`` whose digest
+        ``vd`` the caller already holds."""
         while True:
             with self._lock:
                 current = self._plans.get(fingerprint)

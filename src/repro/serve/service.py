@@ -7,7 +7,8 @@ a :class:`SolveTicket`; :meth:`~SolveService.drain` coalesces pending
 requests **per structural fingerprint and op** into ``(n, k)`` RHS
 blocks and executes them through the batched kernels of
 :mod:`repro.serve.batch`, so the matrix values stream from memory once
-per batch instead of once per request.
+per batch instead of once per request. :meth:`~SolveService.solve_block`
+runs the same per-batch body on columns that need no queue.
 
 Design points:
 
@@ -49,6 +50,7 @@ from repro.resilience.errors import (
     StaleValuesError,
 )
 from repro.runtime.session import SolverSession
+from repro.serve import ilu_plan
 from repro.serve.cache import PlanCache
 from repro.serve.plan import (
     PLAN_OPS,
@@ -62,6 +64,19 @@ from repro.utils.validation import check_positive
 #: Ops :meth:`SolveService.submit` accepts: the triangular/SpMV/SymGS
 #: plan ops plus the preconditioner apply served by ILU plans.
 SERVICE_OPS = PLAN_OPS + ("ilu_apply",)
+
+
+def _request_key(grid: StructuredGrid, stencil, config: PlanConfig,
+                 op: str, values) -> tuple:
+    """``(fingerprint, values, value_digest)`` of one request; ILU
+    ``values`` come back normalized to the config dtype."""
+    if op != "ilu_apply":
+        return structural_fingerprint(grid, stencil, config), values, None
+    fp = ilu_plan.ilu_structural_fingerprint(grid, stencil, config)
+    if values is None:
+        return fp, None, None
+    values = np.asarray(values, dtype=config.np_dtype).reshape(-1)
+    return fp, values, ilu_plan.value_digest(values)
 
 
 class Backpressure(RuntimeError):
@@ -131,10 +146,9 @@ class _Pending:
     deadline_seconds: float = 0.0
     #: ILU-only: coefficient snapshot to factorize/repack from.
     values: np.ndarray | None = None
-    #: ILU-only: digest the served factors must have been built from.
-    expect_digest: str | None = None
-    #: Digest component of the coalescing key (``None`` for plan ops).
-    group_digest: str | None = None
+    #: ILU-only: digest the served factors must have been built from
+    #: (that of ``values`` when given); part of the coalescing key.
+    value_digest: str | None = None
 
 
 class SolveService:
@@ -178,7 +192,8 @@ class SolveService:
         #: drain/requeue cycles.
         self.metrics = MetricsRegistry()
         self._submitted = self.metrics.counter(
-            "serve.submitted", "requests accepted by submit()")
+            "serve.submitted",
+            "columns accepted by submit() or solve_block()")
         self._completed = self.metrics.counter(
             "serve.completed", "requests finished with a solution")
         self._failed = self.metrics.counter(
@@ -226,36 +241,16 @@ class SolveService:
         time if the cached factors were built from anything else.
         """
         config = config if config is not None else self.config
-        if op not in SERVICE_OPS:
-            raise RequestError(
-                f"unknown op {op!r}; known: {SERVICE_OPS}")
         if deadline is not None and deadline <= 0:
             raise RequestError(f"deadline must be > 0, got {deadline}")
-        if op != "ilu_apply" and (values is not None
-                                  or value_digest is not None):
-            raise RequestError(
-                "values/value_digest are only valid for op='ilu_apply'")
-        rhs = np.asarray(rhs)
-        if rhs.ndim != 1 or rhs.shape[0] != grid.n_points:
-            raise RequestError(
-                f"rhs must be ({grid.n_points},), got {rhs.shape}")
-        if op == "ilu_apply":
-            from repro.serve.ilu_plan import (
-                ilu_structural_fingerprint,
-                value_digest as _digest_of,
-            )
-
-            fp = ilu_structural_fingerprint(grid, stencil, config)
-            if values is not None:
-                values = np.asarray(values,
-                                    dtype=config.np_dtype).reshape(-1)
-                vd = _digest_of(values)
-                if value_digest is not None and value_digest != vd:
-                    raise RequestError(
-                        "value_digest contradicts the provided values")
-                value_digest = vd
-        else:
-            fp = structural_fingerprint(grid, stencil, config)
+        (rhs,) = self._check_request(grid, op, values, value_digest,
+                                     [rhs])
+        fp, values, vd = _request_key(grid, stencil, config, op, values)
+        if vd is not None:
+            if value_digest is not None and value_digest != vd:
+                raise RequestError(
+                    "value_digest contradicts the provided values")
+            value_digest = vd
         ticket = SolveTicket(request_id=next(self._ids),
                              fingerprint=fp, op=op)
         entry = _Pending(ticket=ticket, grid=grid, stencil=stencil,
@@ -264,10 +259,7 @@ class SolveService:
                          deadline_at=(time.monotonic() + deadline
                                       if deadline is not None else None),
                          deadline_seconds=deadline or 0.0,
-                         values=values,
-                         expect_digest=(value_digest if values is None
-                                        else None),
-                         group_digest=value_digest)
+                         values=values, value_digest=value_digest)
         with self._lock:
             if self._closed:
                 raise ServiceClosed()
@@ -282,10 +274,67 @@ class SolveService:
                     op=op, fingerprint=fp[:12])
         return ticket
 
+    @staticmethod
+    def _check_request(grid: StructuredGrid, op: str, values,
+                       value_digest, columns: list) -> list:
+        """Request-wide checks of :meth:`submit` and
+        :meth:`solve_block`; returns the columns as arrays."""
+        if op not in SERVICE_OPS:
+            raise RequestError(
+                f"unknown op {op!r}; known: {SERVICE_OPS}")
+        if op != "ilu_apply" and (values is not None
+                                  or value_digest is not None):
+            raise RequestError(
+                "values/value_digest are only valid for op='ilu_apply'")
+        columns = [np.asarray(col) for col in columns]
+        for col in columns:
+            if col.ndim != 1 or col.shape[0] != grid.n_points:
+                raise RequestError(
+                    f"rhs must be ({grid.n_points},), got {col.shape}")
+        return columns
+
     @property
     def n_pending(self) -> int:
         with self._lock:
             return len(self._pending)
+
+    # Block entry --------------------------------------------------------
+    def solve_block(self, grid: StructuredGrid, stencil, columns: list,
+                    op: str, config: PlanConfig | None = None,
+                    values: np.ndarray | None = None,
+                    value_digest: str | None = None) -> list:
+        """Solve ``columns`` (1-D right-hand sides of one structure)
+        now; returns one solution *or exception* per column.
+
+        A ``submit`` per column plus a ``drain``, minus the queue: one
+        cache lookup, one private ``(n, k)`` copy, drain's per-batch
+        body. A non-finite column fails alone, a ``StaleValuesError``
+        fails all; a bad op or shape, a closed service or a failed
+        compile raise.
+        """
+        config = config if config is not None else self.config
+        columns = self._check_request(grid, op, values, value_digest,
+                                      columns)
+        if self._closed:
+            raise ServiceClosed()
+        k = len(columns)
+        self._submitted.inc(k)
+        with trace.span("serve.block", op=op, k=k) as sp:
+            try:
+                plan, _ = self._lookup(grid, stencil, config, op,
+                                       values, value_digest)
+            except StaleValuesError as exc:
+                trace.event("serve.stale_values",
+                            fingerprint=exc.fingerprint[:12],
+                            n_requests=k)
+                self._failed.inc(k)
+                return [exc] * k
+            if sp is not None:
+                sp.attrs["fingerprint"] = plan.fingerprint[:12]
+            B = np.stack(columns, axis=1).astype(config.np_dtype,
+                                                 copy=False)
+            return [out if isinstance(out, BaseException) else out[0]
+                    for out in self._run_columns(plan, op, B)]
 
     # Execution ----------------------------------------------------------
     def drain(self, timeout: float | None = None) -> int:
@@ -329,41 +378,26 @@ class SolveService:
             # two snapshots of the same structure must not share a
             # batch (each would need different factors).
             key = (entry.ticket.fingerprint, entry.ticket.op,
-                   entry.group_digest)
+                   entry.value_digest)
             groups.setdefault(key, []).append(entry)
-        n_done = 0
-        work: list[tuple[object, str, list[bool], list[_Pending]]] = []
-        leftover: list[_Pending] = []
         group_items = list(groups.items())
+        # Every group compiles before any batch runs, so a close() or a
+        # spent budget noticed between groups must also hand back the
+        # batches already staged in `work`.
+        work: list[tuple[SolvePlan, str, list[bool], list[_Pending]]] = []
         for gi, ((fp, op, _vd), entries) in enumerate(group_items):
-            if self._closed:
-                # close() raced this drain: everything not yet
-                # executed (staged batches included) fails typed.
-                leftover.extend(e for _, _, _, chunk in work
-                                for e in chunk)
-                leftover.extend(entries)
-                for _, rest in group_items[gi + 1:]:
-                    leftover.extend(rest)
-                self._fail_closed(leftover)
-            if deadline_at is not None \
-                    and time.monotonic() > deadline_at:
-                # Out of budget before this group even compiled.
-                # Earlier groups are staged in `work` but not executed
-                # yet — they must be re-queued too, or their tickets
-                # would never complete.
-                leftover.extend(e for _, _, _, chunk in work
-                                for e in chunk)
-                leftover.extend(entries)
-                for _, rest in group_items[gi + 1:]:
-                    leftover.extend(rest)
-                self._requeue_and_raise(timeout, leftover)
+            self._interrupt(deadline_at, timeout, lambda: [
+                e for *_, batch in work for e in batch] + [
+                e for _, rest in group_items[gi:] for e in rest])
             trace.event("serve.coalesce", fingerprint=fp[:12], op=op,
                         n_requests=len(entries))
             # One cache transaction per request: the first may compile,
             # coalesced followers count (and are served) as hits — the
             # per-request hit rate is what the serve bench reports.
             try:
-                lookups = [self._plan_for(e) for e in entries]
+                lookups = [self._lookup(e.grid, e.stencil, e.config, op,
+                                        e.values, e.value_digest)
+                           for e in entries]
             except StaleValuesError as exc:
                 # This group declared a value snapshot the cache cannot
                 # honor; its tickets fail typed while every other group
@@ -374,109 +408,152 @@ class SolveService:
                     e.ticket._finish(None, exc)
                     self._failed.inc()
                 continue
-            plan = lookups[0][0]
-            hits = [hit for _, hit in lookups]
+            plan, hits = lookups[0][0], [hit for _, hit in lookups]
             for lo in range(0, len(entries), self.max_batch):
                 work.append((plan, op, hits[lo:lo + self.max_batch],
                              entries[lo:lo + self.max_batch]))
-        for wi, (plan, op, hits, chunk) in enumerate(work):
-            if self._closed:
-                for _, _, _, rest in work[wi:]:
-                    leftover.extend(rest)
-                self._fail_closed(leftover)
-            if deadline_at is not None \
-                    and time.monotonic() > deadline_at:
-                for _, _, _, rest in work[wi:]:
-                    leftover.extend(rest)
-                self._requeue_and_raise(timeout, leftover)
-            n_done += self._run_batch(plan, hits, op, chunk)
+        n_done = 0
+        for wi, (plan, op, hits, batch) in enumerate(work):
+            self._interrupt(deadline_at, timeout, lambda: [
+                e for *_, rest in work[wi:] for e in rest])
+            n_done += self._run_batch(plan, hits, op, batch)
         if sp is not None:
             sp.attrs["n_groups"] = len(group_items)
             sp.attrs["n_batches"] = len(work)
             sp.attrs["n_done"] = n_done
         return n_done
 
-    def _fail_closed(self, leftover: list) -> None:
-        """Fail unexecuted requests with :class:`ServiceClosed`."""
+    def _interrupt(self, deadline_at: float | None,
+                   timeout: float | None, unexecuted) -> None:
+        """Between drain steps: after a racing close() the
+        ``unexecuted()`` requests fail with :class:`ServiceClosed`; past
+        the ``timeout`` budget they are re-queued ahead of newer
+        submissions and :class:`DrainTimeout` names them."""
+        if not self._closed and (deadline_at is None
+                                 or time.monotonic() <= deadline_at):
+            return
+        leftover = unexecuted()
         ids = [e.ticket.request_id for e in leftover]
-        for e in leftover:
-            e.ticket._finish(None, ServiceClosed([e.ticket.request_id]))
-            self._failed.inc()
-        trace.event("serve.closed_drop", n_requests=len(leftover))
-        raise ServiceClosed(ids)
-
-    def _requeue_and_raise(self, timeout: float,
-                           leftover: list) -> None:
-        """Put unexecuted requests back (ahead of newer submissions)."""
         with self._lock:
             # Re-queueing into a closed service would leave these
             # tickets forever-pending; fail them typed instead.
-            requeued = not self._closed
-            if requeued:
+            closed = self._closed
+            if not closed:
                 self._pending = leftover + self._pending
                 self._pending_gauge.set(len(self._pending))
-        if not requeued:
+        if closed:
             self._fail_closed(leftover)
+            raise ServiceClosed(ids)
         self._requeued.inc(len(leftover))
         trace.event("serve.requeue", n_requests=len(leftover))
-        raise DrainTimeout(timeout,
-                           [e.ticket.request_id for e in leftover])
+        raise DrainTimeout(timeout, ids)
 
-    def _plan_for(self, entry: _Pending) -> tuple[SolvePlan, bool]:
+    def _fail_closed(self, leftover: list) -> None:
+        """Fail unexecuted requests with :class:`ServiceClosed`."""
+        for e in leftover:
+            e.ticket._finish(None, ServiceClosed([e.ticket.request_id]))
+        self._failed.inc(len(leftover))
+        if leftover:
+            trace.event("serve.closed_drop", n_requests=len(leftover))
+
+    def _lookup(self, grid: StructuredGrid, stencil, config: PlanConfig,
+                op: str, values, expect_digest) -> tuple[SolvePlan, bool]:
+        """One cache transaction: ``(plan, was_hit)``."""
         with self.session.phase("compile"):
-            if entry.ticket.op == "ilu_apply":
+            if op == "ilu_apply":
                 return self.cache.get_or_compile_ilu(
-                    entry.grid, entry.stencil, entry.config,
-                    values=entry.values,
-                    expect_digest=entry.expect_digest)
-            return self.cache.get_or_compile(entry.grid, entry.stencil,
-                                             entry.config)
-
-    def _validate(self, plan: SolvePlan, entry: _Pending) -> None:
-        """Drain-time per-request checks (cheap, isolates bad RHS)."""
-        if entry.deadline_at is not None \
-                and time.monotonic() > entry.deadline_at:
-            raise DeadlineExceeded(entry.ticket.request_id,
-                                   entry.deadline_seconds)
-        if not np.all(np.isfinite(entry.rhs)):
-            raise RequestError(
-                f"request {entry.ticket.request_id}: non-finite rhs")
+                    grid, stencil, config, values=values,
+                    expect_digest=expect_digest)
+            return self.cache.get_or_compile(grid, stencil, config)
 
     def _run_batch(self, plan: SolvePlan, hits: list[bool], op: str,
                    entries: list[_Pending]) -> int:
-        """Execute one coalesced batch with per-request isolation."""
-        good: list[tuple[_Pending, bool]] = []
+        """Execute one coalesced batch of tickets: expired requests
+        fail here, the rest go through :meth:`_run_columns`."""
+        live: list[tuple[_Pending, bool]] = []
         for entry, hit in zip(entries, hits):
-            try:
-                self._validate(plan, entry)
-            except BaseException as exc:  # noqa: BLE001 - per-request
-                entry.ticket._finish(None, exc)
+            if entry.deadline_at is not None \
+                    and time.monotonic() > entry.deadline_at:
+                entry.ticket._finish(None, DeadlineExceeded(
+                    entry.ticket.request_id, entry.deadline_seconds))
                 self._failed.inc()
             else:
-                good.append((entry, hit))
-        if not good:
+                live.append((entry, hit))
+        if not live:
             return 0
-        B = np.stack([e.rhs for e, _ in good], axis=1)
-        k = len(good)
-        t0 = time.perf_counter()
+        outs = self._run_columns(
+            plan, op, np.stack([e.rhs for e, _ in live], axis=1))
+        for (entry, hit), out in zip(live, outs):
+            if isinstance(out, BaseException):
+                entry.ticket._finish(None, out)
+                continue
+            # The request's share of its batch's time and op counts.
+            x, k, seconds, counts = out
+            entry.ticket.metrics = {
+                "op": op,
+                "fingerprint": plan.fingerprint,
+                "batch_k": k,
+                "cache_hit": hit,
+                "bsize": plan.bsize,
+                "backend": plan._backend().name,
+                "seconds": seconds / k,
+                "counts_per_solve": counter_to_dict(
+                    counts.scaled(1.0 / k)),
+            }
+            entry.ticket._finish(x)
+        return sum(not isinstance(out, BaseException) for out in outs)
+
+    def _run_columns(self, plan: SolvePlan, op: str,
+                     B: np.ndarray) -> list:
+        """Run ``B``'s columns through ``plan`` ``max_batch`` at a time;
+        per column ``(x, batch_k, batch_seconds, batch_counts)`` or its
+        exception. A non-finite column fails alone; a slice whose
+        kernel raises cannot name its culprit, so it re-runs by column.
+        """
+        finite = np.isfinite(B).all(axis=0)
+        out: list = [None if ok else RequestError("non-finite rhs")
+                     for ok in finite]
+        good = np.flatnonzero(finite)
+        B = B if good.size == B.shape[1] else B[:, good]
+        for lo in range(0, good.size, self.max_batch):
+            results = self._run_slice(plan, op, B[:, lo:lo + self.max_batch])
+            for j, res in zip(good[lo:lo + self.max_batch], results):
+                out[j] = res
+        failed = sum(isinstance(res, BaseException) for res in out)
+        self._failed.inc(failed)
+        self._completed.inc(len(out) - failed)
+        return out
+
+    def _run_slice(self, plan: SolvePlan, op: str,
+                   S: np.ndarray) -> list:
+        """One kernel call over a ``(n, k)`` slice; on a kernel error,
+        one call per column instead."""
+        k = S.shape[1]
         try:
-            with self.session.phase("solve"):
-                X = self._execute(plan, op, B)
-                counts = plan.op_counts(op, k)
-                self.session.tally(counts)
+            X, seconds, counts = self._kernel(plan, op, S, k)
         except BaseException:
-            # A kernel-level failure cannot name its culprit; re-run
-            # each request alone so only the offender fails.
-            return self._run_individually(plan, op, good)
-        seconds = time.perf_counter() - t0
+            return [self._run_one(plan, op, S[:, j]) for j in range(k)]
         self._batches.inc()
         self._batch_width.observe(k)
-        for j, (entry, hit) in enumerate(good):
-            entry.ticket.metrics = self._request_metrics(
-                plan, hit, op, k, seconds, counts)
-            entry.ticket._finish(np.ascontiguousarray(X[:, j]))
-            self._completed.inc()
-        return k
+        return [(np.ascontiguousarray(X[:, j]), k, seconds, counts)
+                for j in range(k)]
+
+    def _run_one(self, plan: SolvePlan, op: str, rhs: np.ndarray):
+        try:
+            x, seconds, counts = self._kernel(plan, op, rhs, 1)
+        except BaseException as exc:  # noqa: BLE001 - per-column
+            return exc
+        return x, 1, seconds, counts
+
+    def _kernel(self, plan: SolvePlan, op: str, B: np.ndarray,
+                k: int) -> tuple:
+        """One timed, tallied kernel call: ``(X, seconds, counts)``."""
+        t0 = time.perf_counter()
+        with self.session.phase("solve"):
+            X = self._execute(plan, op, B)
+            counts = plan.op_counts(op, k)
+            self.session.tally(counts)
+        return X, time.perf_counter() - t0, counts
 
     def _execute(self, plan: SolvePlan, op: str,
                  B: np.ndarray) -> np.ndarray:
@@ -484,43 +561,6 @@ class SolveService:
         if self.resilience is None:
             return plan.execute(op, B)
         return self.resilience.execute(plan, op, B).solution
-
-    def _run_individually(self, plan: SolvePlan, op: str,
-                          entries: list[tuple[_Pending, bool]]) -> int:
-        n_done = 0
-        for entry, hit in entries:
-            t0 = time.perf_counter()
-            try:
-                with self.session.phase("solve"):
-                    x = self._execute(plan, op, entry.rhs)
-                    counts = plan.op_counts(op, 1)
-                    self.session.tally(counts)
-            except BaseException as exc:  # noqa: BLE001 - per-request
-                entry.ticket._finish(None, exc)
-                self._failed.inc()
-                continue
-            entry.ticket.metrics = self._request_metrics(
-                plan, hit, op, 1, time.perf_counter() - t0, counts)
-            entry.ticket._finish(x)
-            self._completed.inc()
-            n_done += 1
-        return n_done
-
-    def _request_metrics(self, plan: SolvePlan, cache_hit: bool,
-                         op: str, k: int, batch_seconds: float,
-                         counts) -> dict:
-        """Per-request share of one batch's cost (``counts`` are the
-        batch's closed-form op counts)."""
-        return {
-            "op": op,
-            "fingerprint": plan.fingerprint,
-            "batch_k": k,
-            "cache_hit": cache_hit,
-            "bsize": plan.bsize,
-            "backend": plan._backend().name,
-            "seconds": batch_seconds / k,
-            "counts_per_solve": counter_to_dict(counts.scaled(1.0 / k)),
-        }
 
     # Reporting ----------------------------------------------------------
     def stats(self) -> dict:
@@ -556,12 +596,7 @@ class SolveService:
             self._closed = True
             pending, self._pending = self._pending, []
             self._pending_gauge.set(0)
-        for entry in pending:
-            entry.ticket._finish(
-                None, ServiceClosed([entry.ticket.request_id]))
-            self._failed.inc()
-        if pending:
-            trace.event("serve.closed_drop", n_requests=len(pending))
+        self._fail_closed(pending)
         if not already:
             self.session.close()
 

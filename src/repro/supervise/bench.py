@@ -33,6 +33,7 @@ import time
 
 import numpy as np
 
+from repro.gateway.bench import _direct
 from repro.gateway.errors import BrownoutShed
 from repro.gateway.gateway import SolveGateway
 from repro.gateway.queues import TenantQuota
@@ -47,17 +48,6 @@ from repro.supervise.hedge import HedgePolicy
 from repro.supervise.supervisor import ShardSupervisor
 
 OPS = ("lower", "upper", "symgs")
-
-
-def _direct(grid, stencil, rhs2d, op, config) -> np.ndarray:
-    """Reference: the same columns through a plain sync service."""
-    with SolveService(config=config) as svc:
-        tickets = [svc.submit(grid, stencil,
-                              np.ascontiguousarray(rhs2d[:, j]), op=op)
-                   for j in range(rhs2d.shape[1])]
-        svc.drain()
-        return np.stack([t.result(timeout=0) for t in tickets],
-                        axis=1)
 
 
 def _supervisor(config, seed: int, *,
@@ -230,27 +220,12 @@ async def _hedging_phase(grid, stencil, config, rng,
     }
 
 
-class _SlowService:
-    """Wrap a sync service with a fixed drain delay (overload fuel)."""
+class _SlowService(SolveService):
+    """A sync service that stalls every block call (overload fuel)."""
 
-    def __init__(self, inner, delay: float):
-        self._inner = inner
-        self._delay = delay
-        self.config = inner.config
-        self.cache = getattr(inner, "cache", None)
-
-    def submit(self, *args, **kwargs):
-        return self._inner.submit(*args, **kwargs)
-
-    def drain(self):
-        time.sleep(self._delay)
-        return self._inner.drain()
-
-    def close(self):
-        self._inner.close()
-
-    def stats(self):
-        return self._inner.stats()
+    def solve_block(self, *args, **kwargs):
+        time.sleep(0.03)
+        return super().solve_block(*args, **kwargs)
 
 
 async def _brownout_phase(grid, stencil, config, rng) -> dict:
@@ -267,8 +242,7 @@ async def _brownout_phase(grid, stencil, config, rng) -> dict:
                             weight=0.5),
     }
     gw = SolveGateway(
-        service_factory=lambda: _SlowService(
-            SolveService(config=config), delay=0.03),
+        service_factory=lambda: _SlowService(config=config),
         config=config, min_shards=1, max_shards=1, stream_chunk=4,
         quotas=quotas, brownout=brownout)
     async with gw:

@@ -43,14 +43,14 @@ def _direct(grid, stencil, rhs, op, config):
 
 
 class SlowService(SolveService):
-    """Instrumented service: every drain stalls first, so chunks take
-    long enough for queueing/expiry races to be deterministic."""
+    """Instrumented service: every block call stalls first, so chunks
+    take long enough for queueing/expiry races to be deterministic."""
 
     drain_delay = 0.08
 
-    def drain(self, timeout=None):
+    def solve_block(self, *args, **kwargs):
         time.sleep(self.drain_delay)
-        return super().drain(timeout)
+        return super().solve_block(*args, **kwargs)
 
 
 # Ids name the served format next to the backend.

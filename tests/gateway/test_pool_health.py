@@ -25,25 +25,22 @@ CONFIG = PlanConfig(bsize=4)
 
 
 class ExplodingService:
-    """Raises a non-recoverable error on first submit, then is fine."""
+    """Raises a non-recoverable error on every block call."""
 
     def __init__(self, exc_type=MemoryError):
         self.exc_type = exc_type
         self.closed = False
-        self.submits = 0
+        self.calls = 0
 
-    def submit(self, *args, **kwargs):
-        self.submits += 1
+    def solve_block(self, *args, **kwargs):
+        self.calls += 1
         raise self.exc_type("resource exhaustion")
-
-    def drain(self):
-        pass
 
     def close(self):
         self.closed = True
 
     def stats(self):
-        return {"submits": self.submits}
+        return {"calls": self.calls}
 
 
 def make_pool(factory, **kw):

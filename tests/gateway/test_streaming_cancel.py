@@ -30,13 +30,14 @@ def _rhs(seed=0, k=None):
 
 
 class SlowService(SolveService):
-    """Per-drain stall so the consumer can be cancelled mid-stream."""
+    """Per-block-call stall so the consumer can be cancelled
+    mid-stream."""
 
     drain_delay = 0.05
 
-    def drain(self, timeout=None):
+    def solve_block(self, *args, **kwargs):
         time.sleep(self.drain_delay)
-        return super().drain(timeout)
+        return super().solve_block(*args, **kwargs)
 
 
 def _slow_gateway(**kwargs):

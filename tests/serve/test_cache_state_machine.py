@@ -10,9 +10,10 @@ of points that only the machine moves it on from:
 * inside the stubbed ``compile_plan`` / ``compile_ilu_plan`` /
   ``repack_ilu_plan``: a flight's leader at work. ``release`` lands it
   or makes it raise;
-* on entry to ``refresh_values``: the window between a lookup's
-  decision to repack and the repack's own residency check. ``release``
-  lets it in;
+* on entry to ``_refresh``, the repack body that a lookup's repack
+  and ``refresh_values`` share: the window between the decision to
+  repack (or ``refresh_values``' own residency peek) and the repack's
+  locked residency check. ``release`` lets it in;
 * in a flight's ``wait()``: a waiter. Once the flight has landed, the
   waiters resume one at a time, in start order.
 
@@ -175,7 +176,7 @@ class Model:
                 yield ("flight", flight)
                 continue
             if what == "repack":
-                result = yield from self.refresh(fp, digest)
+                result = yield from self.repack(fp, digest)
                 if result[0] == "keyerror":
                     continue
                 self.hits += 1
@@ -195,6 +196,11 @@ class Model:
             return ("ok", fp, have, what == "serve")
 
     def refresh(self, fp, digest):
+        if fp not in self.plans:  # refresh_values' residency peek
+            return ("keyerror",)
+        return (yield from self.repack(fp, digest))
+
+    def repack(self, fp, digest):
         yield ("gate",)
         while True:
             if fp not in self.plans:
@@ -245,13 +251,13 @@ class PlanCacheMachine(RuleBasedStateMachine):
         self.clock = 0
         self.invalidated_at = {}
         self.cache = PlanCache(capacity=CAPACITY)
-        gated = self.cache.refresh_values
+        gated = self.cache._refresh
 
-        def refresh_values(fingerprint, values):
+        def _refresh(fingerprint, values, vd):
             self._park(("gate",))
-            return gated(fingerprint, values)
+            return gated(fingerprint, values, vd)
 
-        self.cache.refresh_values = refresh_values
+        self.cache._refresh = _refresh
         machine = self
 
         class ScheduledFlight(cache_mod._Flight):

@@ -335,14 +335,14 @@ def test_eviction_between_hit_and_repack_falls_back_to_compile(
     cache = PlanCache(capacity=4)
     plan, _ = cache.get_or_compile_ilu(GRID, "27pt", CONFIG)
     fp = plan.fingerprint
-    real_refresh = cache.refresh_values
+    real_refresh = cache._refresh
 
-    def evict_then_refresh(fingerprint, values):
+    def evict_then_refresh(fingerprint, values, vd):
         with cache._lock:
             cache._plans.pop(fingerprint, None)
-        return real_refresh(fingerprint, values)
+        return real_refresh(fingerprint, values, vd)
 
-    monkeypatch.setattr(cache, "refresh_values", evict_then_refresh)
+    monkeypatch.setattr(cache, "_refresh", evict_then_refresh)
     served, hit = cache.get_or_compile_ilu(GRID, "27pt", CONFIG,
                                            values=_perturbed(plan,
                                                              seed=5))

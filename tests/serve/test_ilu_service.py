@@ -157,14 +157,14 @@ def test_eviction_race_does_not_abort_drain(service, monkeypatch):
     warm.result(timeout=0)
     plan = service.cache.get(warm.fingerprint)
     cache = service.cache
-    real_refresh = cache.refresh_values
+    real_refresh = cache._refresh
 
-    def evict_then_refresh(fingerprint, values):
+    def evict_then_refresh(fingerprint, values, vd):
         with cache._lock:
             cache._plans.pop(fingerprint, None)
-        return real_refresh(fingerprint, values)
+        return real_refresh(fingerprint, values, vd)
 
-    monkeypatch.setattr(cache, "refresh_values", evict_then_refresh)
+    monkeypatch.setattr(cache, "_refresh", evict_then_refresh)
     racy = service.submit(GRID, "27pt", rng.standard_normal(N),
                           op="ilu_apply",
                           values=_perturbed(plan, seed=11))

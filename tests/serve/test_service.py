@@ -113,22 +113,45 @@ def test_submit_rejects_bad_requests(service, rng):
     assert service.stats()["submitted"] == 0
 
 
-def test_nonfinite_rhs_isolated_at_drain(service, rng):
-    good_b = rng.standard_normal(N)
-    bad_b = np.full(N, np.nan)
-    t_good = service.submit(GRID, "27pt", good_b)
-    t_bad = service.submit(GRID, "27pt", bad_b)
-    assert service.drain() == 1
-    assert t_good.done and t_bad.done
-    t_good.result()  # fine
-    with pytest.raises(RequestError):
-        t_bad.result()
+def _solve_each(cols):
+    """Direct submit/drain answers, one fresh service per column."""
+    out = []
+    for b in cols:
+        with SolveService(config=CFG) as solo:
+            t = solo.submit(GRID, "27pt", b)
+            solo.drain()
+            out.append(t.result())
+    return out
+
+
+@pytest.mark.parametrize("entry", ["drain", "block"])
+def test_nonfinite_rhs_isolated_at_drain(service, rng, entry):
+    """One NaN column among three fails alone, through either entry;
+    its neighbours equal the direct answers bit for bit."""
+    cols = [rng.standard_normal(N), np.full(N, np.nan),
+            rng.standard_normal(N)]
+    if entry == "drain":
+        tickets = [service.submit(GRID, "27pt", b) for b in cols]
+        assert service.drain() == 2
+        assert all(t.done for t in tickets)
+        with pytest.raises(RequestError):
+            tickets[1].result()
+        got = [tickets[0].result(), tickets[2].result()]
+    else:
+        out = service.solve_block(GRID, "27pt", cols, "lower")
+        assert isinstance(out[1], RequestError)
+        got = [out[0], out[2]]
+    want = _solve_each([cols[0], cols[2]])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert service.stats()["submitted"] == 3
     assert service.stats()["failed"] == 1
-    assert service.stats()["completed"] == 1
+    assert service.stats()["completed"] == 2
+    assert service.stats()["batches_executed"] == 1
 
 
+@pytest.mark.parametrize("entry", ["drain", "block"])
 def test_kernel_failure_falls_back_to_individual(service, rng,
-                                                 monkeypatch):
+                                                 monkeypatch, entry):
     """A batch-level kernel error re-runs requests one by one so only
     the culprit fails."""
     from repro.serve.plan import SolvePlan
@@ -143,13 +166,21 @@ def test_kernel_failure_falls_back_to_individual(service, rng,
             raise FloatingPointError("batch blew up")
         return real_execute(self, op, B)
 
+    cols = _rhs(rng, 3)
+    want = _solve_each(cols)
     monkeypatch.setattr(SolvePlan, "execute", flaky)
-    tickets = [service.submit(GRID, "27pt", b) for b in _rhs(rng, 3)]
-    assert service.drain() == 3  # all succeed individually
-    for t in tickets:
-        assert t.result().shape == (N,)
-        assert t.metrics["batch_k"] == 1
+    if entry == "drain":
+        tickets = [service.submit(GRID, "27pt", b) for b in cols]
+        assert service.drain() == 3  # all succeed individually
+        for t in tickets:
+            assert t.result().shape == (N,)
+            assert t.metrics["batch_k"] == 1
+        got = [t.result() for t in tickets]
+    else:
+        got = service.solve_block(GRID, "27pt", cols, "lower")
     assert calls["n"] == 4  # 1 failed batch + 3 solo runs
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert service.stats()["completed"] == 3
 
 
 def test_request_metrics_contents(service, rng):

@@ -43,18 +43,18 @@ def test_close_during_inflight_drain_fails_pending_tickets():
     svc = SolveService(config=CONFIG)
     t_lower = svc.submit(GRID, "27pt", _rhs(0), op="lower")
     t_upper = svc.submit(GRID, "27pt", _rhs(1), op="upper")
-    orig = svc._plan_for
+    orig = svc._lookup
     compiling = threading.Event()
     closed = threading.Event()
 
-    def slow_plan_for(entry):
+    def slow_lookup(*args):
         compiling.set()
         # Hold the drain mid-compile until close() has run, so the
         # in-between-groups closed check is what fires.
         assert closed.wait(5.0)
-        return orig(entry)
+        return orig(*args)
 
-    svc._plan_for = slow_plan_for
+    svc._lookup = slow_lookup
     drain_error = []
 
     def drain():
@@ -109,7 +109,8 @@ def test_requeue_into_closed_service_fails_instead():
     svc.close()
     assert ticket.done  # close() already failed it ...
     with pytest.raises(ServiceClosed):
-        svc._requeue_and_raise(0.0, [entry])
+        # A drain whose budget (deadline 0.0) is spent tries to requeue.
+        svc._interrupt(0.0, 0.0, lambda: [entry])
     # ... and the requeue attempt neither re-queued nor un-finished it.
     assert svc.n_pending == 0
     with pytest.raises(ServiceClosed):

@@ -59,20 +59,20 @@ def test_drain_timeout_mid_compile_requeues_staged_groups():
     with SolveService(config=CONFIG) as svc:
         t_lower = svc.submit(GRID, "27pt", _rhs(0), op="lower")
         t_upper = svc.submit(GRID, "27pt", _rhs(1), op="upper")
-        orig = svc._plan_for
+        orig = svc._lookup
 
-        def slow_plan_for(entry):
+        def slow_lookup(*args):
             time.sleep(0.05)
-            return orig(entry)
+            return orig(*args)
 
-        svc._plan_for = slow_plan_for
+        svc._lookup = slow_lookup
         with pytest.raises(DrainTimeout) as ei:
             svc.drain(timeout=0.01)
         assert sorted(ei.value.ticket_ids) == \
             sorted([t_lower.request_id, t_upper.request_id])
         assert svc.n_pending == 2
         assert not t_lower.done and not t_upper.done
-        svc._plan_for = orig
+        svc._lookup = orig
         assert svc.drain() == 2
         for t in (t_lower, t_upper):
             assert np.all(np.isfinite(t.result()))
