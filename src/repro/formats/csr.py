@@ -47,7 +47,22 @@ class CSRMatrix(SparseMatrix):
         self._sort_rows()
 
     def _sort_rows(self) -> None:
-        """Sort column indices within each row (stable, vectorized)."""
+        """Sort column indices within each row (stable, vectorized).
+
+        Rows already in non-decreasing order skip the sort; either way
+        ``indices`` and ``data`` end up as fresh arrays, never aliasing
+        the caller's buffers.
+        """
+        descent = self.indices[1:] < self.indices[:-1]
+        starts = self.indptr[1:-1]
+        # A descent from one row's last entry into the next row's
+        # first entry is no disorder.
+        descent[starts[(starts > 0) & (starts < len(self.indices))]
+                - 1] = False
+        if not descent.any():
+            self.indices = self.indices.copy()
+            self.data = self.data.copy()
+            return
         n = self.n_rows
         row_of = np.repeat(np.arange(n, dtype=np.int64),
                            np.diff(self.indptr))

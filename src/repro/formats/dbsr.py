@@ -175,15 +175,15 @@ class DBSRMatrix(SparseMatrix):
         Algorithm 4. ``-1`` where absent.
         """
         if self._dia_ptr is None:
+            row = np.repeat(np.arange(self.brow, dtype=np.int64),
+                            np.diff(self.blk_ptr))
+            hits = np.flatnonzero((self.blk_ind == row)
+                                  & (self.blk_offset == 0))
+            rows = row[hits]
+            first = np.ones(len(hits), dtype=bool)
+            first[1:] = rows[1:] != rows[:-1]
             dia = np.full(self.brow, -1, dtype=np.int64)
-            for i in range(self.brow):
-                lo, hi = self.blk_ptr[i], self.blk_ptr[i + 1]
-                hits = np.flatnonzero(
-                    (self.blk_ind[lo:hi] == i)
-                    & (self.blk_offset[lo:hi] == 0)
-                )
-                if len(hits):
-                    dia[i] = lo + hits[0]
+            dia[rows[first]] = hits[first]
             self._dia_ptr = dia
         return self._dia_ptr
 

@@ -25,7 +25,7 @@ autotune pick, scatters the new values through precomputed exact
 scatter maps (derived once at cold compile from a tagged pass through
 the very same ``apply_matrix``/``from_csr`` pipeline, so the repack is
 **bitwise identical** to a cold compile with the same values), and only
-re-runs the numeric factorization.
+replays the structure's stage-major ILU(0) schedule.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ from repro.formats.dbsr import DBSRMatrix
 from repro.formats.dbsr_levels import schedule_ilu_sweeps
 from repro.grids.grid import StructuredGrid
 from repro.grids.stencils import Stencil
-from repro.ilu.ilu0_dbsr import (
+# ``ilu0_factorize_dbsr`` is unused here but stays a module attribute:
+# it is the Algorithm-4 reference, and perfbench's tracer wraps all
+# three names in this module.
+from repro.ilu.ilu0_dbsr import (  # noqa: F401
     DBSRILUFactors,
     build_ilu0_schedule,
     ilu0_factorize_dbsr,
@@ -114,8 +117,8 @@ class ILUPlan:
         :func:`repack_ilu_plan` bitwise-identical to a cold compile.
     schedule:
         :class:`~repro.ilu.ilu0_dbsr.ILU0Schedule` — the factorization's
-        tile matches resolved once at cold compile, so repacks replay
-        only the numeric ops (bitwise-identical to the full loop).
+        tile matches resolved once at cold compile and grouped into
+        dependency stages; cold compiles and repacks both replay it.
     repack_seconds, refreshed:
         Cost of the last value-only repack and whether this plan object
         came from one (cold compiles report 0.0 / False).
@@ -294,19 +297,19 @@ def _scatter_dbsr_values(dbsr_scatter: np.ndarray,
 
 
 def _build_numeric(plan_skeleton: dict, values_src: np.ndarray,
-                   dtype, schedule=None) -> tuple:
+                   dtype, schedule) -> tuple:
     """Scatter one value snapshot into (CSR operator, ILU factors).
 
-    With a prebuilt :class:`~repro.ilu.ilu0_dbsr.ILU0Schedule` the
-    numeric factorization replays recorded tile matches instead of
-    re-running the structural scans — same floating-point ops in the
-    same order, so the result is bitwise-identical either way.
+    The numeric factorization replays the structure's
+    :class:`~repro.ilu.ilu0_dbsr.ILU0Schedule` — the one ILU body of
+    cold compiles and value-only repacks alike, which is what makes a
+    repack bitwise-identical to a cold compile.
     """
     csr_scatter = plan_skeleton["csr_scatter"]
     dbsr_scatter = plan_skeleton["dbsr_scatter"]
     data = _scatter_csr_data(csr_scatter, values_src, dtype)
     matrix = CSRMatrix(plan_skeleton["indptr"].copy(),
-                       plan_skeleton["indices"].copy(), data,
+                       plan_skeleton["indices"], data,
                        plan_skeleton["shape"])
     values = _scatter_dbsr_values(dbsr_scatter, values_src,
                                   plan_skeleton["bsize"], dtype)
@@ -315,11 +318,7 @@ def _build_numeric(plan_skeleton: dict, values_src: np.ndarray,
                       plan_skeleton["blk_offset"].copy(), values,
                       plan_skeleton["shape"],
                       nnz_hint=plan_skeleton["nnz"])
-    if schedule is not None:
-        factors = ilu0_refactorize_dbsr(dbsr, schedule)
-    else:
-        factors = ilu0_factorize_dbsr(dbsr)
-    return matrix, factors
+    return matrix, ilu0_refactorize_dbsr(dbsr, schedule)
 
 
 def _skeleton_of(plan: ILUPlan) -> dict:
@@ -348,8 +347,9 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
 
     Pipeline: autotune ``bsize`` (unless pinned or hinted) → AUTO block
     partition → vectorized BMC coloring + permutation → assembly →
-    tagged scatter-map derivation → value scatter → DBSR conversion →
-    block ILU(0) numeric factorization → validate + seal.
+    tagged scatter-map derivation → stage-major ILU(0) schedule of the
+    tagged DBSR skeleton → value scatter → schedule replay (the same
+    numeric body a repack runs) → validate + seal.
 
     Parameters
     ----------
@@ -426,8 +426,9 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
             "blk_offset": dbsr_tag.blk_offset,
             "nnz": dbsr_tag.nnz,
         }
-        matrix, factors = _build_numeric(skeleton, values_src, np_dtype)
-        schedule = build_ilu0_schedule(factors.matrix)
+        schedule = build_ilu0_schedule(dbsr_tag)
+        matrix, factors = _build_numeric(skeleton, values_src, np_dtype,
+                                         schedule)
         schedule_ilu_sweeps(factors.matrix, factors.dia_ptr)
 
         plan = ILUPlan(
@@ -480,7 +481,7 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray) -> ILUPlan:
         digest = value_digest(values_src)
         matrix, factors = _build_numeric(_skeleton_of(plan),
                                          values_src, np_dtype,
-                                         schedule=plan.schedule)
+                                         plan.schedule)
         # Same skeleton, so the same level schedule, by identity.
         factors.matrix.schedule = plan.factors.matrix.schedule
         fresh = ILUPlan(

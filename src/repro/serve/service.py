@@ -69,7 +69,13 @@ SERVICE_OPS = PLAN_OPS + ("ilu_apply",)
 def _request_key(grid: StructuredGrid, stencil, config: PlanConfig,
                  op: str, values) -> tuple:
     """``(fingerprint, values, value_digest)`` of one request; ILU
-    ``values`` come back normalized to the config dtype."""
+    ``values`` come back normalized to the config dtype.
+
+    Raises :class:`RequestError` for an op outside :data:`SERVICE_OPS`,
+    so gateway admission refuses it before any shard work.
+    """
+    if op not in SERVICE_OPS:
+        raise RequestError(f"unknown op {op!r}; known: {SERVICE_OPS}")
     if op != "ilu_apply":
         return structural_fingerprint(grid, stencil, config), values, None
     fp = ilu_plan.ilu_structural_fingerprint(grid, stencil, config)

@@ -130,3 +130,53 @@ def test_memory_report(small):
     assert rep.arrays["col_ind"] == csr.nnz * 4
     assert rep.arrays["values"] == csr.nnz * 8
     assert rep.total_bytes == 5 * 4 + csr.nnz * 12
+
+
+def _lexsorted(indptr, indices, data):
+    """The row sort as a plain lexsort (the reference)."""
+    row_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    order = np.lexsort((indices, row_of))
+    return indices[order], data[order]
+
+
+@pytest.mark.parametrize("indptr, indices", [
+    # Sorted, with an empty first row and a descent between rows.
+    ([0, 0, 3, 5], [0, 2, 3, 1, 3]),
+    # Duplicate columns inside a row, already non-decreasing.
+    ([0, 3, 5, 5], [1, 1, 2, 0, 0]),
+    # Unsorted inside a row, with duplicates.
+    ([0, 4, 6, 6], [3, 1, 3, 0, 2, 1]),
+    # Only the last row is out of order.
+    ([0, 2, 4], [0, 1, 3, 2]),
+    ([0, 0, 0], []),
+])
+def test_sort_rows_matches_lexsort_and_never_aliases(indptr, indices):
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    data = np.arange(len(indices), dtype=np.float64) + 1.0
+    want_idx, want_data = _lexsorted(indptr, indices, data)
+    csr = CSRMatrix(indptr, indices, data, (len(indptr) - 1, 4))
+    assert np.array_equal(csr.indices, want_idx)
+    assert np.array_equal(csr.data, want_data)
+    assert not np.shares_memory(csr.indices, indices)
+    assert not np.shares_memory(csr.data, data)
+    indices[:] = 0
+    data[:] = -1.0
+    assert np.array_equal(csr.indices, want_idx)
+    assert np.array_equal(csr.data, want_data)
+
+
+def test_sort_rows_matches_lexsort_on_random_rows():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(1, 8))
+        counts = rng.integers(0, 5, n)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indices = rng.integers(0, 6, indptr[-1])
+        if rng.random() < 0.5:
+            indices, _ = _lexsorted(indptr, indices, indices)
+        data = rng.standard_normal(indptr[-1])
+        csr = CSRMatrix(indptr, indices, data, (n, 6))
+        want_idx, want_data = _lexsorted(indptr, indices, data)
+        assert np.array_equal(csr.indices, want_idx)
+        assert np.array_equal(csr.data, want_data)

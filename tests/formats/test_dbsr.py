@@ -142,3 +142,43 @@ def test_empty_matrix():
     dbsr = DBSRMatrix.from_csr(csr, 2)
     assert dbsr.n_tiles == 0
     assert np.array_equal(dbsr.matvec(np.ones(4)), np.zeros(4))
+
+
+def _dia_ptr_loop(dbsr):
+    """The per-block-row loop ``DBSRMatrix.dia_ptr`` replaced."""
+    dia = np.full(dbsr.brow, -1, dtype=np.int64)
+    for i in range(dbsr.brow):
+        lo, hi = dbsr.blk_ptr[i], dbsr.blk_ptr[i + 1]
+        hits = np.flatnonzero((dbsr.blk_ind[lo:hi] == i)
+                              & (dbsr.blk_offset[lo:hi] == 0))
+        if len(hits):
+            dia[i] = lo + hits[0]
+    return dia
+
+
+def test_dia_ptr_matches_row_loop_on_random_tilings():
+    rng = np.random.default_rng(11)
+    saw_missing = saw_repeat = False
+    for _ in range(100):
+        bsize = int(rng.integers(1, 5))
+        brow = int(rng.integers(1, 7))
+        counts = rng.integers(0, 5, brow)
+        blk_ptr = np.concatenate([[0], np.cumsum(counts)])
+        n_tiles = int(blk_ptr[-1])
+        row = np.repeat(np.arange(brow), counts)
+        # Tiles near the diagonal, so diagonal hits (and repeats of
+        # them) are common but not certain.
+        blk_ind = np.clip(row + rng.integers(-1, 2, n_tiles), 0,
+                          brow - 1)
+        blk_offset = rng.integers(-(bsize - 1), bsize, n_tiles)
+        blk_offset[rng.random(n_tiles) < 0.5] = 0
+        dbsr = DBSRMatrix(blk_ptr, blk_ind, blk_offset,
+                          np.ones((n_tiles, bsize)),
+                          (brow * bsize, brow * bsize))
+        want = _dia_ptr_loop(dbsr)
+        assert np.array_equal(dbsr.dia_ptr, want)
+        saw_missing |= bool(np.any(want < 0))
+        hit = (blk_ind == row) & (blk_offset == 0)
+        saw_repeat |= bool(np.any(np.bincount(row[hit],
+                                              minlength=brow) > 1))
+    assert saw_missing and saw_repeat

@@ -182,6 +182,34 @@ def test_queued_quota_refusal_is_atomic_and_typed():
     assert isinstance(exc, AdmissionRejected)
 
 
+def test_unknown_op_refused_at_admission_without_probes_or_retries():
+    from repro.serve.service import RequestError
+    from repro.supervise.backoff import Backoff
+    from repro.supervise.canary import CanaryProbe
+    from repro.supervise.supervisor import ShardSupervisor
+
+    supervisor = ShardSupervisor(
+        canary=CanaryProbe(CONFIG, nx=4),
+        backoff=Backoff(base=0.005, cap=0.02, max_attempts=2))
+
+    async def run():
+        async with SolveGateway(config=CONFIG, min_shards=1,
+                                max_shards=1, supervisor=supervisor,
+                                retry=Backoff(max_attempts=2)) as gw:
+            with pytest.raises(RequestError, match="unknown op"):
+                await gw.submit(GRID, "27pt", _rhs(0), op="nope")
+            assert gw.scheduler.depth == 0
+            # The gateway still serves a valid request afterwards.
+            await gw.solve(GRID, "27pt", _rhs(1))
+            return gw.stats()
+
+    stats = asyncio.run(run())
+    assert stats["accepted"] == 1 and stats["failed"] == 0
+    assert stats["retries"] == 0
+    assert stats["supervisor"]["canary"]["probes"] == 0
+    assert stats["supervisor"]["releases_healthy"] == 0
+
+
 def test_per_tenant_counters_are_distinct_series_of_one_family():
     """Tenant names that flatten alike (``"team a"``/``"team_a"``,
     ``"x.y"``/``"x_y"``) keep their own counts, and the exported text

@@ -183,7 +183,12 @@ def test_cold_compile_carries_a_schedule():
     plan = compile_ilu_plan(GRID, "27pt", CONFIG)
     assert plan.schedule is not None
     assert plan.schedule.n_ops > 0
-    assert len(plan.schedule.upd_ptr) == plan.schedule.n_ops + 1
+    schedule = plan.schedule
+    assert 0 < schedule.n_stages <= schedule.n_ops
+    assert len(schedule.div_ptr) == len(schedule.upd_ptr) \
+        == schedule.n_stages + 1
+    assert schedule.div_ptr[-1] == schedule.n_ops
+    assert schedule.upd_ptr[-1] == len(schedule.q)
 
 
 # Metadata ------------------------------------------------------------------
