@@ -3,13 +3,17 @@
 These complement the figure models with actually measured times: the
 numpy-vectorized DBSR kernels process a whole tile per operation, so
 even under the Python interpreter the contiguous-tile structure is
-observable (fewer, wider operations than per-element CSR).
+observable (fewer, wider operations than per-element CSR). The DBSR
+matrices carry the block-row level schedule that ``compile_plan`` and
+``DBSRSymgsSmoother`` attach, so the sweeps timed here are the served
+ones.
 """
 
 import numpy as np
 import pytest
 
 from repro.formats.dbsr import DBSRMatrix
+from repro.formats.dbsr_levels import build_block_levels, schedule_sweeps
 from repro.formats.sell import SELLMatrix
 from repro.grids.problems import poisson_problem
 from repro.kernels.sptrsv_csr import split_triangular, sptrsv_csr
@@ -26,6 +30,9 @@ def workload():
     dbsr = DBSRMatrix.from_csr(csr, 8)
     L, D, U = split_triangular(csr)
     Ld = DBSRMatrix.from_csr(L, 8)
+    levels = build_block_levels(dbsr)
+    for m in (dbsr, Ld):
+        schedule_sweeps(m, levels)
     x = make_rng(1).standard_normal(csr.n_cols)
     return p, csr, dbsr, L, D, Ld, x
 

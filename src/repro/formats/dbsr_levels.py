@@ -30,12 +30,20 @@ order — slot ``s`` holds the ``s``-th tile of every row that has one,
 rows sorted by descending tile count — so the batched kernels of
 :mod:`repro.serve.batch` update a level with one contiguous-slice
 operation per slot while each row still takes its tiles in storage
-order. A :class:`LevelSchedule` bundles the levels with the layouts of
-one matrix and rides on it as :attr:`DBSRMatrix.schedule`.
+order. Levels that :func:`reduce_pays` accepts at ``k = 1`` also get a
+padded ``(slots, rows)`` tile and window index, built vectorized with
+the layout, whose missing slots point at tile ``n_tiles`` and window
+0; the kernels solve such a level with one axis-0 reduction over the
+padded products, supplying the zero tile from the values of each call
+(a value-only repack shares the layouts, so it is never cached here)
+and reading window 0 from the zero pad. A :class:`LevelSchedule`
+bundles the levels with the layouts of one matrix and rides on it as
+:attr:`DBSRMatrix.schedule`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +121,28 @@ def build_block_levels(matrix: DBSRMatrix) -> BlockLevels:
     return BlockLevels(level_of=level_of, level_ptr=level_ptr)
 
 
+#: Largest slot update, in elements (mean tiles per slot with padding
+#: counted, times ``bsize * k``), that :func:`reduce_pays` hands to the
+#: padded reduction. Fitted from whole-sweep timings of the served
+#: kernels (``docs/backends.md``); below 128, so bsize-64 levels keep
+#: the slot loop and carry no padded index.
+REDUCE_MAX_ELEMS = 96
+
+
+def reduce_pays(slot_tiles, bsize: int, k: int):
+    """Whether a level whose slots hold ``slot_tiles`` tiles each
+    (padding counted: its row count) runs as one padded reduction at
+    ``k`` columns; elementwise on an array of levels.
+
+    A slot of the slot loop costs one dispatch plus its elements; the
+    reduction pays for every padded tile but needs no per-slot
+    dispatch. It wins while a slot update is small enough to be
+    dispatch-bound. The work grows with ``k``, so a level rejected at
+    ``k = 1`` is rejected at every ``k`` (and gets no padded index).
+    """
+    return slot_tiles * bsize * k <= REDUCE_MAX_ELEMS
+
+
 class LevelBatch:
     """One level of two or more rows, laid out for one sweep.
 
@@ -122,17 +152,24 @@ class LevelBatch:
     in the padded buffer) list the level's tiles slot-major: slot ``s``
     holds the ``s``-th tile of ``rows[:slots[s]]``, right after the
     tiles of slots ``0 .. s - 1``.
+
+    ``padded`` is ``None`` unless :func:`reduce_pays` accepts the level
+    at ``k = 1``; then it is the pair of ``(slots, rows)`` arrays
+    ``(tiles, windows)`` of the whole level, where a row's missing slots
+    hold tile ``n_tiles`` (the zero tile the kernel appends to the
+    values of its call) and window 0 (the zero pad ``Xp[0:bsize]``).
     """
 
-    __slots__ = ("rows", "rows1", "tiles", "windows", "slots")
+    __slots__ = ("rows", "rows1", "tiles", "windows", "slots", "padded")
 
     def __init__(self, rows: np.ndarray, tiles: np.ndarray,
-                 windows: np.ndarray, slots: tuple):
+                 windows: np.ndarray, slots: tuple, padded):
         self.rows = rows
         self.rows1 = rows + 1
         self.tiles = tiles
         self.windows = windows
         self.slots = slots
+        self.padded = padded
 
 
 class TileLayout:
@@ -142,15 +179,20 @@ class TileLayout:
     levels in order; each step is either a :class:`LevelBatch` or a
     tuple of block-rows whose levels hold one row each (run through the
     per-row body in that order). :attr:`lo`, :attr:`hi` and
-    :attr:`anchors` are Python-int lists for that body.
+    :attr:`anchors` are Python-int lists for that body. ``bsize`` is
+    the matrix's: with it :func:`reduce_pays` decides which levels get
+    a padded index. :attr:`narrowest` is the fewest rows among those
+    levels (``inf`` if none): some level reduces at ``k`` columns iff
+    ``reduce_pays(narrowest, bsize, k)``.
     """
 
-    __slots__ = ("lo", "hi", "anchors", "steps")
+    __slots__ = ("lo", "hi", "anchors", "steps", "narrowest")
 
     def __init__(self, levels: BlockLevels | None, lo: np.ndarray,
-                 hi: np.ndarray, anchors: np.ndarray):
+                 hi: np.ndarray, anchors: np.ndarray, bsize: int):
         self.lo = lo.tolist()
         self.hi = hi.tolist()
+        self.narrowest = math.inf
         if levels is None:
             self.anchors = anchors.tolist()
             self.steps = (tuple(range(len(self.lo))),)
@@ -169,7 +211,8 @@ class TileLayout:
         # earlier tiles and its lower slots (m[L, s'] tiles each).
         pos = np.repeat(np.arange(brow), c_o)
         slot = np.arange(len(pos)) - np.repeat(np.cumsum(c_o) - c_o, c_o)
-        cell = lv[order][pos] * width + slot
+        lv_p = lv[order][pos]
+        cell = lv_p * width + slot
         m = np.bincount(cell, minlength=n_levels * width)
         start = np.cumsum(m) - m
         ids = lo[order][pos] + slot
@@ -179,15 +222,32 @@ class TileLayout:
         rows = order.astype(np.intp)
         # Only single-row levels read the per-row lists; batched tiles
         # keep a shared 0 there instead of an int object each.
-        alone = ids[np.diff(lptr)[lv[order]][pos] == 1]
+        n_rows = np.diff(lptr)
+        alone = ids[n_rows[lv_p] == 1]
         sparse = np.zeros_like(anchors)
         sparse[alone] = anchors[alone]
         self.anchors = sparse.tolist()
         m2 = m.reshape(n_levels, width)
+        n_slots = (m2 > 0).sum(axis=1)
+        # Padded (slots, rows) index of the levels the reduce can take:
+        # tile (p, s) of level L sits at poff[L] + s * rows_L + rank[p].
+        pads = (n_rows > 1) & reduce_pays(n_rows, bsize, 1)
+        psize = np.where(pads, n_slots * n_rows, 0)
+        poff = np.cumsum(psize) - psize
+        hit = pads[lv_p]
+        at = poff[lv_p[hit]] + slot[hit] * n_rows[lv_p[hit]] \
+            + rank[pos[hit]]
+        ptiles = np.full(int(psize.sum()), len(anchors), dtype=np.intp)
+        pwindows = np.zeros(len(ptiles), dtype=np.intp)
+        ptiles[at] = ids[hit]
+        pwindows[at] = anchors[ids[hit]]
+        if pads.any():
+            self.narrowest = int(n_rows[pads].min())
         tptr = start[::width].tolist() + [len(pos)]
         m_l = m2.tolist()
-        n_slots = (m2 > 0).sum(axis=1).tolist()
         lp = lptr.tolist()
+        n_slots, pads = n_slots.tolist(), pads.tolist()
+        poff = poff.tolist()
         steps, run = [], []
         for L in range(n_levels):
             r0, r1 = lp[L], lp[L + 1]
@@ -198,9 +258,15 @@ class TileLayout:
                 steps.append(tuple(run))
                 run = []
             t0, t1 = tptr[L], tptr[L + 1]
+            S = n_slots[L]
+            padded = None
+            if pads[L]:
+                p0, p1 = poff[L], poff[L] + S * (r1 - r0)
+                padded = (ptiles[p0:p1].reshape(S, r1 - r0),
+                          pwindows[p0:p1].reshape(S, r1 - r0))
             steps.append(LevelBatch(rows[r0:r1], tiles[t0:t1],
-                                    windows[t0:t1],
-                                    tuple(m_l[L][:n_slots[L]])))
+                                    windows[t0:t1], tuple(m_l[L][:S]),
+                                    padded))
         if run:
             steps.append(tuple(run))
         self.steps = tuple(steps)
@@ -231,7 +297,8 @@ def schedule_sweeps(matrix: DBSRMatrix, levels: BlockLevels) -> None:
     """
     ptr = matrix.blk_ptr.astype(np.int64)
     matrix.schedule = LevelSchedule(levels, full=TileLayout(
-        levels, ptr[:-1], ptr[1:], matrix.anchors + matrix.bsize))
+        levels, ptr[:-1], ptr[1:], matrix.anchors + matrix.bsize,
+        matrix.bsize))
 
 
 def schedule_ilu_sweeps(matrix: DBSRMatrix, dia_ptr: np.ndarray) -> None:
@@ -244,5 +311,5 @@ def schedule_ilu_sweeps(matrix: DBSRMatrix, dia_ptr: np.ndarray) -> None:
     anchors = matrix.anchors + matrix.bsize
     matrix.schedule = LevelSchedule(
         levels,
-        below=TileLayout(levels, ptr[:-1], dia, anchors),
-        above=TileLayout(levels, dia + 1, ptr[1:], anchors))
+        below=TileLayout(levels, ptr[:-1], dia, anchors, matrix.bsize),
+        above=TileLayout(levels, dia + 1, ptr[1:], anchors, matrix.bsize))

@@ -23,21 +23,31 @@ buffer, so every tile window ``Xp[a:a + bsize]`` is one contiguous
 ``(bsize, k)`` block and each tile's values broadcast across the ``k``
 columns as ``values[t][:, None]``. A matrix that carries a block-row
 level schedule (:mod:`repro.formats.dbsr_levels`, attached when a plan
-or smoother is built) is swept level by level: a level of two or more
+or smoother is built) is swept level by level. A level of two or more
 rows gathers its tiles' whole contiguous windows at once, one window
-per tile (``sliding_window_view(Xp, bsize, axis=0)[anchors]``), and
-updates its rows with one contiguous-slice operation per tile slot;
-single-row levels, and matrices without a schedule, run the per-row
-body. The ``*_counted`` twins still model Algorithm 2's contiguous
-loads tile by tile. The gather-lint covers this module's engine-taking
-functions (the counted twins), not the fast bodies. SpMV has no
-row-to-row dependence, so it instead builds every tile window at once
-on an RHS-major ``(k, n + 2*bsize)`` buffer.
+per tile (``sliding_window_view(Xp, bsize, axis=0)[anchors]``, by
+fancy indexing: ``np.take`` there would first copy the whole buffer).
+Where :func:`~repro.formats.dbsr_levels.reduce_pays` judges the level
+dispatch-bound, the products fill a padded ``(slots + 1, rows, bsize,
+k)`` stack — missing tiles are a zero tile appended to the values of
+the call, times the zero pad ``Xp[0:bsize]`` — and one axis-0
+reduction solves the level: ``np.subtract.reduce`` with ``B`` as slot
+−1 for the sweeps, ``np.add.reduce`` with an explicit ``+0`` slot −1
+for SYMGS's row sum. Other levels update their rows with one
+contiguous-slice operation per tile slot (:func:`_fold_level` holds
+both bodies). Single-row levels, and matrices without a schedule, run
+the per-row body. The ``*_counted`` twins still model Algorithm 2's
+contiguous loads tile by tile. The gather-lint covers this module's
+engine-taking functions (the counted twins), not the fast bodies. SpMV
+has no row-to-row dependence, so it instead builds every tile window at
+once on an RHS-major ``(k, n + 2*bsize)`` buffer.
 
 Batching reorders no floating-point operation within a column, so
 column ``j`` of a ``k``-wide call is bit-identical to the ``k = 1``
 call on column ``j``; nor does level batching, since coupled rows
-never share a level and each row takes its tiles in storage order.
+never share a level and each row takes its tiles in storage order
+(a padded term is ``+0``, which leaves every partial result's bits
+alone, and the SYMGS sum starts from ``+0`` as the row body's does).
 SpMV accumulates each row's tiles as a *sequential* chain in storage
 order — the canonical backend-tier rounding sequence — so it matches
 :meth:`~repro.formats.dbsr.DBSRMatrix.matvec` (pairwise ``reduceat``
@@ -53,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.formats.dbsr import DBSRMatrix
-from repro.formats.dbsr_levels import LevelBatch, TileLayout
+from repro.formats.dbsr_levels import LevelBatch, TileLayout, reduce_pays
 from repro.simd.engine import VectorEngine
 from repro.utils.validation import require
 
@@ -100,7 +110,7 @@ def _full_layout(matrix: DBSRMatrix) -> TileLayout:
     if sched is not None and sched.full is not None:
         return sched.full
     ptr, anchors = matrix.blk_ptr, matrix.anchors + matrix.bsize
-    return TileLayout(None, ptr[:-1], ptr[1:], anchors)
+    return TileLayout(None, ptr[:-1], ptr[1:], anchors, matrix.bsize)
 
 
 def _level_views(Xp: np.ndarray, B: np.ndarray, diag, bs: int) -> tuple:
@@ -115,29 +125,67 @@ def _level_views(Xp: np.ndarray, B: np.ndarray, diag, bs: int) -> tuple:
             B.reshape(brow, bs, k), d3)
 
 
-def _level_products(windows: np.ndarray, vals: np.ndarray,
-                    level: LevelBatch) -> np.ndarray:
-    """Every tile product of one level, slot-major: one window gather
-    and one multiply (``vals[t] * window``, the row body's order)."""
-    prod = windows[level.windows]
-    np.multiply(vals[level.tiles], prod, out=prod)
-    return prod
+def _value_views(values: np.ndarray, k: int, *layouts) -> tuple:
+    """``(vals, vals0)``: ``values[:, :, None]``, and the same with one
+    zero tile appended at index ``n_tiles`` (the tile a padded index's
+    missing slots point at) when some level of ``layouts`` reduces at
+    ``k`` columns, else ``None``.
+
+    Built from the values of the call, never cached: a value-only
+    repack hands the same layouts to new values."""
+    bs = values.shape[1]
+    if not any(reduce_pays(lay.narrowest, bs, k) for lay in layouts):
+        return values[:, :, None], None
+    zero = np.zeros((1, bs), dtype=values.dtype)
+    return values[:, :, None], np.concatenate((values, zero))[:, :, None]
 
 
-def _sweep(values: np.ndarray, layout: TileLayout, B: np.ndarray,
+def _fold_level(op, first: np.ndarray, windows: np.ndarray,
+                vals: np.ndarray, vals0, level: LevelBatch,
+                k: int) -> np.ndarray:
+    """Fold every row's tile products into ``first`` (a fresh
+    ``(rows, bsize, k)`` block) with ``op``, in storage order:
+    ``op(op(first, p0), p1) ...``, each product ``vals[t] * window``
+    as in the row body.
+
+    Where :func:`~repro.formats.dbsr_levels.reduce_pays` picks the
+    level, ``first`` and the padded products stack up as ``(slots + 1,
+    rows, bsize, k)`` and one ``op.reduce`` over axis 0 folds them; a
+    padded product is ``0 * 0 = +0``, which leaves every partial
+    result's bits alone. Otherwise each tile slot updates the rows that
+    own one with one contiguous-slice ``op``. The window gathers use
+    fancy indexing: ``np.take`` on the ``sliding_window_view`` would
+    first copy the whole buffer.
+    """
+    if reduce_pays(len(level.rows), windows.shape[1], k):
+        ptiles, pwindows = level.padded
+        buf = np.empty((len(ptiles) + 1,) + first.shape, first.dtype)
+        buf[0] = first
+        np.multiply(vals0[ptiles], windows[pwindows], out=buf[1:])
+        return op.reduce(buf, axis=0)
+    if level.slots:
+        prod = windows[level.windows]
+        np.multiply(vals[level.tiles], prod, out=prod)
+        a = 0
+        for m in level.slots:
+            op(first[:m], prod[a:a + m], out=first[:m])
+            a += m
+    return first
+
+
+def _sweep(vals: np.ndarray, vals0, layout: TileLayout, B: np.ndarray,
            diag: np.ndarray | None, forward: bool) -> np.ndarray:
     """One whole-matrix sweep; returns the padded ``(n + 2*bsize, k)``
     solution.
 
-    A level of two or more rows is solved at once: each slot's tiles
-    update the accumulators of the rows that own one with a single
-    contiguous-slice subtract, so every row still subtracts its tiles
-    in storage order. Runs of single-row levels take the row body.
+    ``vals`` and ``vals0`` come from :func:`_value_views`. A level of
+    two or more rows is solved at once: :func:`_fold_level` subtracts
+    every row's tiles from its ``B`` block in storage order. Runs of
+    single-row levels take the row body.
     """
     n, k = B.shape
-    bs = values.shape[1]
-    Xp = np.zeros((n + 2 * bs, k), dtype=np.result_type(values, B))
-    vals = values[:, :, None]
+    bs = vals.shape[1]
+    Xp = np.zeros((n + 2 * bs, k), dtype=np.result_type(vals, B))
     X3, windows, B3, d3 = _level_views(Xp, B, diag, bs)
     for step in (layout.steps if forward else reversed(layout.steps)):
         if type(step) is tuple:
@@ -145,13 +193,9 @@ def _sweep(values: np.ndarray, layout: TileLayout, B: np.ndarray,
                              layout.hi, B, diag,
                              step if forward else reversed(step))
             continue
-        acc = B3[step.rows].astype(Xp.dtype)
-        if step.slots:
-            prod = _level_products(windows, vals, step)
-            a = 0
-            for m in step.slots:
-                acc[:m] -= prod[a:a + m]
-                a += m
+        acc = _fold_level(np.subtract,
+                          B3[step.rows].astype(Xp.dtype, copy=False),
+                          windows, vals, vals0, step, k)
         if d3 is not None:
             acc /= d3[step.rows]
         X3[step.rows1] = acc
@@ -164,7 +208,9 @@ def _sptrsv_multi(matrix: DBSRMatrix, B: np.ndarray,
     B = _check_rhs_block(matrix, B)
     n, bs = B.shape[0], matrix.bsize
     d = None if diag is None else np.asarray(diag)[:, None]
-    Xp = _sweep(matrix.values, _full_layout(matrix), B, d, forward)
+    layout = _full_layout(matrix)
+    vals, vals0 = _value_views(matrix.values, B.shape[1], layout)
+    Xp = _sweep(vals, vals0, layout, B, d, forward)
     return Xp[bs:bs + n].copy()
 
 
@@ -248,9 +294,9 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
     dtype = np.result_type(matrix.values, X)
     Xp = np.zeros((n + 2 * bs, k), dtype=dtype)
     Xp[bs:bs + n] = X
-    vals = matrix.values[:, :, None]
     d = np.asarray(diag)[:, None]
     layout = _full_layout(matrix)
+    vals, vals0 = _value_views(matrix.values, k, layout)
     X3, windows, B3, d3 = _level_views(Xp, B, d, bs)
     for forward in (True, False):
         for step in (layout.steps if forward
@@ -260,13 +306,13 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
                             layout.hi, B, d,
                             step if forward else reversed(step))
                 continue
-            rowsum = np.zeros((len(step.rows), bs, k), dtype=dtype)
-            if step.slots:
-                prod = _level_products(windows, vals, step)
-                a = 0
-                for m in step.slots:
-                    rowsum[:m] += prod[a:a + m]
-                    a += m
+            # An explicit +0 start, as in the row body: a sum started
+            # from the first product keeps a -0 that +0 + (-0) turns
+            # into +0 (add.reduce starts from its identity only while
+            # ``initial`` keeps its default).
+            rowsum = _fold_level(
+                np.add, np.zeros((len(step.rows), bs, k), dtype=dtype),
+                windows, vals, vals0, step, k)
             X3[step.rows1] += (B3[step.rows] - rowsum) / d3[step.rows]
     X[:] = Xp[bs:bs + n]
     return X
@@ -289,12 +335,14 @@ def ilu_apply_dbsr_multi(factors, B: np.ndarray) -> np.ndarray:
         below, above = sched.below, sched.above
     else:
         ptr, anchors = m.blk_ptr, m.anchors + bs
-        below = TileLayout(None, ptr[:-1], factors.dia_ptr, anchors)
-        above = TileLayout(None, factors.dia_ptr + 1, ptr[1:], anchors)
+        below = TileLayout(None, ptr[:-1], factors.dia_ptr, anchors, bs)
+        above = TileLayout(None, factors.dia_ptr + 1, ptr[1:], anchors,
+                           bs)
+    vals, vals0 = _value_views(m.values, B.shape[1], below, above)
     # Forward: (L + I) Y = B.
-    Y = _sweep(m.values, below, B, None, True)
+    Y = _sweep(vals, vals0, below, B, None, True)
     # Backward: (D + U) Z = Y.
-    Z = _sweep(m.values, above, Y[bs:bs + n],
+    Z = _sweep(vals, vals0, above, Y[bs:bs + n],
                factors.diag_vector()[:, None], False)
     return Z[bs:bs + n].copy()
 

@@ -9,20 +9,28 @@ Three things are pinned here:
 * raw-bit identity (``.view(np.uint64)``, so signed zeros and NaN
   payloads count) of the batched kernels against ``numpy-counted`` for
   ``lower``, ``upper``, ``symgs`` and ``ilu_apply``, on a structure
-  with multi-row levels and on one whose levels are all single rows;
-* a value-only ILU repack keeps the very same schedule object.
+  with multi-row levels and on one whose levels are all single rows,
+  through both the padded reduction and the slot loop;
+* the per-level rule that picks between those two, and the padded
+  index it reads;
+* a value-only ILU repack keeps the very same schedule object, and its
+  sweeps take the zero tile from the new values.
 """
+
+import copy
+
 
 import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.formats.dbsr_levels import LevelBatch
+from repro.formats.dbsr_levels import LevelBatch, reduce_pays
 from repro.grids.grid import StructuredGrid
 from repro.grids.problems import hpcg_problem
 from repro.multigrid.hierarchy import build_hierarchy, hierarchy_levels
 from repro.multigrid.smoothers import make_smoother
 from repro.serve import batch
+from repro.serve import ilu_plan as ilu_plan_module
 from repro.serve.ilu_plan import compile_ilu_plan, repack_ilu_plan
 from repro.serve.plan import PlanConfig, compile_plan
 from repro.simd.engine import VectorEngine
@@ -159,6 +167,7 @@ def test_layouts_take_each_tile_once_in_row_order(multi_row):
             assert np.array_equal(step.windows,
                                   matrix.anchors[step.tiles]
                                   + matrix.bsize)
+            _check_padded(matrix, step, lo)
             seen += step.tiles.tolist()
         assert n_batches > 0
         # Levels in order, every row once.
@@ -166,6 +175,56 @@ def test_layouts_take_each_tile_once_in_row_order(multi_row):
         assert np.all(np.diff(level_of[rows]) >= 0)
         assert sorted(seen) == [t for i in range(matrix.brow)
                                 for t in range(lo[i], hi[i])]
+
+
+def _check_padded(matrix, step, lo):
+    """Slot ``s`` of row ``r`` holds the row's ``s``-th tile and window,
+    or the zero tile ``n_tiles`` and the zero pad's window 0."""
+    if step.padded is None:
+        assert not reduce_pays(len(step.rows), matrix.bsize, 1)
+        return
+    assert reduce_pays(len(step.rows), matrix.bsize, 1)
+    ptiles, pwindows = step.padded
+    assert ptiles.shape == pwindows.shape == (len(step.slots),
+                                              len(step.rows))
+    for r, row in enumerate(step.rows):
+        for s in range(len(step.slots)):
+            if r < step.slots[s]:
+                assert ptiles[s, r] == lo[row] + s
+                assert pwindows[s, r] == (matrix.anchors[lo[row] + s]
+                                          + matrix.bsize)
+            else:
+                assert ptiles[s, r] == matrix.n_tiles
+                assert pwindows[s, r] == 0
+
+
+def _batches(layout):
+    return [s for s in layout.steps if isinstance(s, LevelBatch)]
+
+
+@pytest.fixture(scope="module")
+def wide_levels():
+    """``tri-large-k8``'s structure: 27pt nx=32 at bsize 64."""
+    return compile_plan(StructuredGrid((32, 32, 32)), "27pt", _config(64))
+
+
+def test_rule_reduces_narrow_levels_and_loops_wide_ones(hpcg_smoothers,
+                                                        wide_levels):
+    # Every multi-row level of the hpcg-mg smoothers is dispatch-bound
+    # at k = 1 and carries its padded index.
+    for sm in hpcg_smoothers:
+        for step in _batches(sm.dbsr.schedule.full):
+            assert reduce_pays(len(step.rows), sm.dbsr.bsize, 1)
+            assert step.padded is not None
+    # Wide bsize-64 levels keep the slot loop at k = 8, and the rule
+    # rejects them at k = 1 too, so no padded index is ever built.
+    m = wide_levels.dbsr
+    steps = _batches(m.schedule.full)
+    assert steps
+    for step in steps:
+        assert not reduce_pays(len(step.rows), m.bsize, 8)
+        assert not reduce_pays(len(step.rows), m.bsize, 1)
+        assert step.padded is None
 
 
 def test_single_row_structure_has_only_single_row_levels(
@@ -184,6 +243,9 @@ def _rhs(n, k, seed=0):
         B[3, 1] = np.inf
         B[n // 2, 1] = PAYLOAD_NAN
         B[n - 5, 1] = -np.inf
+        # A -0 column: every padded term must be +0, since x - (-0)
+        # turns the -0 the row body keeps into +0.
+        B[:, 2] = -0.0
     return B
 
 
@@ -217,6 +279,7 @@ def test_smoother_symgs_from_nonzero_guess_bitwise(hpcg_smoothers,
     m = sm.dbsr
     B = _rhs(m.n_rows, 3, seed=1)
     X0 = np.random.default_rng(2).standard_normal(B.shape)
+    X0[::5] = -0.0
     got = batch.symgs_dbsr_multi(m, sm.diag, X0.copy(), B)
     want = batch.symgs_dbsr_multi_counted(m, sm.diag, X0.copy(), B,
                                           VectorEngine(m.bsize))
@@ -235,3 +298,100 @@ def test_repack_keeps_the_schedule_object():
     fast = get_backend("numpy-fast")
     assert _bits_equal(fast.run(fresh, "ilu_apply", B),
                        fast.run(cold, "ilu_apply", B))
+
+
+def _padded_row_tile(matrix, layout, k):
+    """The last real tile of a row that has padding in a level the
+    reduction takes at ``k`` columns."""
+    for step in _batches(layout):
+        if reduce_pays(len(step.rows), matrix.bsize, k) and step.slots \
+                and step.slots[-1] < len(step.rows):
+            last_row = step.padded[0][:, -1]
+            return int(last_row[last_row < matrix.n_tiles][-1])
+    raise AssertionError("no padded row in a reduce level")
+
+
+def _with_inf_tiles(matrix, tiles):
+    """A copy of ``matrix`` (same schedule) with ``tiles`` set to
+    alternating +Inf/-Inf."""
+    out = copy.copy(matrix)
+    out.values = matrix.values.copy()
+    signs = np.where(np.arange(matrix.bsize) % 2 == 0, np.inf, -np.inf)
+    out.values[tiles] = signs
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 3])
+def test_padding_never_multiplies_a_real_tile(multi_row, k):
+    # ±Inf in a real tile of a reduce level (and in the last tile): a
+    # padded slot pointing at any real tile would turn Inf * 0 into a
+    # NaN that the row body never computes.
+    plan, _ = multi_row
+    B = _rhs(plan.n_padded, k)
+    engine = VectorEngine(plan.bsize)
+    t = _padded_row_tile(plan.dbsr, plan.dbsr.schedule.full, k)
+    m = _with_inf_tiles(plan.dbsr, [t, plan.dbsr.n_tiles - 1])
+    X0 = np.random.default_rng(3).standard_normal(B.shape)
+    got = batch.symgs_dbsr_multi(m, plan.diag, X0.copy(), B)
+    want = batch.symgs_dbsr_multi_counted(m, plan.diag, X0.copy(), B,
+                                          engine)
+    assert _bits_equal(got, want), "symgs"
+    for tri, fast, counted in (
+            (plan.lower, batch.sptrsv_dbsr_lower_multi,
+             batch.sptrsv_dbsr_lower_multi_counted),
+            (plan.upper, batch.sptrsv_dbsr_upper_multi,
+             batch.sptrsv_dbsr_upper_multi_counted)):
+        t = _padded_row_tile(tri, tri.schedule.full, k)
+        m = _with_inf_tiles(tri, [t, tri.n_tiles - 1])
+        assert _bits_equal(fast(m, B, plan.diag),
+                           counted(m, B, engine, plan.diag))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_symgs_row_sum_starts_from_plus_zero(multi_row):
+    # With non-negative values and a -0 guess every product of a row is
+    # -0: the row body's sum is +0 + (-0) + ... = +0, so x stays -0; a
+    # sum started from the first product would be -0 and flip x to +0.
+    plan, _ = multi_row
+    m = copy.copy(plan.dbsr)
+    m.values = np.abs(plan.dbsr.values)
+    B = _rhs(plan.n_padded, 3)
+    X0 = np.random.default_rng(4).standard_normal(B.shape)
+    X0[:, 2] = -0.0
+    got = batch.symgs_dbsr_multi(m, plan.diag, X0.copy(), B)
+    want = batch.symgs_dbsr_multi_counted(m, plan.diag, X0.copy(), B,
+                                          VectorEngine(plan.bsize))
+    assert _bits_equal(got, want)
+    assert np.all(np.signbit(got[:, 2]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_repack_sweeps_read_the_new_values(multi_row, monkeypatch):
+    # Inf and -0 coefficients in a reduce-level tile of the factor
+    # skeleton. The guardrails refuse non-finite factors; they are
+    # bypassed here so the kernels see them.
+    monkeypatch.setattr(ilu_plan_module, "validate_plan",
+                        lambda plan: None)
+    _, plan = multi_row
+    fast = get_backend("numpy-fast")
+    B = _rhs(plan.n_padded, 3)
+    # Warm the original plan's sweeps first: nothing they build may
+    # outlive the call and leak into the repack.
+    fast.run(plan, "ilu_apply", B.copy())
+    bs = plan.bsize
+    t = _padded_row_tile(plan.factors.matrix,
+                         plan.factors.matrix.schedule.below, 3)
+    src = plan.dbsr_scatter[t * bs:(t + 1) * bs]
+    src = src[src >= 0]
+    values = plan.values_src * 1.25
+    values[src] = -0.0
+    values[src[0]] = np.inf
+    fresh = repack_ilu_plan(plan, values)
+    assert fresh.factors.matrix.schedule is plan.factors.matrix.schedule
+    assert np.isinf(fresh.factors.matrix.values[t]).any()
+    cold = compile_ilu_plan(plan.grid, "27pt", plan.config, values=values)
+    got = fast.run(fresh, "ilu_apply", B.copy())
+    assert _bits_equal(got, fast.run(cold, "ilu_apply", B.copy()))
+    assert _bits_equal(got, get_backend("numpy-counted").run(
+        fresh, "ilu_apply", B.copy()))
