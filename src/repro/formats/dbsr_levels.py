@@ -36,7 +36,11 @@ the layout, whose missing slots point at tile ``n_tiles`` and window
 0; the kernels solve such a level with one axis-0 reduction over the
 padded products, supplying the zero tile from the values of each call
 (a value-only repack shares the layouts, so it is never cached here)
-and reading window 0 from the zero pad. A :class:`LevelSchedule`
+and reading window 0 from the zero pad. A level of one row with at
+least :data:`ROW_REDUCE_MIN_TILES` tiles gets the same index, unpadded
+``(tiles, 1)`` and free of the zero tile, and reduces at every ``k``;
+one-row levels with fewer tiles run as tuple runs through the per-row
+body. A :class:`LevelSchedule`
 bundles the levels with the layouts of one matrix and rides on it as
 :attr:`DBSRMatrix.schedule`.
 """
@@ -122,29 +126,44 @@ def build_block_levels(matrix: DBSRMatrix) -> BlockLevels:
 
 
 #: Largest slot update, in elements (mean tiles per slot with padding
-#: counted, times ``bsize * k``), that :func:`reduce_pays` hands to the
-#: padded reduction. Fitted from whole-sweep timings of the served
-#: kernels (``docs/backends.md``); below 128, so bsize-64 levels keep
-#: the slot loop and carry no padded index.
+#: counted, times ``bsize * k``), for which :func:`reduce_pays` hands a
+#: level of two or more rows to the padded reduction. Fitted from
+#: whole-sweep timings of the served kernels (``docs/backends.md``);
+#: below 128, so bsize-64 levels keep the slot loop and carry no padded
+#: index.
 REDUCE_MAX_ELEMS = 96
 
+#: Fewest tiles for which :func:`reduce_pays` hands a one-row level to
+#: the reduction. The reduction costs a fixed few dispatches, the row
+#: body two per tile; fitted from whole-sweep timings
+#: (``docs/backends.md``): the smallest tile count at which the
+#: reduction is no slower at every ``k``.
+ROW_REDUCE_MIN_TILES = 8
 
-def reduce_pays(slot_tiles, bsize: int, k: int):
-    """Whether a level whose slots hold ``slot_tiles`` tiles each
-    (padding counted: its row count) runs as one padded reduction at
-    ``k`` columns; elementwise on an array of levels.
 
-    A slot of the slot loop costs one dispatch plus its elements; the
-    reduction pays for every padded tile but needs no per-slot
-    dispatch. It wins while a slot update is small enough to be
-    dispatch-bound. The work grows with ``k``, so a level rejected at
-    ``k = 1`` is rejected at every ``k`` (and gets no padded index).
+def reduce_pays(rows, tiles, bsize: int, k: int):
+    """Whether a level of ``rows`` block-rows and ``tiles`` tiles runs
+    as one axis-0 reduction at ``k`` columns; elementwise on arrays of
+    levels.
+
+    A level of two or more rows: a slot of the slot loop costs one
+    dispatch plus its elements, while the reduction needs no per-slot
+    dispatch but pays for every padded tile (``rows`` per slot). It
+    wins while a slot update is small enough to be dispatch-bound. The
+    work grows with ``k``, so a level rejected at ``k = 1`` is rejected
+    at every ``k`` (and gets no padded index).
+
+    A one-row level has nothing to pad: the reduction replaces the row
+    body's two dispatches per tile with a fixed few, so it wins from
+    :data:`ROW_REDUCE_MIN_TILES` tiles at every ``k``.
     """
-    return slot_tiles * bsize * k <= REDUCE_MAX_ELEMS
+    return (((rows == 1) & (tiles >= ROW_REDUCE_MIN_TILES))
+            | ((rows > 1) & (rows * bsize * k <= REDUCE_MAX_ELEMS)))
 
 
 class LevelBatch:
-    """One level of two or more rows, laid out for one sweep.
+    """One level laid out for one sweep: two or more rows, or one row
+    that :func:`reduce_pays` hands to the reduction.
 
     ``rows`` are sorted by descending tile count and ``rows1`` is
     ``rows + 1`` (their block index in the padded buffer). ``tiles``
@@ -157,7 +176,9 @@ class LevelBatch:
     at ``k = 1``; then it is the pair of ``(slots, rows)`` arrays
     ``(tiles, windows)`` of the whole level, where a row's missing slots
     hold tile ``n_tiles`` (the zero tile the kernel appends to the
-    values of its call) and window 0 (the zero pad ``Xp[0:bsize]``).
+    values of its call) and window 0 (the zero pad ``Xp[0:bsize]``). A
+    one-row level's index is ``(tiles, 1)`` and never names the zero
+    tile.
     """
 
     __slots__ = ("rows", "rows1", "tiles", "windows", "slots", "padded")
@@ -177,13 +198,14 @@ class TileLayout:
 
     Block-row ``i`` owns tiles ``lo[i]:hi[i]``. :attr:`steps` walks the
     levels in order; each step is either a :class:`LevelBatch` or a
-    tuple of block-rows whose levels hold one row each (run through the
-    per-row body in that order). :attr:`lo`, :attr:`hi` and
-    :attr:`anchors` are Python-int lists for that body. ``bsize`` is
-    the matrix's: with it :func:`reduce_pays` decides which levels get
-    a padded index. :attr:`narrowest` is the fewest rows among those
-    levels (``inf`` if none): some level reduces at ``k`` columns iff
-    ``reduce_pays(narrowest, bsize, k)``.
+    tuple of block-rows whose levels hold one row each and too few
+    tiles for the reduction (run through the per-row body in that
+    order). :attr:`lo`, :attr:`hi` and :attr:`anchors` are Python-int
+    lists for that body. ``bsize`` is the matrix's: with it
+    :func:`reduce_pays` decides which levels get a reduction index.
+    :attr:`narrowest` is the fewest rows among the multi-row levels
+    with one (``inf`` if none): the zero tile is needed at ``k``
+    columns iff ``reduce_pays(narrowest, 0, bsize, k)``.
     """
 
     __slots__ = ("lo", "hi", "anchors", "steps", "narrowest")
@@ -220,8 +242,8 @@ class TileLayout:
         tiles[start[cell] + rank[pos]] = ids
         windows = anchors[tiles]
         rows = order.astype(np.intp)
-        # Only single-row levels read the per-row lists; batched tiles
-        # keep a shared 0 there instead of an int object each.
+        # Only one-row levels can run the row body; other tiles keep a
+        # shared 0 in the per-row list instead of an int object each.
         n_rows = np.diff(lptr)
         alone = ids[n_rows[lv_p] == 1]
         sparse = np.zeros_like(anchors)
@@ -229,9 +251,11 @@ class TileLayout:
         self.anchors = sparse.tolist()
         m2 = m.reshape(n_levels, width)
         n_slots = (m2 > 0).sum(axis=1)
-        # Padded (slots, rows) index of the levels the reduce can take:
-        # tile (p, s) of level L sits at poff[L] + s * rows_L + rank[p].
-        pads = (n_rows > 1) & reduce_pays(n_rows, bsize, 1)
+        # A one-row level's slots are its tiles.
+        pads = reduce_pays(n_rows, n_slots, bsize, 1)
+        # (slots, rows) index of the levels the reduction takes: tile
+        # (p, s) of level L sits at poff[L] + s * rows_L + rank[p]; a
+        # one-row level's is its tiles in order, with no padding.
         psize = np.where(pads, n_slots * n_rows, 0)
         poff = np.cumsum(psize) - psize
         hit = pads[lv_p]
@@ -241,8 +265,6 @@ class TileLayout:
         pwindows = np.zeros(len(ptiles), dtype=np.intp)
         ptiles[at] = ids[hit]
         pwindows[at] = anchors[ids[hit]]
-        if pads.any():
-            self.narrowest = int(n_rows[pads].min())
         tptr = start[::width].tolist() + [len(pos)]
         m_l = m2.tolist()
         lp = lptr.tolist()
@@ -251,7 +273,7 @@ class TileLayout:
         steps, run = [], []
         for L in range(n_levels):
             r0, r1 = lp[L], lp[L + 1]
-            if r1 - r0 == 1:
+            if r1 - r0 == 1 and not pads[L]:
                 run.append(int(order[r0]))
                 continue
             if run:
@@ -261,6 +283,8 @@ class TileLayout:
             S = n_slots[L]
             padded = None
             if pads[L]:
+                if r1 - r0 > 1:
+                    self.narrowest = min(self.narrowest, r1 - r0)
                 p0, p1 = poff[L], poff[L] + S * (r1 - r0)
                 padded = (ptiles[p0:p1].reshape(S, r1 - r0),
                           pwindows[p0:p1].reshape(S, r1 - r0))

@@ -35,12 +35,17 @@ reduction solves the level: ``np.subtract.reduce`` with ``B`` as slot
 −1 for the sweeps, ``np.add.reduce`` with an explicit ``+0`` slot −1
 for SYMGS's row sum. Other levels update their rows with one
 contiguous-slice operation per tile slot (:func:`_fold_level` holds
-both bodies). Single-row levels, and matrices without a schedule, run
-the per-row body. The ``*_counted`` twins still model Algorithm 2's
-contiguous loads tile by tile. The gather-lint covers this module's
-engine-taking functions (the counted twins), not the fast bodies. SpMV
-has no row-to-row dependence, so it instead builds every tile window at
-once on an RHS-major ``(k, n + 2*bsize)`` buffer.
+both bodies). A one-row level with at least
+:data:`~repro.formats.dbsr_levels.ROW_REDUCE_MIN_TILES` tiles takes the
+same reduction at every ``k`` over an unpadded ``(tiles, 1)`` index;
+that index never names the zero tile, which is appended only when some
+multi-row level reduces at the call's ``k``, so such levels gather from
+``vals``. One-row levels with fewer tiles, and matrices without a
+schedule, run the per-row body. The ``*_counted`` twins still model
+Algorithm 2's contiguous loads tile by tile. The gather-lint covers
+this module's engine-taking functions (the counted twins), not the
+fast bodies. SpMV has no row-to-row dependence, so it instead builds
+every tile window at once on an RHS-major ``(k, n + 2*bsize)`` buffer.
 
 Batching reorders no floating-point operation within a column, so
 column ``j`` of a ``k``-wide call is bit-identical to the ``k = 1``
@@ -128,13 +133,14 @@ def _level_views(Xp: np.ndarray, B: np.ndarray, diag, bs: int) -> tuple:
 def _value_views(values: np.ndarray, k: int, *layouts) -> tuple:
     """``(vals, vals0)``: ``values[:, :, None]``, and the same with one
     zero tile appended at index ``n_tiles`` (the tile a padded index's
-    missing slots point at) when some level of ``layouts`` reduces at
-    ``k`` columns, else ``None``.
+    missing slots point at) when some multi-row level of ``layouts``
+    reduces at ``k`` columns, else ``None``. One-row levels gather from
+    ``vals``: their index never names the zero tile.
 
     Built from the values of the call, never cached: a value-only
     repack hands the same layouts to new values."""
     bs = values.shape[1]
-    if not any(reduce_pays(lay.narrowest, bs, k) for lay in layouts):
+    if not any(reduce_pays(lay.narrowest, 0, bs, k) for lay in layouts):
         return values[:, :, None], None
     zero = np.zeros((1, bs), dtype=values.dtype)
     return values[:, :, None], np.concatenate((values, zero))[:, :, None]
@@ -152,16 +158,25 @@ def _fold_level(op, first: np.ndarray, windows: np.ndarray,
     level, ``first`` and the padded products stack up as ``(slots + 1,
     rows, bsize, k)`` and one ``op.reduce`` over axis 0 folds them; a
     padded product is ``0 * 0 = +0``, which leaves every partial
-    result's bits alone. Otherwise each tile slot updates the rows that
+    result's bits alone. A one-row level has no padding and gathers
+    from ``vals``: ``vals0`` is ``None`` unless some multi-row level
+    reduces at ``k``. Otherwise each tile slot updates the rows that
     own one with one contiguous-slice ``op``. The window gathers use
     fancy indexing: ``np.take`` on the ``sliding_window_view`` would
     first copy the whole buffer.
     """
-    if reduce_pays(len(level.rows), windows.shape[1], k):
+    rows = len(level.rows)
+    if reduce_pays(rows, len(level.tiles), windows.shape[1], k):
         ptiles, pwindows = level.padded
         buf = np.empty((len(ptiles) + 1,) + first.shape, first.dtype)
         buf[0] = first
-        np.multiply(vals0[ptiles], windows[pwindows], out=buf[1:])
+        np.multiply((vals if rows == 1 else vals0)[ptiles],
+                    windows[pwindows], out=buf[1:])
+        if first.size == 1:
+            # One row of bsize 1 at k = 1: a reduction to one element
+            # is one contiguous loop, which np.add sums pairwise;
+            # accumulate keeps the storage order.
+            return op.accumulate(buf, axis=0)[-1]
         return op.reduce(buf, axis=0)
     if level.slots:
         prod = windows[level.windows]
@@ -178,10 +193,10 @@ def _sweep(vals: np.ndarray, vals0, layout: TileLayout, B: np.ndarray,
     """One whole-matrix sweep; returns the padded ``(n + 2*bsize, k)``
     solution.
 
-    ``vals`` and ``vals0`` come from :func:`_value_views`. A level of
-    two or more rows is solved at once: :func:`_fold_level` subtracts
-    every row's tiles from its ``B`` block in storage order. Runs of
-    single-row levels take the row body.
+    ``vals`` and ``vals0`` come from :func:`_value_views`. A level
+    batch is solved at once: :func:`_fold_level` subtracts every row's
+    tiles from its ``B`` block in storage order. Runs of one-row levels
+    too short for the reduction take the row body.
     """
     n, k = B.shape
     bs = vals.shape[1]

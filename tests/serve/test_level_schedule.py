@@ -1,6 +1,6 @@
 """Block-row level schedules and the level-batched ``numpy-fast`` sweeps.
 
-Three things are pinned here:
+Four things are pinned here:
 
 * the schedule itself: every block-row sits in exactly one level, no
   two rows of a level share a tile window in either direction, and
@@ -10,21 +10,28 @@ Three things are pinned here:
   payloads count) of the batched kernels against ``numpy-counted`` for
   ``lower``, ``upper``, ``symgs`` and ``ilu_apply``, on a structure
   with multi-row levels and on one whose levels are all single rows,
-  through both the padded reduction and the slot loop;
-* the per-level rule that picks between those two, and the padded
+  through the padded reduction, the slot loop, the unpadded one-row
+  reduction and the row body;
+* the per-level rule that picks between them, and the reduction
   index it reads;
 * a value-only ILU repack keeps the very same schedule object, and its
   sweeps take the zero tile from the new values.
 """
 
 import copy
-
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.formats.dbsr_levels import LevelBatch, reduce_pays
+from repro.formats.dbsr_levels import (
+    REDUCE_MAX_ELEMS,
+    ROW_REDUCE_MIN_TILES,
+    LevelBatch,
+    reduce_pays,
+)
 from repro.grids.grid import StructuredGrid
 from repro.grids.problems import hpcg_problem
 from repro.multigrid.hierarchy import build_hierarchy, hierarchy_levels
@@ -180,10 +187,11 @@ def test_layouts_take_each_tile_once_in_row_order(multi_row):
 def _check_padded(matrix, step, lo):
     """Slot ``s`` of row ``r`` holds the row's ``s``-th tile and window,
     or the zero tile ``n_tiles`` and the zero pad's window 0."""
+    rule = reduce_pays(len(step.rows), len(step.tiles), matrix.bsize, 1)
     if step.padded is None:
-        assert not reduce_pays(len(step.rows), matrix.bsize, 1)
+        assert not rule
         return
-    assert reduce_pays(len(step.rows), matrix.bsize, 1)
+    assert rule
     ptiles, pwindows = step.padded
     assert ptiles.shape == pwindows.shape == (len(step.slots),
                                               len(step.rows))
@@ -214,7 +222,8 @@ def test_rule_reduces_narrow_levels_and_loops_wide_ones(hpcg_smoothers,
     # at k = 1 and carries its padded index.
     for sm in hpcg_smoothers:
         for step in _batches(sm.dbsr.schedule.full):
-            assert reduce_pays(len(step.rows), sm.dbsr.bsize, 1)
+            assert reduce_pays(len(step.rows), len(step.tiles),
+                               sm.dbsr.bsize, 1)
             assert step.padded is not None
     # Wide bsize-64 levels keep the slot loop at k = 8, and the rule
     # rejects them at k = 1 too, so no padded index is ever built.
@@ -222,8 +231,9 @@ def test_rule_reduces_narrow_levels_and_loops_wide_ones(hpcg_smoothers,
     steps = _batches(m.schedule.full)
     assert steps
     for step in steps:
-        assert not reduce_pays(len(step.rows), m.bsize, 8)
-        assert not reduce_pays(len(step.rows), m.bsize, 1)
+        for k in (8, 1):
+            assert not reduce_pays(len(step.rows), len(step.tiles),
+                                   m.bsize, k)
         assert step.padded is None
 
 
@@ -234,6 +244,114 @@ def test_single_row_structure_has_only_single_row_levels(
         assert np.all(_level_sizes(m) == 1)
     # The fine level of the same hierarchy does batch rows.
     assert _level_sizes(hpcg_smoothers[0].dbsr).max() > 1
+
+
+def _one_row_levels(matrix, layout, lo, hi):
+    """``(row, tiles, step)`` of every one-row level of ``layout``;
+    ``step`` is the row's :class:`LevelBatch`, or ``None`` when the row
+    runs in a tuple run of the row body."""
+    sizes = _level_sizes(matrix)
+    level_of = matrix.schedule.levels.level_of
+    out = []
+    for step in layout.steps:
+        if isinstance(step, LevelBatch):
+            if len(step.rows) == 1:
+                i = int(step.rows[0])
+                out.append((i, int(hi[i] - lo[i]), step))
+        else:
+            for i in step:
+                assert sizes[level_of[i]] == 1
+                out.append((i, int(hi[i] - lo[i]), None))
+    return out
+
+
+def test_one_row_levels_of_hpcg_smoothers_reduce(hpcg_smoothers):
+    # Fine, middle and coarsest level: 16, 32 and 8 one-row levels of
+    # 18-36 tiles, each one reduction over an unpadded (tiles, 1)
+    # index; no row body is left.
+    counts = []
+    for sm in hpcg_smoothers:
+        m = sm.dbsr
+        ptr = m.blk_ptr
+        one = _one_row_levels(m, m.schedule.full, ptr[:-1], ptr[1:])
+        counts.append(len(one))
+        for i, tiles, step in one:
+            assert step is not None
+            ptiles, pwindows = step.padded
+            assert ptiles.shape == pwindows.shape == (tiles, 1)
+            assert np.array_equal(ptiles[:, 0],
+                                  np.arange(ptr[i], ptr[i + 1]))
+            assert np.array_equal(pwindows[:, 0],
+                                  m.anchors[ptiles[:, 0]] + m.bsize)
+            assert np.all(ptiles < m.n_tiles)
+    assert counts == [16, 32, 8]
+
+
+def test_few_tile_one_row_levels_keep_the_row_body(single_row):
+    # The coarse ILU skeleton's forward and backward sweeps hold one-row
+    # levels on both sides of the tile cut.
+    _, ilu = single_row
+    m, dia = ilu.factors.matrix, ilu.factors.dia_ptr
+    sched = m.schedule
+    few = set()
+    for layout, lo, hi in ((sched.below, m.blk_ptr[:-1], dia),
+                           (sched.above, dia + 1, m.blk_ptr[1:])):
+        one = _one_row_levels(m, layout, lo, hi)
+        assert len(one) == m.brow
+        for _, tiles, step in one:
+            assert (step is not None) == (tiles >= ROW_REDUCE_MIN_TILES)
+        assert any(step is None for _, _, step in one)
+        assert any(step is not None for _, _, step in one)
+        few |= {tiles for _, tiles, step in one if step is None}
+    # Rows with no tile at all, and with 2, among them.
+    assert {0, 2} <= few
+
+
+def test_rule_on_both_sides_of_each_cut():
+    cut = ROW_REDUCE_MIN_TILES
+    for bsize in (1, 8, 64):
+        for k in (1, 8):
+            # One row: the tile count decides, at every bsize and k.
+            assert reduce_pays(1, cut, bsize, k)
+            assert not reduce_pays(1, cut - 1, bsize, k)
+            assert not reduce_pays(1, 0, bsize, k)
+    # Several rows: rows * bsize * k against REDUCE_MAX_ELEMS, whatever
+    # the tile count.
+    for rows, bsize, k in ((2, 8, 1), (3, 4, 8)):
+        assert rows * bsize * k <= REDUCE_MAX_ELEMS
+        assert reduce_pays(rows, 0, bsize, k)
+        assert reduce_pays(rows, 100, bsize, k)
+    rows = REDUCE_MAX_ELEMS // 8
+    assert reduce_pays(rows, 1, 8, 1)
+    assert not reduce_pays(rows + 1, 1000, 8, 1)
+    assert not reduce_pays(2, 1000, 8, REDUCE_MAX_ELEMS // 16 + 1)
+    assert not reduce_pays(2, 1000, 64, 1)
+    # Elementwise over arrays of levels, as the layout build calls it;
+    # ``inf`` rows (no reduced multi-row level) never reduce.
+    rows = np.array([1, 1, 2, 2, 13])
+    tiles = np.array([cut - 1, cut, 0, 50, 5])
+    assert reduce_pays(rows, tiles, 8, 1).tolist() == [
+        False, True, True, True, False]
+    assert not reduce_pays(math.inf, 0, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def served_plans():
+    """The structures ``tri-small``, ``tri-large-k8`` and ``ilu-drift``
+    serve, compiled with the default (feasibility) autotune."""
+    config = PlanConfig(n_workers=2)
+    return ([compile_plan(StructuredGrid((nx,) * 3), st, config)
+             for st, nx in (("7pt", 16), ("27pt", 32))],
+            [compile_ilu_plan(StructuredGrid((nx,) * 3), st, config)
+             for st, nx in (("27pt", 16), ("7pt", 24))])
+
+
+def test_served_structures_have_no_one_row_level(served_plans):
+    # The one-row reduction cannot move these workloads: none of their
+    # levels holds a single block-row.
+    plans, ilus = served_plans
+    for m in [p.dbsr for p in plans] + [p.factors.matrix for p in ilus]:
+        assert _level_sizes(m).min() > 1
 
 
 def _rhs(n, k, seed=0):
@@ -304,8 +422,10 @@ def _padded_row_tile(matrix, layout, k):
     """The last real tile of a row that has padding in a level the
     reduction takes at ``k`` columns."""
     for step in _batches(layout):
-        if reduce_pays(len(step.rows), matrix.bsize, k) and step.slots \
-                and step.slots[-1] < len(step.rows):
+        if len(step.rows) > 1 and step.slots \
+                and step.slots[-1] < len(step.rows) \
+                and reduce_pays(len(step.rows), len(step.tiles),
+                                matrix.bsize, k):
             last_row = step.padded[0][:, -1]
             return int(last_row[last_row < matrix.n_tiles][-1])
     raise AssertionError("no padded row in a reduce level")
@@ -346,6 +466,103 @@ def test_padding_never_multiplies_a_real_tile(multi_row, k):
         m = _with_inf_tiles(tri, [t, tri.n_tiles - 1])
         assert _bits_equal(fast(m, B, plan.diag),
                            counted(m, B, engine, plan.diag))
+
+
+def _one_row_reduce_tile(layout):
+    """A tile, not the row's last, of a one-row level the reduction
+    takes."""
+    for step in _batches(layout):
+        if len(step.rows) == 1:
+            return int(step.padded[0][len(step.tiles) // 2, 0])
+    raise AssertionError("no one-row reduce level")
+
+
+def _assert_sweeps_bitwise(plan, ilu, B):
+    """Lower, upper, SYMGS and ILU apply of ``numpy-fast`` raw-bit equal
+    to ``numpy-counted``, straight on the plans' operators."""
+    engine = VectorEngine(plan.bsize)
+    X0 = np.random.default_rng(5).standard_normal(B.shape)
+    X0[::3] = -0.0
+    assert _bits_equal(
+        batch.symgs_dbsr_multi(plan.dbsr, plan.diag, X0.copy(), B),
+        batch.symgs_dbsr_multi_counted(plan.dbsr, plan.diag, X0.copy(),
+                                       B, engine)), "symgs"
+    assert _bits_equal(
+        batch.sptrsv_dbsr_lower_multi(plan.lower, B, plan.diag),
+        batch.sptrsv_dbsr_lower_multi_counted(plan.lower, B, engine,
+                                              plan.diag)), "lower"
+    assert _bits_equal(
+        batch.sptrsv_dbsr_upper_multi(plan.upper, B, plan.diag),
+        batch.sptrsv_dbsr_upper_multi_counted(plan.upper, B, engine,
+                                              plan.diag)), "upper"
+    assert _bits_equal(
+        batch.ilu_apply_dbsr_multi(ilu.factors, B),
+        batch.ilu_apply_dbsr_multi_counted(ilu.factors, B, engine)), \
+        "ilu_apply"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_one_row_reduce_level_with_inf_tile_bitwise(single_row, k):
+    # ±Inf in a real tile of a one-row reduce level of every sweep (and
+    # in the last tile), with -0 RHS entries (a whole -0 column from
+    # k = 3): the reduction's products and fold must keep every bit the
+    # row body produces.
+    plan, ilu = single_row
+    plan = copy.copy(plan)
+    for name in ("dbsr", "lower", "upper"):
+        m = getattr(plan, name)
+        t = _one_row_reduce_tile(m.schedule.full)
+        setattr(plan, name, _with_inf_tiles(m, [t, m.n_tiles - 1]))
+    m = ilu.factors.matrix
+    below = _one_row_reduce_tile(m.schedule.below)
+    above = _one_row_reduce_tile(m.schedule.above)
+    factors = dataclasses.replace(
+        ilu.factors, matrix=_with_inf_tiles(m, [below, above]))
+    ilu = copy.copy(ilu)
+    ilu.factors = factors
+    _assert_sweeps_bitwise(plan, ilu, _rhs(plan.n_padded, k))
+
+
+@pytest.fixture(scope="module")
+def wide_one_row():
+    """27pt nx=16 at bsize 64: two one-row levels of 27 tiles beside
+    multi-row levels too wide for the padded reduction."""
+    grid = StructuredGrid((16, 16, 16))
+    return (compile_plan(grid, "27pt", _config(64)),
+            compile_ilu_plan(grid, "27pt", _config(64)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_row_levels_gather_from_vals_when_no_zero_tile(wide_one_row):
+    # No multi-row level of a bsize-64 structure reduces, so no call
+    # appends the zero tile (vals0 is None) while its one-row levels
+    # still reduce: they must gather from vals.
+    plan, ilu = wide_one_row
+    k = 8
+    m = ilu.factors.matrix
+    layouts = [plan.dbsr.schedule.full, plan.lower.schedule.full,
+               plan.upper.schedule.full, m.schedule.below,
+               m.schedule.above]
+    one_row = [s for lay in layouts for s in _batches(lay)
+               if len(s.rows) == 1]
+    assert one_row
+    for lay in layouts:
+        assert lay.narrowest == math.inf
+        assert batch._value_views(m.values, k, lay)[1] is None
+    _assert_sweeps_bitwise(plan, ilu, _rhs(plan.n_padded, k))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_row_levels_at_bsize_1_keep_the_sum_order(k):
+    # At bsize 1 and k = 1 a one-row level folds into one element, which
+    # np.add.reduce would sum pairwise: SYMGS's row sum must still take
+    # the tiles one after another.
+    grid = StructuredGrid((6, 6, 6))
+    plan = compile_plan(grid, "27pt", _config(1))
+    assert any(len(s.rows) == 1 for s in _batches(plan.dbsr.schedule.full))
+    _assert_sweeps_bitwise(plan, compile_ilu_plan(grid, "27pt", _config(1)),
+                           _rhs(plan.n_padded, k, seed=3))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
