@@ -36,12 +36,10 @@ the layout, whose missing slots point at tile ``n_tiles`` and window
 0; the kernels solve such a level with one axis-0 reduction over the
 padded products, supplying the zero tile from the values of each call
 (a value-only repack shares the layouts, so it is never cached here)
-and reading window 0 from the zero pad. A level of one row with at
-least :data:`ROW_REDUCE_MIN_TILES` tiles gets the same index, unpadded
-``(tiles, 1)`` and free of the zero tile, and reduces at every ``k``;
-one-row levels with fewer tiles run as tuple runs through the per-row
-body. A :class:`LevelSchedule`
-bundles the levels with the layouts of one matrix and rides on it as
+and reading window 0 from the zero pad. A level of one row gets the
+same index, unpadded ``(tiles, 1)`` and free of the zero tile, and
+reduces at every ``k``. A :class:`LevelSchedule` bundles the levels
+with the layouts of one matrix and rides on it as
 :attr:`DBSRMatrix.schedule`.
 """
 
@@ -133,18 +131,10 @@ def build_block_levels(matrix: DBSRMatrix) -> BlockLevels:
 #: index.
 REDUCE_MAX_ELEMS = 96
 
-#: Fewest tiles for which :func:`reduce_pays` hands a one-row level to
-#: the reduction. The reduction costs a fixed few dispatches, the row
-#: body two per tile; fitted from whole-sweep timings
-#: (``docs/backends.md``): the smallest tile count at which the
-#: reduction is no slower at every ``k``.
-ROW_REDUCE_MIN_TILES = 8
 
-
-def reduce_pays(rows, tiles, bsize: int, k: int):
-    """Whether a level of ``rows`` block-rows and ``tiles`` tiles runs
-    as one axis-0 reduction at ``k`` columns; elementwise on arrays of
-    levels.
+def reduce_pays(rows, bsize: int, k: int):
+    """Whether a level of ``rows`` block-rows runs as one axis-0
+    reduction at ``k`` columns; elementwise on arrays of levels.
 
     A level of two or more rows: a slot of the slot loop costs one
     dispatch plus its elements, while the reduction needs no per-slot
@@ -154,16 +144,13 @@ def reduce_pays(rows, tiles, bsize: int, k: int):
     at every ``k`` (and gets no padded index).
 
     A one-row level has nothing to pad: the reduction replaces the row
-    body's two dispatches per tile with a fixed few, so it wins from
-    :data:`ROW_REDUCE_MIN_TILES` tiles at every ``k``.
+    body's two dispatches per tile with a fixed few, at every ``k``.
     """
-    return (((rows == 1) & (tiles >= ROW_REDUCE_MIN_TILES))
-            | ((rows > 1) & (rows * bsize * k <= REDUCE_MAX_ELEMS)))
+    return (rows == 1) | (rows * bsize * k <= REDUCE_MAX_ELEMS)
 
 
 class LevelBatch:
-    """One level laid out for one sweep: two or more rows, or one row
-    that :func:`reduce_pays` hands to the reduction.
+    """One level of a scheduled layout, laid out for one sweep.
 
     ``rows`` are sorted by descending tile count and ``rows1`` is
     ``rows + 1`` (their block index in the padded buffer). ``tiles``
@@ -197,28 +184,28 @@ class TileLayout:
     """One sweep's tiles over a :class:`BlockLevels`.
 
     Block-row ``i`` owns tiles ``lo[i]:hi[i]``. :attr:`steps` walks the
-    levels in order; each step is either a :class:`LevelBatch` or a
-    tuple of block-rows whose levels hold one row each and too few
-    tiles for the reduction (run through the per-row body in that
-    order). :attr:`lo`, :attr:`hi` and :attr:`anchors` are Python-int
-    lists for that body. ``bsize`` is the matrix's: with it
-    :func:`reduce_pays` decides which levels get a reduction index.
-    :attr:`narrowest` is the fewest rows among the multi-row levels
-    with one (``inf`` if none): the zero tile is needed at ``k``
-    columns iff ``reduce_pays(narrowest, 0, bsize, k)``.
+    levels in order, one :class:`LevelBatch` each. Without levels the
+    one step is the tuple of every block-row, run through the per-row
+    body in that order; :attr:`lo`, :attr:`hi` and :attr:`anchors` are
+    then Python-int lists for that body (``None`` on a scheduled
+    layout). ``bsize`` is the matrix's: with it :func:`reduce_pays`
+    decides which levels get a reduction index. :attr:`narrowest` is
+    the fewest rows among the multi-row levels with one (``inf`` if
+    none): the zero tile is needed at ``k`` columns iff
+    ``reduce_pays(narrowest, bsize, k)``.
     """
 
     __slots__ = ("lo", "hi", "anchors", "steps", "narrowest")
 
     def __init__(self, levels: BlockLevels | None, lo: np.ndarray,
                  hi: np.ndarray, anchors: np.ndarray, bsize: int):
-        self.lo = lo.tolist()
-        self.hi = hi.tolist()
         self.narrowest = math.inf
         if levels is None:
+            self.lo, self.hi = lo.tolist(), hi.tolist()
             self.anchors = anchors.tolist()
             self.steps = (tuple(range(len(self.lo))),)
             return
+        self.lo = self.hi = self.anchors = None
         cnt = hi - lo
         brow = len(cnt)
         lv, lptr = levels.level_of, levels.level_ptr
@@ -242,17 +229,10 @@ class TileLayout:
         tiles[start[cell] + rank[pos]] = ids
         windows = anchors[tiles]
         rows = order.astype(np.intp)
-        # Only one-row levels can run the row body; other tiles keep a
-        # shared 0 in the per-row list instead of an int object each.
         n_rows = np.diff(lptr)
-        alone = ids[n_rows[lv_p] == 1]
-        sparse = np.zeros_like(anchors)
-        sparse[alone] = anchors[alone]
-        self.anchors = sparse.tolist()
         m2 = m.reshape(n_levels, width)
         n_slots = (m2 > 0).sum(axis=1)
-        # A one-row level's slots are its tiles.
-        pads = reduce_pays(n_rows, n_slots, bsize, 1)
+        pads = reduce_pays(n_rows, bsize, 1)
         # (slots, rows) index of the levels the reduction takes: tile
         # (p, s) of level L sits at poff[L] + s * rows_L + rank[p]; a
         # one-row level's is its tiles in order, with no padding.
@@ -265,34 +245,27 @@ class TileLayout:
         pwindows = np.zeros(len(ptiles), dtype=np.intp)
         ptiles[at] = ids[hit]
         pwindows[at] = anchors[ids[hit]]
+        multi = pads & (n_rows > 1)
+        if multi.any():
+            self.narrowest = int(n_rows[multi].min())
         tptr = start[::width].tolist() + [len(pos)]
         m_l = m2.tolist()
         lp = lptr.tolist()
         n_slots, pads = n_slots.tolist(), pads.tolist()
         poff = poff.tolist()
-        steps, run = [], []
+        steps = []
         for L in range(n_levels):
             r0, r1 = lp[L], lp[L + 1]
-            if r1 - r0 == 1 and not pads[L]:
-                run.append(int(order[r0]))
-                continue
-            if run:
-                steps.append(tuple(run))
-                run = []
             t0, t1 = tptr[L], tptr[L + 1]
             S = n_slots[L]
             padded = None
             if pads[L]:
-                if r1 - r0 > 1:
-                    self.narrowest = min(self.narrowest, r1 - r0)
                 p0, p1 = poff[L], poff[L] + S * (r1 - r0)
                 padded = (ptiles[p0:p1].reshape(S, r1 - r0),
                           pwindows[p0:p1].reshape(S, r1 - r0))
             steps.append(LevelBatch(rows[r0:r1], tiles[t0:t1],
                                     windows[t0:t1], tuple(m_l[L][:S]),
                                     padded))
-        if run:
-            steps.append(tuple(run))
         self.steps = tuple(steps)
 
 

@@ -35,13 +35,11 @@ reduction solves the level: ``np.subtract.reduce`` with ``B`` as slot
 −1 for the sweeps, ``np.add.reduce`` with an explicit ``+0`` slot −1
 for SYMGS's row sum. Other levels update their rows with one
 contiguous-slice operation per tile slot (:func:`_fold_level` holds
-both bodies). A one-row level with at least
-:data:`~repro.formats.dbsr_levels.ROW_REDUCE_MIN_TILES` tiles takes the
-same reduction at every ``k`` over an unpadded ``(tiles, 1)`` index;
-that index never names the zero tile, which is appended only when some
-multi-row level reduces at the call's ``k``, so such levels gather from
-``vals``. One-row levels with fewer tiles, and matrices without a
-schedule, run the per-row body. The ``*_counted`` twins still model
+both bodies). A one-row level takes the same reduction at every ``k``
+over an unpadded ``(tiles, 1)`` index; that index never names the zero
+tile, which is appended only when some multi-row level reduces at the
+call's ``k``, so one-row levels gather from ``vals``. Matrices without
+a schedule run the per-row body. The ``*_counted`` twins still model
 Algorithm 2's contiguous loads tile by tile. The gather-lint covers
 this module's engine-taking functions (the counted twins), not the
 fast bodies. SpMV has no row-to-row dependence, so it instead builds
@@ -91,8 +89,7 @@ def sweep_block_rows(Xp: np.ndarray, vals: np.ndarray, anchors: list,
     shifted by ``bsize`` and ``diag`` an ``(n, 1)`` column or ``None``;
     ``anchors``, ``lo`` and ``hi`` are lists of Python ints. Every row a
     tile reads must already be solved in ``Xp``: the whole-matrix
-    sweeps pass their runs of single-row levels (every row, without a
-    schedule) in sweep order, and
+    sweeps of an unscheduled matrix pass every row in sweep order, and
     :func:`repro.parallel.executor.sweep_parallel` passes one vector
     group's rows per task, reversed for a backward sweep.
     """
@@ -140,7 +137,7 @@ def _value_views(values: np.ndarray, k: int, *layouts) -> tuple:
     Built from the values of the call, never cached: a value-only
     repack hands the same layouts to new values."""
     bs = values.shape[1]
-    if not any(reduce_pays(lay.narrowest, 0, bs, k) for lay in layouts):
+    if not any(reduce_pays(lay.narrowest, bs, k) for lay in layouts):
         return values[:, :, None], None
     zero = np.zeros((1, bs), dtype=values.dtype)
     return values[:, :, None], np.concatenate((values, zero))[:, :, None]
@@ -166,7 +163,7 @@ def _fold_level(op, first: np.ndarray, windows: np.ndarray,
     first copy the whole buffer.
     """
     rows = len(level.rows)
-    if reduce_pays(rows, len(level.tiles), windows.shape[1], k):
+    if reduce_pays(rows, windows.shape[1], k):
         ptiles, pwindows = level.padded
         buf = np.empty((len(ptiles) + 1,) + first.shape, first.dtype)
         buf[0] = first
@@ -195,8 +192,8 @@ def _sweep(vals: np.ndarray, vals0, layout: TileLayout, B: np.ndarray,
 
     ``vals`` and ``vals0`` come from :func:`_value_views`. A level
     batch is solved at once: :func:`_fold_level` subtracts every row's
-    tiles from its ``B`` block in storage order. Runs of one-row levels
-    too short for the reduction take the row body.
+    tiles from its ``B`` block in storage order. An unscheduled
+    layout's one step, every row in order, takes the row body.
     """
     n, k = B.shape
     bs = vals.shape[1]

@@ -10,8 +10,8 @@ Four things are pinned here:
   payloads count) of the batched kernels against ``numpy-counted`` for
   ``lower``, ``upper``, ``symgs`` and ``ilu_apply``, on a structure
   with multi-row levels and on one whose levels are all single rows,
-  through the padded reduction, the slot loop, the unpadded one-row
-  reduction and the row body;
+  through the padded reduction, the slot loop and the unpadded one-row
+  reduction;
 * the per-level rule that picks between them, and the reduction
   index it reads;
 * a value-only ILU repack keeps the very same schedule object, and its
@@ -28,7 +28,6 @@ import pytest
 from repro.backends import get_backend
 from repro.formats.dbsr_levels import (
     REDUCE_MAX_ELEMS,
-    ROW_REDUCE_MIN_TILES,
     LevelBatch,
     reduce_pays,
 )
@@ -154,11 +153,8 @@ def test_layouts_take_each_tile_once_in_row_order(multi_row):
         seen, rows = [], []
         n_batches = 0
         for step in layout.steps:
-            if not isinstance(step, LevelBatch):
-                for i in step:
-                    seen += range(lo[i], hi[i])
-                rows += step
-                continue
+            # A scheduled layout leaves no row to the row body.
+            assert isinstance(step, LevelBatch)
             n_batches += 1
             rows += step.rows.tolist()
             assert len(set(level_of[step.rows])) == 1
@@ -187,7 +183,7 @@ def test_layouts_take_each_tile_once_in_row_order(multi_row):
 def _check_padded(matrix, step, lo):
     """Slot ``s`` of row ``r`` holds the row's ``s``-th tile and window,
     or the zero tile ``n_tiles`` and the zero pad's window 0."""
-    rule = reduce_pays(len(step.rows), len(step.tiles), matrix.bsize, 1)
+    rule = reduce_pays(len(step.rows), matrix.bsize, 1)
     if step.padded is None:
         assert not rule
         return
@@ -222,8 +218,7 @@ def test_rule_reduces_narrow_levels_and_loops_wide_ones(hpcg_smoothers,
     # at k = 1 and carries its padded index.
     for sm in hpcg_smoothers:
         for step in _batches(sm.dbsr.schedule.full):
-            assert reduce_pays(len(step.rows), len(step.tiles),
-                               sm.dbsr.bsize, 1)
+            assert reduce_pays(len(step.rows), sm.dbsr.bsize, 1)
             assert step.padded is not None
     # Wide bsize-64 levels keep the slot loop at k = 8, and the rule
     # rejects them at k = 1 too, so no padded index is ever built.
@@ -232,8 +227,7 @@ def test_rule_reduces_narrow_levels_and_loops_wide_ones(hpcg_smoothers,
     assert steps
     for step in steps:
         for k in (8, 1):
-            assert not reduce_pays(len(step.rows), len(step.tiles),
-                                   m.bsize, k)
+            assert not reduce_pays(len(step.rows), m.bsize, k)
         assert step.padded is None
 
 
@@ -246,93 +240,78 @@ def test_single_row_structure_has_only_single_row_levels(
     assert _level_sizes(hpcg_smoothers[0].dbsr).max() > 1
 
 
-def _one_row_levels(matrix, layout, lo, hi):
-    """``(row, tiles, step)`` of every one-row level of ``layout``;
-    ``step`` is the row's :class:`LevelBatch`, or ``None`` when the row
-    runs in a tuple run of the row body."""
-    sizes = _level_sizes(matrix)
-    level_of = matrix.schedule.levels.level_of
-    out = []
-    for step in layout.steps:
-        if isinstance(step, LevelBatch):
-            if len(step.rows) == 1:
-                i = int(step.rows[0])
-                out.append((i, int(hi[i] - lo[i]), step))
-        else:
-            for i in step:
-                assert sizes[level_of[i]] == 1
-                out.append((i, int(hi[i] - lo[i]), None))
-    return out
+def _one_row_levels(layout, lo, hi):
+    """``(row, tiles, step)`` of every one-row level of ``layout``."""
+    return [(int(step.rows[0]), int(hi[step.rows[0]] - lo[step.rows[0]]),
+             step)
+            for step in _batches(layout) if len(step.rows) == 1]
+
+
+def _check_one_row_index(matrix, one, lo):
+    """Each one-row level reduces over its row's tiles in storage order,
+    an unpadded ``(tiles, 1)`` index that never names tile
+    ``n_tiles``."""
+    for i, tiles, step in one:
+        ptiles, pwindows = step.padded
+        assert ptiles.shape == pwindows.shape == (tiles, 1)
+        assert np.array_equal(ptiles[:, 0], np.arange(lo[i], lo[i] + tiles))
+        assert np.array_equal(pwindows[:, 0],
+                              matrix.anchors[ptiles[:, 0]] + matrix.bsize)
+        assert np.all(ptiles < matrix.n_tiles)
 
 
 def test_one_row_levels_of_hpcg_smoothers_reduce(hpcg_smoothers):
     # Fine, middle and coarsest level: 16, 32 and 8 one-row levels of
     # 18-36 tiles, each one reduction over an unpadded (tiles, 1)
-    # index; no row body is left.
+    # index.
     counts = []
     for sm in hpcg_smoothers:
         m = sm.dbsr
         ptr = m.blk_ptr
-        one = _one_row_levels(m, m.schedule.full, ptr[:-1], ptr[1:])
+        one = _one_row_levels(m.schedule.full, ptr[:-1], ptr[1:])
         counts.append(len(one))
-        for i, tiles, step in one:
-            assert step is not None
-            ptiles, pwindows = step.padded
-            assert ptiles.shape == pwindows.shape == (tiles, 1)
-            assert np.array_equal(ptiles[:, 0],
-                                  np.arange(ptr[i], ptr[i + 1]))
-            assert np.array_equal(pwindows[:, 0],
-                                  m.anchors[ptiles[:, 0]] + m.bsize)
-            assert np.all(ptiles < m.n_tiles)
+        _check_one_row_index(m, one, ptr[:-1])
     assert counts == [16, 32, 8]
 
 
-def test_few_tile_one_row_levels_keep_the_row_body(single_row):
+def test_few_tile_one_row_levels_reduce_too(single_row):
     # The coarse ILU skeleton's forward and backward sweeps hold one-row
-    # levels on both sides of the tile cut.
+    # levels of every tile count, none among them: they reduce as well.
     _, ilu = single_row
     m, dia = ilu.factors.matrix, ilu.factors.dia_ptr
     sched = m.schedule
     few = set()
     for layout, lo, hi in ((sched.below, m.blk_ptr[:-1], dia),
                            (sched.above, dia + 1, m.blk_ptr[1:])):
-        one = _one_row_levels(m, layout, lo, hi)
-        assert len(one) == m.brow
-        for _, tiles, step in one:
-            assert (step is not None) == (tiles >= ROW_REDUCE_MIN_TILES)
-        assert any(step is None for _, _, step in one)
-        assert any(step is not None for _, _, step in one)
-        few |= {tiles for _, tiles, step in one if step is None}
+        one = _one_row_levels(layout, lo, hi)
+        assert len(one) == len(layout.steps) == m.brow
+        _check_one_row_index(m, one, lo)
+        few |= {tiles for _, tiles, _ in one}
     # Rows with no tile at all, and with 2, among them.
     assert {0, 2} <= few
 
 
-def test_rule_on_both_sides_of_each_cut():
-    cut = ROW_REDUCE_MIN_TILES
+def test_rule_takes_every_one_row_level_and_cuts_multi_row_ones():
     for bsize in (1, 8, 64):
         for k in (1, 8):
-            # One row: the tile count decides, at every bsize and k.
-            assert reduce_pays(1, cut, bsize, k)
-            assert not reduce_pays(1, cut - 1, bsize, k)
-            assert not reduce_pays(1, 0, bsize, k)
-    # Several rows: rows * bsize * k against REDUCE_MAX_ELEMS, whatever
-    # the tile count.
+            # One row: always, even where rows * bsize * k is past the
+            # multi-row cut.
+            assert reduce_pays(1, bsize, k)
+    assert 64 * 8 > REDUCE_MAX_ELEMS
+    # Several rows: rows * bsize * k against REDUCE_MAX_ELEMS.
     for rows, bsize, k in ((2, 8, 1), (3, 4, 8)):
         assert rows * bsize * k <= REDUCE_MAX_ELEMS
-        assert reduce_pays(rows, 0, bsize, k)
-        assert reduce_pays(rows, 100, bsize, k)
+        assert reduce_pays(rows, bsize, k)
     rows = REDUCE_MAX_ELEMS // 8
-    assert reduce_pays(rows, 1, 8, 1)
-    assert not reduce_pays(rows + 1, 1000, 8, 1)
-    assert not reduce_pays(2, 1000, 8, REDUCE_MAX_ELEMS // 16 + 1)
-    assert not reduce_pays(2, 1000, 64, 1)
+    assert reduce_pays(rows, 8, 1)
+    assert not reduce_pays(rows + 1, 8, 1)
+    assert not reduce_pays(2, 8, REDUCE_MAX_ELEMS // 16 + 1)
+    assert not reduce_pays(2, 64, 1)
     # Elementwise over arrays of levels, as the layout build calls it;
     # ``inf`` rows (no reduced multi-row level) never reduce.
-    rows = np.array([1, 1, 2, 2, 13])
-    tiles = np.array([cut - 1, cut, 0, 50, 5])
-    assert reduce_pays(rows, tiles, 8, 1).tolist() == [
-        False, True, True, True, False]
-    assert not reduce_pays(math.inf, 0, 1, 1)
+    assert reduce_pays(np.array([1, 2, 12, 13]), 8, 1).tolist() == [
+        True, True, True, False]
+    assert not reduce_pays(math.inf, 1, 1)
 
 
 @pytest.fixture(scope="module")
@@ -424,8 +403,7 @@ def _padded_row_tile(matrix, layout, k):
     for step in _batches(layout):
         if len(step.rows) > 1 and step.slots \
                 and step.slots[-1] < len(step.rows) \
-                and reduce_pays(len(step.rows), len(step.tiles),
-                                matrix.bsize, k):
+                and reduce_pays(len(step.rows), matrix.bsize, k):
             last_row = step.padded[0][:, -1]
             return int(last_row[last_row < matrix.n_tiles][-1])
     raise AssertionError("no padded row in a reduce level")
@@ -472,7 +450,7 @@ def _one_row_reduce_tile(layout):
     """A tile, not the row's last, of a one-row level the reduction
     takes."""
     for step in _batches(layout):
-        if len(step.rows) == 1:
+        if len(step.rows) == 1 and len(step.tiles) > 1:
             return int(step.padded[0][len(step.tiles) // 2, 0])
     raise AssertionError("no one-row reduce level")
 
