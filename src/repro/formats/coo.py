@@ -46,16 +46,28 @@ class COOMatrix(SparseMatrix):
                     "col index out of range")
         self.shape = (n_rows, n_cols)
 
-        # Canonicalize: sort by (row, col) and merge duplicates.
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
+        # Canonicalize: sort by (row, col) and merge duplicates, summing
+        # each run of equal keys in input order from 0. One stable sort
+        # of int64 keys keeps few nnz-long arrays alive at once.
         if len(rows):
             keys = rows.astype(np.int64) * n_cols + cols
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            merged = np.zeros(len(uniq), dtype=values.dtype)
-            np.add.at(merged, inverse, values)
-            self.rows = (uniq // n_cols).astype(INDEX_DTYPE)
-            self.cols = (uniq % n_cols).astype(INDEX_DTYPE)
+            del rows, cols
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            values = values[order]
+            del order
+            fresh = np.empty(len(keys), dtype=bool)
+            fresh[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            if fresh.all():
+                # 0 + v, as the merge below: -0 becomes +0.
+                merged = values + 0
+            else:
+                merged = np.zeros(int(fresh.sum()), dtype=values.dtype)
+                np.add.at(merged, np.cumsum(fresh) - 1, values)
+                keys = keys[fresh]
+            self.rows = (keys // n_cols).astype(INDEX_DTYPE)
+            self.cols = (keys % n_cols).astype(INDEX_DTYPE)
             self.values = merged
         else:
             self.rows, self.cols, self.values = rows, cols, values

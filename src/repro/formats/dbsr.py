@@ -107,20 +107,29 @@ class DBSRMatrix(SparseMatrix):
         vals = csr.data
         lane = rows % bsize
         browi = rows // bsize
+        del rows
         anchor = cols - lane   # column of lane 0 on this tile diagonal
         colblk = cols // bsize  # block column holding this lane
+        del cols
         # Tile key: (block row, anchor, block column). Splitting by
         # block column keeps each tile's non-zero lanes inside one
         # block, which Algorithm 4's shifted diagonal loads require.
         order = np.lexsort((colblk, anchor, browi))
+        # Each unsorted array goes once its sorted copy exists: a large
+        # operator would otherwise hold a dozen nnz-long arrays at once.
         browi_s = browi[order]
+        del browi
         anchor_s = anchor[order]
+        del anchor
         colblk_s = colblk[order]
+        del colblk
         lane_s = lane[order]
+        del lane
         vals_s = vals[order]
+        del order
 
-        if len(rows):
-            new_tile = np.empty(len(rows), dtype=bool)
+        if len(lane_s):
+            new_tile = np.empty(len(lane_s), dtype=bool)
             new_tile[0] = True
             new_tile[1:] = ((browi_s[1:] != browi_s[:-1])
                             | (anchor_s[1:] != anchor_s[:-1])

@@ -21,6 +21,36 @@ def test_duplicates_are_summed():
     assert coo.to_dense()[0, 1] == 5.0
 
 
+def test_canonical_bits_match_lexsort_and_unique_merge(rng):
+    # Duplicates, -0 entries and a NaN payload: the canonical triplets
+    # equal, bit for bit, a sort by (row, col) followed by summing each
+    # run of equal entries in input order from 0 (np.add.at over
+    # np.unique's inverse).
+    n = 40
+    rows = rng.integers(0, n, 600)
+    cols = rng.integers(0, n, 600)
+    vals = rng.standard_normal(600)
+    vals[::9] = -0.0
+    vals[5] = np.array([0x7FF8_0000_0000_0123],
+                       dtype=np.uint64).view(np.float64)[0]
+    order = np.lexsort((cols, rows))
+    keys = rows[order].astype(np.int64) * n + cols[order]
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    merged = np.zeros(len(uniq))
+    np.add.at(merged, inverse, vals[order])
+    for r, c, v in ((rows, cols, vals),
+                    (np.arange(n), np.arange(n), np.full(n, -0.0))):
+        coo = COOMatrix(r, c, v, (n, n))
+        if r is rows:
+            want_rows, want_cols, want = uniq // n, uniq % n, merged
+        else:
+            want_rows, want_cols, want = r, c, np.zeros(n)
+        assert np.array_equal(coo.rows, want_rows)
+        assert np.array_equal(coo.cols, want_cols)
+        assert np.array_equal(coo.values.view(np.uint64),
+                              want.view(np.uint64))
+
+
 def test_canonical_order_sorted_by_row_then_col():
     coo = COOMatrix([1, 0, 1], [0, 2, 2], [1.0, 2.0, 3.0], (2, 3))
     rows = list(coo.rows)
