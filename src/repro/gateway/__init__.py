@@ -25,7 +25,7 @@ from repro.gateway.errors import (
     GatewayError,
     QuotaExceeded,
 )
-from repro.gateway.estimator import Ewma, ServiceTimeEstimator, stencil_nnz
+from repro.gateway.estimator import Ewma, ServiceTimeEstimator
 from repro.gateway.gateway import GatewayTicket, SolveGateway
 from repro.gateway.pool import ElasticShardPool, GatewayShard
 from repro.gateway.queues import FairScheduler, TenantQuota
@@ -44,5 +44,4 @@ __all__ = [
     "ServiceTimeEstimator",
     "SolveGateway",
     "TenantQuota",
-    "stencil_nnz",
 ]

@@ -4,11 +4,9 @@ Admission control needs to answer "can this request make its deadline?"
 without paying the very work it is trying to protect (reordering, DBSR
 conversion, autotune). Two sources, blended:
 
-* **Analytic model** — operation counts derived from the grid and
-  stencil alone (the nonzero count of a clipped stencil operator is a
-  closed form over its offsets: ``Σ_off Π_d (dim_d - |off_d|)``),
-  shaped like the DBSR multi-RHS closed forms of
-  :mod:`repro.kernels.counts` and priced by
+* **Analytic model** — the op's DBSR closed form over a structure
+  estimated from the grid and stencil alone
+  (:func:`repro.kernels.counts.dbsr_geometry_counts`), priced by
   :meth:`repro.simd.machine.MachineModel.kernel_seconds` — the
   roofline-style ``max(compute, memory) + sync`` estimate
   (Schubert–Hager–Fehske's bandwidth-limit analysis, PAPERS.md).
@@ -26,19 +24,32 @@ deltas.
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
 
-from repro.simd.counters import OpCounter
-from repro.utils.validation import check_positive
+#: EWMA smoothing factor of the latency, calibration and compile series.
+EWMA_ALPHA = 0.3
+
+#: Vector length the model assumes when the config leaves ``bsize`` to
+#: the autotuner (the compiled pick is unknown at admission time; 4 is
+#: the paper's small-grid sweet spot).
+DEFAULT_BSIZE = 4
+
+#: Cold-compile estimate before any compile has been observed.
+#: Deliberately optimistic: over-estimating compile cost would reject
+#: feasible first requests.
+DEFAULT_COMPILE_SECONDS = 0.0
+
+#: Clamp on the measured/modeled ratio, so one wild sample cannot
+#: poison every later admission decision.
+CALIBRATION_BOUNDS = (1e-3, 1e3)
 
 
 class Ewma:
     """Exponentially weighted moving average (``None`` until fed)."""
 
-    def __init__(self, alpha: float = 0.3):
+    def __init__(self, alpha: float = EWMA_ALPHA):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = float(alpha)
@@ -53,118 +64,39 @@ class Ewma:
         return self.value
 
 
-def stencil_nnz(grid, stencil) -> int:
-    """Exact nonzero count of the clipped stencil operator on ``grid``.
-
-    Each offset contributes one entry per grid point whose shifted
-    neighbor stays in bounds — ``Π_d (dim_d - |off_d|)`` points — which
-    is precisely what :func:`repro.grids.assembly.assemble_csr` emits,
-    without assembling anything.
-    """
-    total = 0
-    for off in stencil.offsets:
-        per = 1
-        for d, o in zip(grid.dims, off):
-            per *= max(0, int(d) - abs(int(o)))
-        total += per
-    return total
-
-
 class ServiceTimeEstimator:
-    """Blended analytic + measured service-time estimates.
+    """Blended analytic + measured service-time estimates."""
 
-    Parameters
-    ----------
-    alpha:
-        EWMA smoothing factor for both latency and calibration series.
-    default_bsize:
-        Vector length assumed by the model when the config leaves
-        ``bsize`` to the autotuner (the compiled pick is unknown at
-        admission time; 4 is the paper's small-grid sweet spot).
-    default_compile_seconds:
-        Cold-structure compile estimate used before any compile has
-        been observed. Deliberately optimistic: over-estimating
-        compile cost would reject feasible first requests.
-    calibration_bounds:
-        Clamp on the measured/modeled ratio, so one wild sample cannot
-        poison every later admission decision.
-    """
-
-    def __init__(self, alpha: float = 0.3, default_bsize: int = 4,
-                 default_compile_seconds: float = 0.0,
-                 calibration_bounds: tuple = (1e-3, 1e3)):
-        self.default_bsize = check_positive(default_bsize,
-                                            "default_bsize")
-        self.default_compile_seconds = float(default_compile_seconds)
-        self._alpha = alpha
-        self._lo, self._hi = calibration_bounds
+    def __init__(self):
         self._lock = threading.Lock()
         self._latency: dict[tuple, Ewma] = {}
         #: ``(fingerprint, op, k) -> model_seconds``, priced once.
         self._models: dict[tuple, float] = {}
-        self._calibration = Ewma(alpha)
-        self._compile = Ewma(alpha)
+        self._calibration = Ewma()
+        self._compile = Ewma()
         # Value-only ILU repacks are a small fraction of a cold
         # compile; charging them the cold EWMA would over-reject
         # feasible deadlines, so they get their own series.
-        self._refresh = Ewma(alpha)
+        self._refresh = Ewma()
 
     # Analytic model -----------------------------------------------------
-    def _counter(self, grid, stencil, config, op: str,
-                 k: int) -> OpCounter:
-        """DBSR-shaped multi-RHS counter from geometry alone.
-
-        Mirrors :func:`repro.kernels.counts.sptrsv_dbsr_counts`
-        with tile/row counts *estimated* (``tiles ≈ nnz/bsize``): one
-        value load per tile serves all ``k`` columns, vector traffic
-        scales with ``k``.
-        """
-        n = int(grid.n_points)
-        nnz = stencil_nnz(grid, stencil)
-        bsize = int(config.bsize or self.default_bsize)
-        item = int(np.dtype(config.np_dtype).itemsize)
-        brow = max(1, math.ceil(n / bsize))
-        if op in ("lower", "upper"):
-            nnz_op = max(1, (nnz - n) // 2)
-            sweeps, divide = 1, True
-        elif op == "spmv":
-            nnz_op, sweeps, divide = nnz, 1, False
-        elif op == "ilu_apply":
-            # Forward + backward factor sweeps over the triangular
-            # halves; the divide prices the backward diagonal solve.
-            nnz_op = max(1, (nnz - n) // 2)
-            sweeps, divide = 2, True
-        else:  # symgs: both triangular sweeps + corrections
-            nnz_op = max(1, (nnz - n) // 2)
-            sweeps, divide = 2, True
-        t = max(1, math.ceil(nnz_op / bsize))
-        c = OpCounter(bsize=bsize)
-        c.vload = (t * (1 + k) + k * brow + (brow if divide else 0))
-        c.vfma = t * k
-        c.vstore = k * brow
-        c.vdiv = k * brow if divide else 0
-        c.sload = 2 * t
-        c.bytes_values = t * bsize * item
-        c.bytes_index = t * 5 + (brow + 1) * 8
-        c.bytes_vector = ((k * t + 2 * k * brow
-                           + (brow if divide else 0)) * bsize * item)
-        return c.scaled(sweeps) if sweeps != 1 else c
-
     def model_seconds(self, grid, stencil, config, op: str,
                       k: int = 1) -> float:
         """Machine-model estimate of one ``(op, k)`` solve."""
         from repro.experiments.base import machine_by_name
-        from repro.ordering.coloring import _is_star
+        from repro.kernels.counts import dbsr_geometry_counts
+        from repro.ordering.coloring import n_colors
         from repro.serve.plan import _resolve_stencil
 
         stencil = _resolve_stencil(stencil)
         machine = machine_by_name(config.machine)
-        counter = self._counter(grid, stencil, config, op, k)
-        n_colors = 2 if _is_star(stencil) else 2 ** grid.ndim
+        item = int(np.dtype(config.np_dtype).itemsize)
+        counter = dbsr_geometry_counts(
+            grid, stencil, op, int(config.bsize or DEFAULT_BSIZE), k=k,
+            dtype_bytes=item)
         return machine.kernel_seconds(
-            counter, threads=config.n_workers,
-            dtype_bytes=int(np.dtype(config.np_dtype).itemsize),
-            n_barriers=n_colors)
+            counter, threads=config.n_workers, dtype_bytes=item,
+            n_barriers=n_colors(grid, stencil))
 
     def _model(self, fingerprint: str, grid, stencil, config, op: str,
                k: int) -> float:
@@ -187,13 +119,12 @@ class ServiceTimeEstimator:
         """
         per_solve = float(seconds) / max(1, int(k))
         with self._lock:
-            ewma = self._latency.setdefault((fingerprint, op),
-                                            Ewma(self._alpha))
+            ewma = self._latency.setdefault((fingerprint, op), Ewma())
             ewma.update(per_solve)
             if model_seconds is not None and model_seconds > 0:
                 ratio = float(seconds) / float(model_seconds)
-                self._calibration.update(
-                    min(max(ratio, self._lo), self._hi))
+                lo, hi = CALIBRATION_BOUNDS
+                self._calibration.update(min(max(ratio, lo), hi))
 
     def observe_compile(self, seconds: float,
                         kind: str = "cold") -> None:
@@ -221,7 +152,7 @@ class ServiceTimeEstimator:
         with self._lock:
             return (self._compile.value
                     if self._compile.value is not None
-                    else self.default_compile_seconds)
+                    else DEFAULT_COMPILE_SECONDS)
 
     def refresh_seconds(self) -> float:
         """Warm value-only repack estimate.

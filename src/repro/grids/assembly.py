@@ -51,3 +51,18 @@ def assemble_csr(grid: StructuredGrid, stencil: Stencil,
     vals = np.concatenate(vals_parts)
     coo = COOMatrix(rows, cols, vals, (grid.n_points, grid.n_points))
     return CSRMatrix.from_coo(coo)
+
+
+def stencil_nnz(grid: StructuredGrid, stencil: Stencil) -> int:
+    """Exact nonzero count of :func:`assemble_csr`, without assembling.
+
+    Each offset contributes one entry per grid point whose shifted
+    neighbor stays in bounds: ``Π_d max(0, dim_d - |off_d|)`` points.
+    """
+    total = 0
+    for off in stencil.offsets:
+        per = 1
+        for d, o in zip(grid.dims, off):
+            per *= max(0, int(d) - abs(int(o)))
+        total += per
+    return total

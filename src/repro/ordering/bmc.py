@@ -15,7 +15,7 @@ import numpy as np
 from repro.grids.grid import StructuredGrid
 from repro.grids.stencils import Stencil, star5_2d, star7_3d, box9_2d, box27_3d
 from repro.ordering.blocks import BlockPartition, partition_grid
-from repro.ordering.coloring import _is_star, point_multicolor
+from repro.ordering.coloring import is_star, point_multicolor
 from repro.ordering.permutation import Permutation
 from repro.utils.validation import require
 
@@ -30,7 +30,7 @@ def _block_adjacency_stencil(stencil: Stencil, ndim: int) -> Stencil:
     """
     require(stencil.reach <= 1,
             "BMC block coloring supports reach-1 stencils only")
-    if _is_star(stencil):
+    if is_star(stencil):
         return {1: None, 2: star5_2d(), 3: star7_3d()}[ndim] \
             if ndim > 1 else stencil
     return {2: box9_2d(), 3: box27_3d()}[ndim] if ndim > 1 else stencil

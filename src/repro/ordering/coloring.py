@@ -19,11 +19,17 @@ from repro.grids.stencils import Stencil
 from repro.utils.validation import require
 
 
-def _is_star(stencil: Stencil) -> bool:
+def is_star(stencil: Stencil) -> bool:
     """True when every offset touches at most one axis (star shape)."""
     return all(
         sum(1 for c in off if c != 0) <= 1 for off in stencil.offsets
     )
+
+
+def n_colors(grid: StructuredGrid, stencil: Stencil) -> int:
+    """Colors of the structured coloring: red-black (2) for star
+    stencils, ``2^ndim`` for box stencils."""
+    return 2 if is_star(stencil) else 2 ** grid.ndim
 
 
 def point_multicolor(grid: StructuredGrid, stencil: Stencil) -> np.ndarray:
@@ -42,7 +48,7 @@ def point_multicolor(grid: StructuredGrid, stencil: Stencil) -> np.ndarray:
     require(stencil.reach <= 1,
             "structured coloring supports reach-1 stencils only")
     coords = grid.coords_array()
-    if _is_star(stencil):
+    if is_star(stencil):
         return (coords.sum(axis=1) % 2).astype(np.int64)
     colors = np.zeros(grid.n_points, dtype=np.int64)
     for axis in range(grid.ndim):

@@ -55,10 +55,11 @@ from repro.resilience import hooks
 from repro.resilience.guardrails import seal_plan, validate_plan
 from repro.serve.plan import (
     PlanConfig,
+    _compile_prelude,
     _resolve_stencil,
     structural_fingerprint,
 )
-from repro.utils.validation import check_positive, require
+from repro.utils.validation import require
 
 #: Ops an ILU plan can execute (see :meth:`ILUPlan.execute`).
 ILU_OPS = ("ilu_apply",)
@@ -219,10 +220,10 @@ class ILUPlan:
 
     def op_counts(self, op: str, k: int = 1):
         """Closed-form op counts of one ``k``-column application."""
-        from repro.kernels.counts import ilu_apply_dbsr_counts
+        from repro.kernels.counts import dbsr_op_counts
 
         require(op in ILU_OPS, f"unknown op {op!r}; known: {ILU_OPS}")
-        return ilu_apply_dbsr_counts(self.factors, k)
+        return dbsr_op_counts(op, self.factors, k)
 
     def describe(self) -> dict:
         """JSON-friendly summary (for metrics and persistence)."""
@@ -361,12 +362,6 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
         A previously-autotuned pick; skips the autotune sweep. Ignored
         when ``config.bsize`` is set.
     """
-    from repro.grids.assembly import assemble_csr
-    from repro.ordering.blocks import auto_block_dims
-    from repro.ordering.coloring import _is_star
-    from repro.ordering.vbmc import build_vbmc
-    from repro.simd.autotune import autotune_bsize
-
     from repro.backends import resolve_backend
 
     config = config if config is not None else PlanConfig()
@@ -379,29 +374,8 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
                     backend=backend.name,
                     fingerprint=fingerprint[:12]) as sp:
         t0 = time.perf_counter()
-        autotuned = False
-        if config.bsize is not None:
-            bsize = config.bsize
-        elif bsize_hint is not None:
-            bsize = check_positive(bsize_hint, "bsize_hint")
-        else:
-            from repro.experiments.base import machine_by_name
-
-            machine = machine_by_name(config.machine)
-            with trace.span("serve.autotune", machine=config.machine,
-                            prune=str(config.autotune_prune)):
-                bsize = autotune_bsize(
-                    grid, stencil, machine, n_workers=config.n_workers,
-                    dtype_bytes=int(np.dtype(np_dtype).itemsize),
-                    groups_per_worker=config.groups_per_worker,
-                    prune=config.autotune_prune)
-            autotuned = True
-
-        n_colors = 2 if _is_star(stencil) else 2 ** grid.ndim
-        block_dims = auto_block_dims(grid, config.n_workers,
-                                     bsize=bsize, n_colors=n_colors)
-        ordering = build_vbmc(grid, stencil, block_dims, bsize)
-        A = assemble_csr(grid, stencil, dtype=np_dtype)
+        bsize, autotuned, block_dims, ordering, A = _compile_prelude(
+            grid, stencil, config, bsize_hint)
         if values is None:
             values_src = np.array(A.data, dtype=np_dtype, copy=True)
         else:
@@ -438,7 +412,7 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
             grid=grid,
             stencil=stencil,
             bsize=bsize,
-            block_dims=tuple(block_dims),
+            block_dims=block_dims,
             ordering=ordering,
             matrix=matrix,
             factors=factors,

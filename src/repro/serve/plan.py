@@ -284,21 +284,13 @@ class SolvePlan:
         These are the counts the tracer attributes to ``plan.execute``
         spans; the golden-trace suite asserts they equal the closed
         forms in :mod:`repro.kernels.counts` exactly (they *are* those
-        closed forms, routed by the same op dispatch as :meth:`execute`).
+        closed forms, over the matrix :meth:`execute` sweeps for
+        ``op``).
         """
-        from repro.kernels.counts import (
-            spmv_dbsr_counts,
-            sptrsv_dbsr_counts,
-            symgs_dbsr_counts,
-        )
+        from repro.kernels.counts import dbsr_op_counts
 
-        if op == "lower":
-            return sptrsv_dbsr_counts(self.lower, divide=True, k=k)
-        if op == "upper":
-            return sptrsv_dbsr_counts(self.upper, divide=True, k=k)
-        if op == "spmv":
-            return spmv_dbsr_counts(self.dbsr, k)
-        return symgs_dbsr_counts(self.dbsr, k)
+        swept = {"lower": self.lower, "upper": self.upper}
+        return dbsr_op_counts(op, swept.get(op, self.dbsr), k)
 
     def describe(self) -> dict:
         """JSON-friendly summary (for metrics and persistence)."""
@@ -320,6 +312,47 @@ class SolvePlan:
         }
 
 
+def _compile_prelude(grid: StructuredGrid, stencil: Stencil,
+                    config: PlanConfig,
+                    bsize_hint: int | None) -> tuple:
+    """The set-up every plan kind starts from.
+
+    Resolves ``bsize`` (``config.bsize``, else ``bsize_hint``, else an
+    autotune sweep under a ``serve.autotune`` span), then builds the
+    AUTO block partition, the vectorized BMC ordering and the assembled
+    operator. Returns ``(bsize, autotuned, block_dims, ordering, A)``.
+    """
+    from repro.grids.assembly import assemble_csr
+    from repro.ordering.blocks import auto_block_dims
+    from repro.ordering.coloring import n_colors
+    from repro.ordering.vbmc import build_vbmc
+    from repro.simd.autotune import autotune_bsize
+
+    autotuned = False
+    if config.bsize is not None:
+        bsize = config.bsize
+    elif bsize_hint is not None:
+        bsize = check_positive(bsize_hint, "bsize_hint")
+    else:
+        from repro.experiments.base import machine_by_name
+
+        machine = machine_by_name(config.machine)
+        with trace.span("serve.autotune", machine=config.machine,
+                        prune=str(config.autotune_prune)):
+            bsize = autotune_bsize(
+                grid, stencil, machine, n_workers=config.n_workers,
+                dtype_bytes=int(np.dtype(config.np_dtype).itemsize),
+                groups_per_worker=config.groups_per_worker,
+                prune=config.autotune_prune)
+        autotuned = True
+
+    block_dims = auto_block_dims(grid, config.n_workers, bsize=bsize,
+                                 n_colors=n_colors(grid, stencil))
+    ordering = build_vbmc(grid, stencil, block_dims, bsize)
+    A = assemble_csr(grid, stencil, dtype=config.np_dtype)
+    return bsize, autotuned, tuple(block_dims), ordering, A
+
+
 def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
                  config: PlanConfig | None = None,
                  bsize_hint: int | None = None) -> SolvePlan:
@@ -337,19 +370,12 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
         :class:`~repro.serve.cache.PlanCache` persistence file); skips
         the autotune sweep. Ignored when ``config.bsize`` is set.
     """
-    from repro.grids.assembly import assemble_csr
-    from repro.kernels.sptrsv_csr import split_triangular
-    from repro.ordering.blocks import auto_block_dims
-    from repro.ordering.coloring import _is_star
-    from repro.ordering.vbmc import build_vbmc
-    from repro.simd.autotune import autotune_bsize
-
     from repro.backends import resolve_backend
+    from repro.kernels.sptrsv_csr import split_triangular
 
     config = config if config is not None else PlanConfig()
     stencil = _resolve_stencil(stencil)
     fingerprint = structural_fingerprint(grid, stencil, config)
-    np_dtype = config.np_dtype
     # Resolve the kernel tier now, not per-execute: an unavailable
     # optional tier (numba) degrades to numpy-fast here, once, with a
     # warning — while the fingerprint keeps the *requested* name.
@@ -359,29 +385,8 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
                     backend=backend.name,
                     fingerprint=fingerprint[:12]) as sp:
         t0 = time.perf_counter()
-        autotuned = False
-        if config.bsize is not None:
-            bsize = config.bsize
-        elif bsize_hint is not None:
-            bsize = check_positive(bsize_hint, "bsize_hint")
-        else:
-            from repro.experiments.base import machine_by_name
-
-            machine = machine_by_name(config.machine)
-            with trace.span("serve.autotune", machine=config.machine,
-                            prune=str(config.autotune_prune)):
-                bsize = autotune_bsize(
-                    grid, stencil, machine, n_workers=config.n_workers,
-                    dtype_bytes=int(np.dtype(np_dtype).itemsize),
-                    groups_per_worker=config.groups_per_worker,
-                    prune=config.autotune_prune)
-            autotuned = True
-
-        n_colors = 2 if _is_star(stencil) else 2 ** grid.ndim
-        block_dims = auto_block_dims(grid, config.n_workers, bsize=bsize,
-                                     n_colors=n_colors)
-        ordering = build_vbmc(grid, stencil, block_dims, bsize)
-        A = assemble_csr(grid, stencil, dtype=np_dtype)
+        bsize, autotuned, block_dims, ordering, A = _compile_prelude(
+            grid, stencil, config, bsize_hint)
         Ap = ordering.apply_matrix(A)
         dbsr = DBSRMatrix.from_csr(Ap, bsize)
         L, D, U = split_triangular(Ap)
@@ -400,7 +405,7 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
             grid=grid,
             stencil=stencil,
             bsize=bsize,
-            block_dims=tuple(block_dims),
+            block_dims=block_dims,
             ordering=ordering,
             matrix=Ap,
             dbsr=dbsr,

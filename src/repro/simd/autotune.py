@@ -32,7 +32,7 @@ from repro.grids.grid import StructuredGrid
 from repro.grids.stencils import Stencil
 from repro.ordering.blocks import auto_block_dims, partition_grid
 from repro.ordering.bmc import color_blocks
-from repro.simd.counters import OpCounter
+from repro.ordering.coloring import n_colors
 from repro.simd.machine import MachineModel
 from repro.utils.validation import check_positive
 
@@ -125,49 +125,6 @@ class AutotuneResult:
         return len(self.measured)
 
 
-def sptrsv_model_counter(grid: StructuredGrid, stencil: Stencil,
-                         bsize: int, dtype_bytes: int = 8) -> OpCounter:
-    """Analytic DBSR SpTRSV counter from geometry alone.
-
-    Shaped like :func:`repro.kernels.counts.sptrsv_dbsr_counts` but
-    with nothing assembled: the clipped-stencil nonzero count is the
-    closed form ``Σ_off Π_d max(0, dim_d - |off_d|)``, tiles are
-    ``ceil(nnz/bsize)``, and — the term that makes the ranking honest
-    on small grids — zero padding is charged explicitly. Rows are
-    grouped into vector groups of ``bsize`` *within each color*, so
-    every color's row count rounds up to a ``bsize`` multiple; the
-    padded rows drag their share of tile values and vector traffic
-    along. Without this term the model is monotone in ``bsize`` and
-    the ranking degenerates to "biggest first".
-    """
-    from repro.gateway.estimator import stencil_nnz
-    from repro.ordering.coloring import _is_star
-
-    check_positive(bsize, "bsize")
-    n = int(grid.n_points)
-    n_colors = 2 if _is_star(stencil) else 2 ** grid.ndim
-    nnz = stencil_nnz(grid, stencil)
-    nnz_op = max(1, (nnz - n) // 2)  # one strict triangle
-    rows_per_color = n / n_colors
-    padded_rows = n_colors * max(
-        0.0, math.ceil(rows_per_color / bsize) * bsize - rows_per_color)
-    pad_nnz = padded_rows * (nnz_op / n)
-    t = max(1, math.ceil((nnz_op + pad_nnz) / bsize))
-    brow = max(1, math.ceil((n + padded_rows) / bsize))
-
-    c = OpCounter(bsize=bsize)
-    # Per block-row: load rhs, one vload+vfma per tile, divide, store.
-    c.vload = 2 * t + 2 * brow
-    c.vfma = t
-    c.vstore = brow
-    c.vdiv = brow
-    c.sload = 2 * t  # anchor + tile bounds
-    c.bytes_values = t * bsize * dtype_bytes
-    c.bytes_index = t * 5 + (brow + 1) * 8  # 4B anchor + 1B amortized ptr
-    c.bytes_vector = (t + 3 * brow) * bsize * dtype_bytes
-    return c
-
-
 def modeled_sptrsv_seconds(grid: StructuredGrid, stencil: Stencil,
                            bsize: int, machine: MachineModel,
                            n_workers: int = 1,
@@ -178,17 +135,20 @@ def modeled_sptrsv_seconds(grid: StructuredGrid, stencil: Stencil,
     :meth:`~repro.simd.machine.MachineModel.kernel_seconds`, with the
     exploitable concurrency capped at the analytic vector groups per
     color — an infeasibly large ``bsize`` starves the workers and the
-    model sees it.
+    model sees it. The counts are the lower solve's closed form over
+    the geometry estimate
+    (:func:`repro.kernels.counts.dbsr_geometry_counts`), padding
+    included.
     """
-    from repro.ordering.coloring import _is_star
+    from repro.kernels.counts import dbsr_geometry_counts
 
-    n_colors = 2 if _is_star(stencil) else 2 ** grid.ndim
-    counter = sptrsv_model_counter(grid, stencil, bsize,
+    colors = n_colors(grid, stencil)
+    counter = dbsr_geometry_counts(grid, stencil, "lower", bsize,
                                    dtype_bytes=dtype_bytes)
-    groups = max(1.0, grid.n_points / (bsize * n_colors))
+    groups = max(1.0, grid.n_points / (bsize * colors))
     return machine.kernel_seconds(
         counter, threads=n_workers, dtype_bytes=dtype_bytes,
-        n_barriers=n_colors, parallelism=groups)
+        n_barriers=colors, parallelism=groups)
 
 
 def rank_bsizes_roofline(grid: StructuredGrid, stencil: Stencil,
@@ -218,15 +178,13 @@ def _lower_sweep(grid: StructuredGrid, stencil: Stencil, bsize: int,
     from repro.formats.dbsr import DBSRMatrix
     from repro.grids.assembly import assemble_csr
     from repro.kernels.sptrsv_csr import split_triangular
-    from repro.ordering.coloring import _is_star
     from repro.ordering.vbmc import build_vbmc
 
-    n_colors = 2 if _is_star(stencil) else 2 ** grid.ndim
     dtype = np.float32 if dtype_bytes == 4 else np.float64
     A = matrix if matrix is not None \
         else assemble_csr(grid, stencil, dtype=dtype)
     block_dims = auto_block_dims(grid, n_workers, bsize=bsize,
-                                 n_colors=n_colors)
+                                 n_colors=n_colors(grid, stencil))
     ordering = build_vbmc(grid, stencil, block_dims, bsize)
     Ap = ordering.apply_matrix(A)
     L, D, _U = split_triangular(Ap)
@@ -279,16 +237,14 @@ def autotune_bsize_result(grid: StructuredGrid, stencil: Stencil,
     if prune not in PRUNE_MODES:
         raise ValueError(
             f"unknown prune mode {prune!r}; known: {PRUNE_MODES}")
-    from repro.ordering.coloring import _is_star
-
     t0 = time.perf_counter()
-    n_colors = 2 if _is_star(stencil) else 2 ** grid.ndim
+    colors = n_colors(grid, stencil)
 
     def feasible(b: int) -> bool:
         block_dims = auto_block_dims(grid, n_workers, bsize=b,
-                                     n_colors=n_colors)
+                                     n_colors=colors)
         if int(np.prod(block_dims)) < min_block_points \
-                and grid.n_points >= min_block_points * n_colors:
+                and grid.n_points >= min_block_points * colors:
             return False
         blocks = min_blocks_per_color(grid, stencil, block_dims)
         return blocks >= b * n_workers * groups_per_worker

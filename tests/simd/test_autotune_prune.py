@@ -11,7 +11,6 @@ from repro.simd.autotune import (
     autotune_bsize_result,
     modeled_sptrsv_seconds,
     rank_bsizes_roofline,
-    sptrsv_model_counter,
 )
 from repro.simd.machine import INTEL_XEON, KUNPENG_920
 
@@ -27,19 +26,6 @@ def _result(nx, stencil, machine=KUNPENG_920, **kwargs):
 
 
 # -- model internals -------------------------------------------------------
-
-def test_model_counter_charges_padding():
-    grid = StructuredGrid((8, 8, 8))
-    st = stencil_by_name("7pt")
-    # 512 points over 2 colors = 256 rows/color: bsize 64 pads
-    # nothing, but an uneven bsize like 24 must charge padded rows.
-    even = sptrsv_model_counter(grid, st, 64)
-    uneven = sptrsv_model_counter(grid, st, 24)
-    assert even.bytes_vector > 0
-    padded_rows_per_color = 264 - 256  # ceil(256/24)*24 - 256
-    assert uneven.vdiv == pytest.approx(
-        (512 + 2 * padded_rows_per_color) / 24, abs=1)
-
 
 def test_modeled_seconds_positive_and_finite():
     grid = StructuredGrid((8, 8, 8))
