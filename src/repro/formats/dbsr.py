@@ -87,6 +87,10 @@ class DBSRMatrix(SparseMatrix):
         #: the batched sweeps walk; attached once when a plan or
         #: smoother is built, never on a request.
         self.schedule = None
+        #: Optional :class:`~repro.formats.dbsr_levels.ValueStacks`: the
+        #: scheduled sweeps' per-level operands for :attr:`values`,
+        #: attached with the schedule and again for each new value set.
+        self.stacks = None
 
     # Construction -----------------------------------------------------
     @classmethod

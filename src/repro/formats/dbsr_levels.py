@@ -34,13 +34,19 @@ order. Levels that :func:`reduce_pays` accepts at ``k = 1`` also get a
 padded ``(slots, rows)`` tile and window index, built vectorized with
 the layout, whose missing slots point at tile ``n_tiles`` and window
 0; the kernels solve such a level with one axis-0 reduction over the
-padded products, supplying the zero tile from the values of each call
-(a value-only repack shares the layouts, so it is never cached here)
-and reading window 0 from the zero pad. A level of one row gets the
-same index, unpadded ``(tiles, 1)`` and free of the zero tile, and
-reduces at every ``k``. A :class:`LevelSchedule` bundles the levels
-with the layouts of one matrix and rides on it as
+padded products, reading window 0 from the zero pad. A level of one
+row gets the same index, unpadded ``(tiles, 1)`` and free of the zero
+tile, and reduces at every ``k``. A :class:`LevelSchedule` bundles the
+levels with the layouts of one matrix and rides on it as
 :attr:`DBSRMatrix.schedule`.
+
+Values are fixed while a plan or smoother lives, so a level's operands
+are laid out once per value set, not once per call: a
+:class:`ValueStacks` on :attr:`DBSRMatrix.stacks` holds every reduced
+level's read-only value stack, the zero tile baked into its padded
+slots, and every level's diagonal block. A value-only ILU repack
+shares the layouts and builds fresh stacks. Slot-loop levels (the
+bsize-64 structures) read the values in place.
 """
 
 from __future__ import annotations
@@ -162,10 +168,9 @@ class LevelBatch:
     ``padded`` is ``None`` unless :func:`reduce_pays` accepts the level
     at ``k = 1``; then it is the pair of ``(slots, rows)`` arrays
     ``(tiles, windows)`` of the whole level, where a row's missing slots
-    hold tile ``n_tiles`` (the zero tile the kernel appends to the
-    values of its call) and window 0 (the zero pad ``Xp[0:bsize]``). A
-    one-row level's index is ``(tiles, 1)`` and never names the zero
-    tile.
+    hold tile ``n_tiles`` (the zero tile of the level's value stack)
+    and window 0 (the zero pad ``Xp[0:bsize]``). A one-row level's
+    index is ``(tiles, 1)`` and never names the zero tile.
     """
 
     __slots__ = ("rows", "rows1", "tiles", "windows", "slots", "padded")
@@ -184,26 +189,26 @@ class TileLayout:
     """One sweep's tiles over a :class:`BlockLevels`.
 
     Block-row ``i`` owns tiles ``lo[i]:hi[i]``. :attr:`steps` walks the
-    levels in order, one :class:`LevelBatch` each. Without levels the
-    one step is the tuple of every block-row, run through the per-row
-    body in that order; :attr:`lo`, :attr:`hi` and :attr:`anchors` are
-    then Python-int lists for that body (``None`` on a scheduled
-    layout). ``bsize`` is the matrix's: with it :func:`reduce_pays`
-    decides which levels get a reduction index. :attr:`narrowest` is
-    the fewest rows among the multi-row levels with one (``inf`` if
-    none): the zero tile is needed at ``k`` columns iff
-    ``reduce_pays(narrowest, bsize, k)``.
+    levels in order, one :class:`LevelBatch` each; :attr:`rows` and
+    :attr:`ptiles` concatenate the steps' rows and padded tile indexes
+    in that order, so a value set's stacks take one gather each. Without
+    levels the one step is the tuple of every block-row, run through
+    the per-row body in that order; :attr:`lo`, :attr:`hi` and
+    :attr:`anchors` are then Python-int lists for that body (``None``
+    on a scheduled layout, where :attr:`rows` and :attr:`ptiles` are
+    ``None`` instead). ``bsize`` is the matrix's: with it
+    :func:`reduce_pays` decides which levels get a reduction index.
     """
 
-    __slots__ = ("lo", "hi", "anchors", "steps", "narrowest")
+    __slots__ = ("lo", "hi", "anchors", "steps", "rows", "ptiles")
 
     def __init__(self, levels: BlockLevels | None, lo: np.ndarray,
                  hi: np.ndarray, anchors: np.ndarray, bsize: int):
-        self.narrowest = math.inf
         if levels is None:
             self.lo, self.hi = lo.tolist(), hi.tolist()
             self.anchors = anchors.tolist()
             self.steps = (tuple(range(len(self.lo))),)
+            self.rows = self.ptiles = None
             return
         self.lo = self.hi = self.anchors = None
         cnt = hi - lo
@@ -245,9 +250,7 @@ class TileLayout:
         pwindows = np.zeros(len(ptiles), dtype=np.intp)
         ptiles[at] = ids[hit]
         pwindows[at] = anchors[ids[hit]]
-        multi = pads & (n_rows > 1)
-        if multi.any():
-            self.narrowest = int(n_rows[multi].min())
+        self.rows, self.ptiles = rows, ptiles
         tptr = start[::width].tolist() + [len(pos)]
         m_l = m2.tolist()
         lp = lptr.tolist()
@@ -285,8 +288,99 @@ class LevelSchedule:
     above: TileLayout | None = None
 
 
-def schedule_sweeps(matrix: DBSRMatrix, levels: BlockLevels) -> None:
-    """Attach the full-row sweep layout of ``matrix`` over ``levels``.
+class SweepStacks:
+    """One sweep's per-level operands for one value set.
+
+    :attr:`steps` pairs each step of :attr:`layout` with ``(vals,
+    diag)``: the level's ``(slots, rows, bsize, 1)`` value stack, the
+    zero tile in its padded slots, where it has a reduction index
+    (slot-loop levels read the values in place), and the ``(rows,
+    bsize, 1)`` block of its divisors, taken from ``blocks`` (``bsize``
+    per block-row; ``None``: the sweep divides by nothing). Each kind
+    is one read-only gather over the layout's concatenated index, cut
+    into views; an unscheduled layout's one step gets neither.
+    """
+
+    def __init__(self, layout: TileLayout, values: np.ndarray,
+                 blocks: np.ndarray | None = None):
+        steps = layout.steps
+        vals = diag = (None,) * len(steps)
+        if layout.rows is not None:
+            stack = values.take(layout.ptiles, axis=0, mode="clip")
+            stack[layout.ptiles == len(values)] = 0
+            vals = _views(stack, [None if s.padded is None
+                                  else s.padded[0].shape for s in steps])
+            if blocks is not None:
+                rows = np.asarray(blocks).reshape(-1, values.shape[1])
+                diag = _views(rows[layout.rows],
+                              [(len(s.rows),) for s in steps])
+        self.layout = layout
+        self.steps = tuple(zip(steps, vals, diag))
+
+
+def _views(stack: np.ndarray, shapes: list) -> list:
+    """Make ``stack`` read-only and cut it, in order, into views of
+    ``shape + (bsize, 1)`` for each shape (``None`` for ``None``)."""
+    stack.flags.writeable = False
+    out, a = [], 0
+    for shape in shapes:
+        if shape is None:
+            out.append(None)
+            continue
+        size = math.prod(shape)
+        out.append(stack[a:a + size].reshape(shape + (stack.shape[1], 1)))
+        a += size
+    return out
+
+
+class ValueStacks:
+    """One value set's :class:`SweepStacks` for each layout of a
+    matrix's :class:`LevelSchedule` (``None`` where it has none).
+    ``full`` divides by ``diag`` (``None``: by nothing); ``above``, the
+    backward sweep of an ILU(0) application, by the diagonal tiles
+    ``values[dia_ptr]``.
+
+    The kernels use the stacks only while they :meth:`hold` the call's
+    arrays, so a matrix copied with new values, a call with another
+    diagonal, or an array edited in place (a fault injector's bit flip)
+    builds stacks for that call; a new value set gets new stacks.
+    """
+
+    def __init__(self, matrix: DBSRMatrix, diag: np.ndarray | None = None,
+                 dia_ptr: np.ndarray | None = None):
+        sched, values = matrix.schedule, matrix.values
+        self.values, self.diag = values, diag
+        self.fingerprints = (_fingerprint(values), _fingerprint(diag))
+        self.full = self.below = self.above = None
+        if sched.full is not None:
+            self.full = SweepStacks(sched.full, values, diag)
+        if sched.below is not None:
+            self.below = SweepStacks(sched.below, values)
+            self.above = SweepStacks(sched.above, values, values[dia_ptr])
+
+    def hold(self, values: np.ndarray, diag: np.ndarray | None) -> bool:
+        """Whether these stacks were built from the very arrays
+        ``values`` and ``diag``, with the contents they hold now."""
+        return (values is self.values and diag is self.diag
+                and self.fingerprints == (_fingerprint(values),
+                                          _fingerprint(diag)))
+
+
+def _fingerprint(a: np.ndarray | None) -> int | None:
+    """XOR of ``a``'s words (``None`` for ``None``), one read of the
+    array: an edit of any one element changes it."""
+    if a is None:
+        return None
+    flat = np.ascontiguousarray(a).reshape(-1)
+    word = 8 if flat.itemsize % 8 == 0 else flat.itemsize
+    return int(np.bitwise_xor.reduce(flat.view(f"u{word}")))
+
+
+def schedule_sweeps(matrix: DBSRMatrix, levels: BlockLevels,
+                    diag: np.ndarray | None = None) -> None:
+    """Attach the full-row sweep layout of ``matrix`` over ``levels``,
+    and its :class:`ValueStacks` for the values it holds and the
+    divisor ``diag`` its sweeps take (``None``: none).
 
     ``levels`` must come from a skeleton whose tile windows include
     ``matrix``'s: its own, or the full operator's for a strict
@@ -296,12 +390,13 @@ def schedule_sweeps(matrix: DBSRMatrix, levels: BlockLevels) -> None:
     matrix.schedule = LevelSchedule(levels, full=TileLayout(
         levels, ptr[:-1], ptr[1:], matrix.anchors + matrix.bsize,
         matrix.bsize))
+    matrix.stacks = ValueStacks(matrix, diag)
 
 
 def schedule_ilu_sweeps(matrix: DBSRMatrix, dia_ptr: np.ndarray) -> None:
     """Level an ILU(0) factor skeleton and attach the layouts of its two
-    application sweeps; block-row ``i`` has its diagonal tile at
-    ``dia_ptr[i]``."""
+    application sweeps and their :class:`ValueStacks`; block-row ``i``
+    has its diagonal tile at ``dia_ptr[i]``."""
     levels = build_block_levels(matrix)
     ptr = matrix.blk_ptr.astype(np.int64)
     dia = np.asarray(dia_ptr, dtype=np.int64)
@@ -310,3 +405,4 @@ def schedule_ilu_sweeps(matrix: DBSRMatrix, dia_ptr: np.ndarray) -> None:
         levels,
         below=TileLayout(levels, ptr[:-1], dia, anchors, matrix.bsize),
         above=TileLayout(levels, dia + 1, ptr[1:], anchors, matrix.bsize))
+    matrix.stacks = ValueStacks(matrix, dia_ptr=dia_ptr)

@@ -104,8 +104,9 @@ class DBSRSymgsSmoother:
         self.vbmc = build_vbmc(grid, stencil, block_dims, bsize)
         reordered = self.vbmc.apply_matrix(matrix)
         self.dbsr = DBSRMatrix.from_csr(reordered, bsize)
-        schedule_sweeps(self.dbsr, build_block_levels(self.dbsr))
         self.diag = reordered.diagonal()
+        schedule_sweeps(self.dbsr, build_block_levels(self.dbsr),
+                        diag=self.diag)
         self.bsize = bsize
         self.n_colors = self.vbmc.n_colors
         groups = np.diff(self.vbmc.schedule.color_group_ptr)

@@ -120,7 +120,7 @@ def collect_bench_runtime(nx: int = 8, stencil: str = "27pt",
             # sequential and backend timings run the served sweeps.
             levels = build_block_levels(dbsr)
             for m in (dbsr, Ld, Ud):
-                schedule_sweeps(m, levels)
+                schedule_sweeps(m, levels, diag=D)
 
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(Ap.n_rows).astype(np_dtype)

@@ -28,22 +28,23 @@ rows gathers its tiles' whole contiguous windows at once, one window
 per tile (``sliding_window_view(Xp, bsize, axis=0)[anchors]``, by
 fancy indexing: ``np.take`` there would first copy the whole buffer).
 Where :func:`~repro.formats.dbsr_levels.reduce_pays` judges the level
-dispatch-bound, the products fill a padded ``(slots + 1, rows, bsize,
-k)`` stack — missing tiles are a zero tile appended to the values of
-the call, times the zero pad ``Xp[0:bsize]`` — and one axis-0
-reduction solves the level: ``np.subtract.reduce`` with ``B`` as slot
-−1 for the sweeps, ``np.add.reduce`` with an explicit ``+0`` slot −1
-for SYMGS's row sum. Other levels update their rows with one
-contiguous-slice operation per tile slot (:func:`_fold_level` holds
-both bodies). A one-row level takes the same reduction at every ``k``
-over an unpadded ``(tiles, 1)`` index; that index never names the zero
-tile, which is appended only when some multi-row level reduces at the
-call's ``k``, so one-row levels gather from ``vals``. Matrices without
-a schedule run the per-row body. The ``*_counted`` twins still model
-Algorithm 2's contiguous loads tile by tile. The gather-lint covers
-this module's engine-taking functions (the counted twins), not the
-fast bodies. SpMV has no row-to-row dependence, so it instead builds
-every tile window at once on an RHS-major ``(k, n + 2*bsize)`` buffer.
+dispatch-bound (every one-row level, at every ``k``), the level's
+value stack times its padded windows fills a ``(slots + 1, rows,
+bsize, k)`` buffer — a missing tile is the stack's zero tile times the
+zero pad ``Xp[0:bsize]`` — and one axis-0 reduction solves the level:
+``np.subtract.reduce`` with ``B`` as slot −1 for the sweeps,
+``np.add.reduce`` with an explicit ``+0`` slot −1 for SYMGS's row sum.
+Other levels update their rows with one contiguous-slice operation per
+tile slot (:func:`_fold_level` holds both bodies). The value stacks
+and the levels' diagonal blocks are built once per value set
+(:class:`~repro.formats.dbsr_levels.ValueStacks` on
+:attr:`DBSRMatrix.stacks`); a call whose values or diagonal they do not
+hold builds its own. Matrices without a schedule run the per-row body.
+The ``*_counted`` twins still model Algorithm 2's contiguous loads tile
+by tile. The gather-lint covers this module's engine-taking functions
+(the counted twins), not the fast bodies. SpMV has no row-to-row
+dependence, so it instead builds every tile window at once on an
+RHS-major ``(k, n + 2*bsize)`` buffer.
 
 Batching reorders no floating-point operation within a column, so
 column ``j`` of a ``k``-wide call is bit-identical to the ``k = 1``
@@ -66,7 +67,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.formats.dbsr import DBSRMatrix
-from repro.formats.dbsr_levels import LevelBatch, TileLayout, reduce_pays
+from repro.formats.dbsr_levels import (
+    LevelBatch,
+    SweepStacks,
+    TileLayout,
+    reduce_pays,
+)
 from repro.simd.engine import VectorEngine
 from repro.utils.validation import require
 
@@ -106,75 +112,64 @@ def sweep_block_rows(Xp: np.ndarray, vals: np.ndarray, anchors: list,
         Xp[bs + r0:bs + r0 + bs] = acc
 
 
-def _full_layout(matrix: DBSRMatrix) -> TileLayout:
-    """The matrix's scheduled full-row layout, or a row-by-row one."""
+def _full_stacks(matrix: DBSRMatrix, diag) -> SweepStacks:
+    """The full-row sweep's layout and per-level operands: the matrix's
+    stacks where they hold its values and ``diag``, else stacks built
+    for this call (over the scheduled layout, or a row-by-row one)."""
+    st = matrix.stacks
+    if st is not None and st.full is not None \
+            and st.hold(matrix.values, diag):
+        return st.full
     sched = matrix.schedule
     if sched is not None and sched.full is not None:
-        return sched.full
-    ptr, anchors = matrix.blk_ptr, matrix.anchors + matrix.bsize
-    return TileLayout(None, ptr[:-1], ptr[1:], anchors, matrix.bsize)
+        layout = sched.full
+    else:
+        ptr, anchors = matrix.blk_ptr, matrix.anchors + matrix.bsize
+        layout = TileLayout(None, ptr[:-1], ptr[1:], anchors, matrix.bsize)
+    return SweepStacks(layout, matrix.values, diag)
 
 
-def _level_views(Xp: np.ndarray, B: np.ndarray, diag, bs: int) -> tuple:
-    """Block-row views ``(X3, windows, B3, d3)`` of the sweep buffers:
+def _level_views(Xp: np.ndarray, B: np.ndarray, bs: int) -> tuple:
+    """Block-row views ``(X3, windows, B3)`` of the sweep buffers:
     ``X3[i + 1]`` is padded block-row ``i``, ``windows[a]`` the
     ``(bsize, k)`` window starting at padded slot ``a``."""
     k = Xp.shape[1]
     windows = sliding_window_view(Xp, bs, axis=0).transpose(0, 2, 1)
     brow = Xp.shape[0] // bs - 2
-    d3 = None if diag is None else diag.reshape(brow, bs, 1)
     return (Xp.reshape(brow + 2, bs, k), windows,
-            B.reshape(brow, bs, k), d3)
+            B.reshape(brow, bs, k))
 
 
-def _value_views(values: np.ndarray, k: int, *layouts) -> tuple:
-    """``(vals, vals0)``: ``values[:, :, None]``, and the same with one
-    zero tile appended at index ``n_tiles`` (the tile a padded index's
-    missing slots point at) when some multi-row level of ``layouts``
-    reduces at ``k`` columns, else ``None``. One-row levels gather from
-    ``vals``: their index never names the zero tile.
-
-    Built from the values of the call, never cached: a value-only
-    repack hands the same layouts to new values."""
-    bs = values.shape[1]
-    if not any(reduce_pays(lay.narrowest, bs, k) for lay in layouts):
-        return values[:, :, None], None
-    zero = np.zeros((1, bs), dtype=values.dtype)
-    return values[:, :, None], np.concatenate((values, zero))[:, :, None]
-
-
-def _fold_level(op, first: np.ndarray, windows: np.ndarray,
-                vals: np.ndarray, vals0, level: LevelBatch,
-                k: int) -> np.ndarray:
+def _fold_level(op, first, windows: np.ndarray, vals: np.ndarray,
+                stack, level: LevelBatch, k: int) -> np.ndarray:
     """Fold every row's tile products into ``first`` (a fresh
-    ``(rows, bsize, k)`` block) with ``op``, in storage order:
-    ``op(op(first, p0), p1) ...``, each product ``vals[t] * window``
-    as in the row body.
+    ``(rows, bsize, k)`` block, or ``None`` for an explicit ``+0``
+    start) with ``op``, in storage order: ``op(op(first, p0), p1)
+    ...``, each product ``vals[t] * window`` as in the row body.
 
     Where :func:`~repro.formats.dbsr_levels.reduce_pays` picks the
-    level, ``first`` and the padded products stack up as ``(slots + 1,
-    rows, bsize, k)`` and one ``op.reduce`` over axis 0 folds them; a
-    padded product is ``0 * 0 = +0``, which leaves every partial
-    result's bits alone. A one-row level has no padding and gathers
-    from ``vals``: ``vals0`` is ``None`` unless some multi-row level
-    reduces at ``k``. Otherwise each tile slot updates the rows that
-    own one with one contiguous-slice ``op``. The window gathers use
-    fancy indexing: ``np.take`` on the ``sliding_window_view`` would
-    first copy the whole buffer.
+    level, ``first`` and the products of the level's value ``stack``
+    with its padded windows fill a ``(slots + 1, rows, bsize, k)``
+    buffer and one ``op.reduce`` over axis 0 folds them; a padded
+    product is the stack's zero tile times the zero pad, ``+0``, which
+    leaves every partial result's bits alone. Otherwise each tile slot
+    updates the rows that own one with one contiguous-slice ``op``.
+    The window gathers use fancy indexing: ``np.take`` on the
+    ``sliding_window_view`` would first copy the whole buffer.
     """
-    rows = len(level.rows)
-    if reduce_pays(rows, windows.shape[1], k):
-        ptiles, pwindows = level.padded
-        buf = np.empty((len(ptiles) + 1,) + first.shape, first.dtype)
-        buf[0] = first
-        np.multiply((vals if rows == 1 else vals0)[ptiles],
-                    windows[pwindows], out=buf[1:])
-        if first.size == 1:
+    rows, bs = len(level.rows), windows.shape[1]
+    if reduce_pays(rows, bs, k):
+        buf = np.empty((len(stack) + 1, rows, bs, k), windows.dtype)
+        buf[0] = 0.0 if first is None else first
+        np.multiply(stack, windows[level.padded[1]], out=buf[1:])
+        if rows * bs * k == 1:
             # One row of bsize 1 at k = 1: a reduction to one element
             # is one contiguous loop, which np.add sums pairwise;
             # accumulate keeps the storage order.
             return op.accumulate(buf, axis=0)[-1]
         return op.reduce(buf, axis=0)
+    if first is None:
+        first = np.zeros((rows, bs, k), windows.dtype)
     if level.slots:
         prod = windows[level.windows]
         np.multiply(vals[level.tiles], prod, out=prod)
@@ -185,31 +180,34 @@ def _fold_level(op, first: np.ndarray, windows: np.ndarray,
     return first
 
 
-def _sweep(vals: np.ndarray, vals0, layout: TileLayout, B: np.ndarray,
+def _sweep(vals: np.ndarray, stacks: SweepStacks, B: np.ndarray,
            diag: np.ndarray | None, forward: bool) -> np.ndarray:
     """One whole-matrix sweep; returns the padded ``(n + 2*bsize, k)``
     solution.
 
-    ``vals`` and ``vals0`` come from :func:`_value_views`. A level
-    batch is solved at once: :func:`_fold_level` subtracts every row's
-    tiles from its ``B`` block in storage order. An unscheduled
-    layout's one step, every row in order, takes the row body.
+    ``vals`` is ``values[:, :, None]``. A level batch is solved at
+    once: :func:`_fold_level` subtracts every row's tiles from its
+    ``B`` block in storage order, and the level's diagonal block, if
+    ``stacks`` has one, divides. An unscheduled layout's one step,
+    every row in order, takes the row body, which divides by the
+    ``(n, 1)`` column ``diag`` unless it is ``None``.
     """
     n, k = B.shape
     bs = vals.shape[1]
     Xp = np.zeros((n + 2 * bs, k), dtype=np.result_type(vals, B))
-    X3, windows, B3, d3 = _level_views(Xp, B, diag, bs)
-    for step in (layout.steps if forward else reversed(layout.steps)):
+    X3, windows, B3 = _level_views(Xp, B, bs)
+    lay = stacks.layout
+    for step, stack, dblock in (stacks.steps if forward
+                                else reversed(stacks.steps)):
         if type(step) is tuple:
-            sweep_block_rows(Xp, vals, layout.anchors, layout.lo,
-                             layout.hi, B, diag,
-                             step if forward else reversed(step))
+            sweep_block_rows(Xp, vals, lay.anchors, lay.lo, lay.hi, B,
+                             diag, step if forward else reversed(step))
             continue
         acc = _fold_level(np.subtract,
                           B3[step.rows].astype(Xp.dtype, copy=False),
-                          windows, vals, vals0, step, k)
-        if d3 is not None:
-            acc /= d3[step.rows]
+                          windows, vals, stack, step, k)
+        if dblock is not None:
+            acc /= dblock
         X3[step.rows1] = acc
     return Xp
 
@@ -220,9 +218,8 @@ def _sptrsv_multi(matrix: DBSRMatrix, B: np.ndarray,
     B = _check_rhs_block(matrix, B)
     n, bs = B.shape[0], matrix.bsize
     d = None if diag is None else np.asarray(diag)[:, None]
-    layout = _full_layout(matrix)
-    vals, vals0 = _value_views(matrix.values, B.shape[1], layout)
-    Xp = _sweep(vals, vals0, layout, B, d, forward)
+    Xp = _sweep(matrix.values[:, :, None], _full_stacks(matrix, diag), B,
+                d, forward)
     return Xp[bs:bs + n].copy()
 
 
@@ -307,25 +304,24 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
     Xp = np.zeros((n + 2 * bs, k), dtype=dtype)
     Xp[bs:bs + n] = X
     d = np.asarray(diag)[:, None]
-    layout = _full_layout(matrix)
-    vals, vals0 = _value_views(matrix.values, k, layout)
-    X3, windows, B3, d3 = _level_views(Xp, B, d, bs)
+    stacks = _full_stacks(matrix, diag)
+    lay = stacks.layout
+    vals = matrix.values[:, :, None]
+    X3, windows, B3 = _level_views(Xp, B, bs)
     for forward in (True, False):
-        for step in (layout.steps if forward
-                     else reversed(layout.steps)):
+        for step, stack, dblock in (stacks.steps if forward
+                                    else reversed(stacks.steps)):
             if type(step) is tuple:
-                _symgs_rows(Xp, vals, layout.anchors, layout.lo,
-                            layout.hi, B, d,
+                _symgs_rows(Xp, vals, lay.anchors, lay.lo, lay.hi, B, d,
                             step if forward else reversed(step))
                 continue
             # An explicit +0 start, as in the row body: a sum started
             # from the first product keeps a -0 that +0 + (-0) turns
             # into +0 (add.reduce starts from its identity only while
             # ``initial`` keeps its default).
-            rowsum = _fold_level(
-                np.add, np.zeros((len(step.rows), bs, k), dtype=dtype),
-                windows, vals, vals0, step, k)
-            X3[step.rows1] += (B3[step.rows] - rowsum) / d3[step.rows]
+            rowsum = _fold_level(np.add, None, windows, vals, stack, step,
+                                 k)
+            X3[step.rows1] += (B3[step.rows] - rowsum) / dblock
     X[:] = Xp[bs:bs + n]
     return X
 
@@ -342,20 +338,26 @@ def ilu_apply_dbsr_multi(factors, B: np.ndarray) -> np.ndarray:
     m = factors.matrix
     B = _check_rhs_block(m, B)
     n, bs = B.shape[0], m.bsize
-    sched = m.schedule
-    if sched is not None and sched.below is not None:
-        below, above = sched.below, sched.above
+    st, sched, d = m.stacks, m.schedule, None
+    if st is not None and st.below is not None and st.hold(m.values, None):
+        below, above = st.below, st.above
     else:
-        ptr, anchors = m.blk_ptr, m.anchors + bs
-        below = TileLayout(None, ptr[:-1], factors.dia_ptr, anchors, bs)
-        above = TileLayout(None, factors.dia_ptr + 1, ptr[1:], anchors,
-                           bs)
-    vals, vals0 = _value_views(m.values, B.shape[1], below, above)
+        if sched is not None and sched.below is not None:
+            lays = sched.below, sched.above
+        else:
+            ptr, anchors = m.blk_ptr, m.anchors + bs
+            lays = (TileLayout(None, ptr[:-1], factors.dia_ptr, anchors,
+                               bs),
+                    TileLayout(None, factors.dia_ptr + 1, ptr[1:],
+                               anchors, bs))
+            d = factors.diag_vector()[:, None]
+        below = SweepStacks(lays[0], m.values)
+        above = SweepStacks(lays[1], m.values, m.values[factors.dia_ptr])
+    vals = m.values[:, :, None]
     # Forward: (L + I) Y = B.
-    Y = _sweep(vals, vals0, below, B, None, True)
+    Y = _sweep(vals, below, B, None, True)
     # Backward: (D + U) Z = Y.
-    Z = _sweep(vals, vals0, above, Y[bs:bs + n],
-               factors.diag_vector()[:, None], False)
+    Z = _sweep(vals, above, Y[bs:bs + n], d, False)
     return Z[bs:bs + n].copy()
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.formats.dbsr import DBSRMatrix
-from repro.formats.dbsr_levels import schedule_ilu_sweeps
+from repro.formats.dbsr_levels import ValueStacks, schedule_ilu_sweeps
 from repro.grids.grid import StructuredGrid
 from repro.grids.stencils import Stencil
 # ``ilu0_factorize_dbsr`` is unused here but stays a module attribute:
@@ -456,8 +456,11 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray) -> ILUPlan:
         matrix, factors = _build_numeric(_skeleton_of(plan),
                                          values_src, np_dtype,
                                          plan.schedule)
-        # Same skeleton, so the same level schedule, by identity.
+        # Same skeleton, so the same level schedule, by identity; new
+        # values, so new stacks.
         factors.matrix.schedule = plan.factors.matrix.schedule
+        factors.matrix.stacks = ValueStacks(factors.matrix,
+                                            dia_ptr=factors.dia_ptr)
         fresh = ILUPlan(
             fingerprint=plan.fingerprint,
             value_digest=digest,

@@ -394,10 +394,10 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
         Ud = DBSRMatrix.from_csr(U, bsize)
         # One level schedule of the full operator's windows drives the
         # lower, upper and SYMGS sweeps (a triangle's windows are a
-        # subset of the full operator's).
+        # subset of the full operator's); all three divide by D.
         levels = build_block_levels(dbsr)
         for m in (dbsr, Ld, Ud):
-            schedule_sweeps(m, levels)
+            schedule_sweeps(m, levels, diag=D)
 
         plan = SolvePlan(
             fingerprint=fingerprint,

@@ -14,8 +14,11 @@ Four things are pinned here:
   reduction;
 * the per-level rule that picks between them, and the reduction
   index it reads;
-* a value-only ILU repack keeps the very same schedule object, and its
-  sweeps take the zero tile from the new values.
+* a value-only ILU repack keeps the very same schedule object and gets
+  new value stacks;
+* the stacks: read-only, each level's operands, used by every served
+  call, and never by a call whose values or diagonal they do not hold
+  (another diagonal, a copy with new values, an in-place edit).
 """
 
 import copy
@@ -33,6 +36,7 @@ from repro.formats.dbsr_levels import (
 )
 from repro.grids.grid import StructuredGrid
 from repro.grids.problems import hpcg_problem
+from repro.kernels.symgs import symgs_dbsr
 from repro.multigrid.hierarchy import build_hierarchy, hierarchy_levels
 from repro.multigrid.smoothers import make_smoother
 from repro.serve import batch
@@ -390,6 +394,10 @@ def test_repack_keeps_the_schedule_object():
     values = plan.values_src * 1.5
     fresh = repack_ilu_plan(plan, values)
     assert fresh.factors.matrix.schedule is plan.factors.matrix.schedule
+    # New values, new stacks: the repack never reuses the old ones.
+    stacks = fresh.factors.matrix.stacks
+    assert stacks is not plan.factors.matrix.stacks
+    assert stacks.values is fresh.factors.matrix.values
     cold = compile_ilu_plan(grid, "27pt", _config(8), values=values)
     B = _rhs(plan.n_padded, 3)
     fast = get_backend("numpy-fast")
@@ -511,23 +519,34 @@ def wide_one_row():
             compile_ilu_plan(grid, "27pt", _config(64)))
 
 
+def _sweep_stacks(plan, ilu):
+    """``(matrix, SweepStacks)`` of every scheduled sweep of a plan pair."""
+    m = ilu.factors.matrix
+    return [(plan.dbsr, plan.dbsr.stacks.full),
+            (plan.lower, plan.lower.stacks.full),
+            (plan.upper, plan.upper.stacks.full),
+            (m, m.stacks.below), (m, m.stacks.above)]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_row_levels_gather_from_vals_when_no_zero_tile(wide_one_row):
-    # No multi-row level of a bsize-64 structure reduces, so no call
-    # appends the zero tile (vals0 is None) while its one-row levels
-    # still reduce: they must gather from vals.
+    # No multi-row level of a bsize-64 structure reduces, so only its
+    # one-row levels carry a value stack, and a one-row index never
+    # names the zero tile: each such stack is exactly its row's tiles.
     plan, ilu = wide_one_row
     k = 8
-    m = ilu.factors.matrix
-    layouts = [plan.dbsr.schedule.full, plan.lower.schedule.full,
-               plan.upper.schedule.full, m.schedule.below,
-               m.schedule.above]
-    one_row = [s for lay in layouts for s in _batches(lay)
-               if len(s.rows) == 1]
-    assert one_row
-    for lay in layouts:
-        assert lay.narrowest == math.inf
-        assert batch._value_views(m.values, k, lay)[1] is None
+    n_one = 0
+    for matrix, sweep in _sweep_stacks(plan, ilu):
+        for step, stack, _ in sweep.steps:
+            if len(step.rows) > 1:
+                assert not reduce_pays(len(step.rows), matrix.bsize, 1)
+                assert stack is None
+                continue
+            n_one += 1
+            ptiles = step.padded[0][:, 0]
+            assert np.all(ptiles < matrix.n_tiles)
+            assert _bits_equal(stack[:, 0, :, 0], matrix.values[ptiles])
+    assert n_one
     _assert_sweeps_bitwise(plan, ilu, _rhs(plan.n_padded, k))
 
 
@@ -590,3 +609,123 @@ def test_repack_sweeps_read_the_new_values(multi_row, monkeypatch):
     assert _bits_equal(got, fast.run(cold, "ilu_apply", B.copy()))
     assert _bits_equal(got, get_backend("numpy-counted").run(
         fresh, "ilu_apply", B.copy()))
+
+
+def _all_stacks(multi_row, single_row, hpcg_smoothers):
+    """``(matrix, SweepStacks, divisor blocks)`` of every scheduled sweep
+    of the fixtures; the blocks hold block-row ``i``'s divisors in row
+    ``i`` (``None`` for a sweep that divides by nothing)."""
+    out = []
+    for plan, ilu in (multi_row, single_row):
+        blocks = plan.diag.reshape(-1, plan.bsize)
+        out += [(m, m.stacks.full, blocks)
+                for m in (plan.dbsr, plan.lower, plan.upper)]
+        m = ilu.factors.matrix
+        out += [(m, m.stacks.below, None),
+                (m, m.stacks.above, m.values[ilu.factors.dia_ptr])]
+    out += [(s.dbsr, s.dbsr.stacks.full, s.diag.reshape(-1, s.bsize))
+            for s in hpcg_smoothers]
+    return out
+
+
+def test_stacks_hold_each_level_operands_read_only(multi_row, single_row,
+                                                   hpcg_smoothers):
+    n_stacks = 0
+    for matrix, sweep, blocks in _all_stacks(multi_row, single_row,
+                                             hpcg_smoothers):
+        for step, stack, dblock in sweep.steps:
+            if blocks is None:
+                assert dblock is None
+            else:
+                assert not dblock.flags.writeable
+                assert _bits_equal(dblock[:, :, 0], blocks[step.rows])
+            if step.padded is None:
+                assert stack is None
+                continue
+            n_stacks += 1
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0, 0] = 1.0
+            # A padded slot holds the zero tile, every other slot its
+            # tile's values.
+            ptiles = step.padded[0]
+            real = ptiles < matrix.n_tiles
+            assert _bits_equal(stack[real][:, :, 0],
+                               matrix.values[ptiles[real]])
+            assert _bits_equal(stack[~real],
+                               np.zeros_like(stack[~real]))
+    assert n_stacks
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_served_sweeps_build_no_stacks(multi_row, hpcg_smoothers,
+                                       monkeypatch):
+    # Plan ops and the smoother pass the very values and diagonal they
+    # stacked, so no call builds stacks of its own; another diagonal
+    # does.
+    plan, ilu = multi_row
+    built = []
+
+    class Counting(batch.SweepStacks):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(batch, "SweepStacks", Counting)
+    fast = get_backend("numpy-fast")
+    B = _rhs(plan.n_padded, 3)
+    for op in ("lower", "upper", "symgs"):
+        fast.run(plan, op, B.copy())
+    fast.run(ilu, "ilu_apply", B.copy())
+    sm = hpcg_smoothers[0]
+    n = sm.dbsr.n_rows
+    symgs_dbsr(sm.dbsr, sm.diag, np.zeros(n), np.ones(n))
+    assert built == []
+    batch.sptrsv_dbsr_lower_multi(plan.lower, B, plan.diag.copy())
+    assert built == [plan.lower.schedule.full]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 3])
+def test_sweeps_with_another_diag_bitwise(multi_row, k):
+    # A diagonal other than the stacked one (new values, a -0, a zero)
+    # must divide each level, not the stacked blocks.
+    plan, _ = multi_row
+    diag = plan.diag * 0.75
+    diag[::5] *= -1.0
+    diag[3] = -0.0
+    diag[7] = 0.0
+    B = _rhs(plan.n_padded, k)
+    engine = VectorEngine(plan.bsize)
+    X0 = np.random.default_rng(6).standard_normal(B.shape)
+    assert _bits_equal(
+        batch.symgs_dbsr_multi(plan.dbsr, diag, X0.copy(), B),
+        batch.symgs_dbsr_multi_counted(plan.dbsr, diag, X0.copy(), B,
+                                       engine)), "symgs"
+    assert _bits_equal(
+        batch.sptrsv_dbsr_lower_multi(plan.lower, B, diag),
+        batch.sptrsv_dbsr_lower_multi_counted(plan.lower, B, engine,
+                                              diag)), "lower"
+    assert _bits_equal(
+        batch.sptrsv_dbsr_upper_multi(plan.upper, B, diag),
+        batch.sptrsv_dbsr_upper_multi_counted(plan.upper, B, engine,
+                                              diag)), "upper"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_in_place_edits_reach_the_sweeps():
+    # A value or diagonal entry edited in place, as a fault injector's
+    # bit flip does, no longer matches the stacks: every sweep must
+    # read the edit, so a residual check can still see it.
+    grid = StructuredGrid((12, 12, 12))
+    plan = compile_plan(grid, "27pt", _config(8))
+    ilu = compile_ilu_plan(grid, "27pt", _config(8))
+    B = _rhs(plan.n_padded, 3)
+    fast = get_backend("numpy-fast")
+    before = fast.run(plan, "lower", B.copy())
+    for m in (plan.dbsr, plan.lower, plan.upper, ilu.factors.matrix):
+        layout = m.schedule.full or m.schedule.below
+        m.values[_padded_row_tile(m, layout, 1)] *= 3.0
+    plan.diag[plan.n_padded // 2] *= -2.0
+    assert not _bits_equal(fast.run(plan, "lower", B.copy()), before)
+    _assert_sweeps_bitwise(plan, ilu, B)
