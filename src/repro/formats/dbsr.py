@@ -105,54 +105,57 @@ class DBSRMatrix(SparseMatrix):
         bsize = check_positive(bsize, "bsize")
         require(csr.n_rows % bsize == 0,
                 "row dimension must be a multiple of bsize")
-        rows = np.repeat(np.arange(csr.n_rows, dtype=np.int64),
-                         np.diff(csr.indptr))
-        cols = csr.indices.astype(np.int64)
+        brow = int(csr.n_rows) // bsize
+        # Tile key: (block row, anchor, block column), packed into one
+        # int64. Anchors lie in [-(bsize-1), n_cols-1], so ``anchor +
+        # bsize`` fits a radix of ``n_cols + 2*bsize``; a lane's block
+        # column is the anchor's or the next one, so it takes one bit.
+        # Splitting by block column keeps each tile's non-zero lanes
+        # inside one block, which Algorithm 4's shifted diagonal loads
+        # require.
+        radix = int(csr.n_cols) + 2 * bsize
+        require(brow * radix * 2 <= np.iinfo(np.int64).max,
+                "matrix too large for the packed int64 tile key")
+        row_nnz = np.diff(csr.indptr)
+        rows = np.repeat(np.arange(csr.n_rows, dtype=np.int64), row_nnz)
         vals = csr.data
         lane = rows % bsize
-        browi = rows // bsize
+        key = rows // bsize
         del rows
+        # The key is built in place, and each unsorted array goes once
+        # its sorted copy exists: a large operator would otherwise hold
+        # many nnz-long arrays at once.
+        cols = csr.indices.astype(np.int64)
         anchor = cols - lane   # column of lane 0 on this tile diagonal
-        colblk = cols // bsize  # block column holding this lane
-        del cols
-        # Tile key: (block row, anchor, block column). Splitting by
-        # block column keeps each tile's non-zero lanes inside one
-        # block, which Algorithm 4's shifted diagonal loads require.
-        order = np.lexsort((colblk, anchor, browi))
-        # Each unsorted array goes once its sorted copy exists: a large
-        # operator would otherwise hold a dozen nnz-long arrays at once.
-        browi_s = browi[order]
-        del browi
-        anchor_s = anchor[order]
+        cols //= bsize         # block column holding this lane ...
+        cols -= anchor // bsize  # ... as 0 (the anchor's) or 1 (next)
+        key *= radix
+        key += anchor
+        key += bsize
         del anchor
-        colblk_s = colblk[order]
-        del colblk
-        lane_s = lane[order]
-        del lane
+        key *= 2
+        key += cols
+        del cols
+        # A stable sort of the packed key orders entries exactly as a
+        # lexsort of the three keys would.
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        lane = lane[order]
         vals_s = vals[order]
         del order
 
-        if len(lane_s):
-            new_tile = np.empty(len(lane_s), dtype=bool)
-            new_tile[0] = True
-            new_tile[1:] = ((browi_s[1:] != browi_s[:-1])
-                            | (anchor_s[1:] != anchor_s[:-1])
-                            | (colblk_s[1:] != colblk_s[:-1]))
-            tile_id = np.cumsum(new_tile) - 1
-            n_tiles = int(tile_id[-1]) + 1
-        else:
-            new_tile = np.zeros(0, dtype=bool)
-            tile_id = np.zeros(0, dtype=np.int64)
-            n_tiles = 0
-
-        values = np.zeros((n_tiles, bsize), dtype=vals.dtype)
-        values[tile_id, lane_s] = vals_s
-        tile_browi = browi_s[new_tile]
-        tile_anchor = anchor_s[new_tile]
-        blk_ind = colblk_s[new_tile]
+        new_tile = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new_tile[1:])
+        tile_id = np.cumsum(new_tile) - 1
+        tile_key = key[new_tile]
+        del key
+        values = np.zeros((len(tile_key), bsize), dtype=vals.dtype)
+        values[tile_id, lane] = vals_s
+        tile_browi, rest = np.divmod(tile_key >> 1, radix)
+        tile_anchor = rest - bsize
+        blk_ind = tile_anchor // bsize + (tile_key & 1)
         blk_offset = tile_anchor - blk_ind * bsize
 
-        brow = csr.n_rows // bsize
         counts = np.bincount(tile_browi, minlength=brow)
         blk_ptr = np.zeros(brow + 1, dtype=INDEX_DTYPE)
         np.cumsum(counts, out=blk_ptr[1:])
@@ -199,6 +202,51 @@ class DBSRMatrix(SparseMatrix):
             dia[rows[first]] = hits[first]
             self._dia_ptr = dia
         return self._dia_ptr
+
+    def split_triangular(self, csr) -> tuple:
+        """Return ``(lower, diag, upper)`` cut from this operator's tiles.
+
+        A tile lies on one matrix diagonal, ``col - row = anchor -
+        browi*bsize`` in every lane (§III-B), so each tile is wholly
+        strictly lower, diagonal or strictly upper. ``lower`` and
+        ``upper`` are the tiles of negative and positive diagonal, in
+        storage order: bit-identical to :meth:`from_csr` of the CSR
+        triangles, which sorts by the same key. ``diag`` is the main
+        diagonal read from the diagonal tiles (those :attr:`dia_ptr`
+        names), 0 in block-rows without one, as
+        :meth:`CSRMatrix.diagonal` gives it.
+
+        Parameters
+        ----------
+        csr:
+            The CSR this operator was converted from. Tiles cannot tell
+            an explicitly stored zero from padding, so each triangle's
+            :attr:`nnz` is counted from it: the CSR triangle's stored
+            entries, as :meth:`from_csr` of that triangle gives.
+        """
+        require(self.n_rows == self.n_cols, "matrix must be square")
+        require(csr.shape == self.shape, "csr shape must match")
+        b = self.bsize
+        browi = np.repeat(np.arange(self.brow, dtype=np.int64),
+                          np.diff(self.blk_ptr))
+        side = self.anchors - browi * b
+        rows = np.repeat(np.arange(csr.n_rows, dtype=np.int64),
+                         np.diff(csr.indptr))
+        nnz = (int(np.count_nonzero(csr.indices < rows)),
+               int(np.count_nonzero(csr.indices > rows)))
+
+        def part(mask, nnz_hint):
+            ptr = np.zeros(self.brow + 1, dtype=INDEX_DTYPE)
+            np.cumsum(np.bincount(browi[mask], minlength=self.brow),
+                      out=ptr[1:])
+            return DBSRMatrix(ptr, self.blk_ind[mask], self.blk_offset[mask],
+                              self.values[mask], self.shape,
+                              nnz_hint=nnz_hint)
+
+        diag = np.zeros(self.n_rows, dtype=self.values.dtype)
+        on = side == 0
+        diag.reshape(self.brow, b)[browi[on]] = self.values[on]
+        return part(side < 0, nnz[0]), diag, part(side > 0, nnz[1])
 
     def block_row(self, i: int) -> tuple:
         """Return ``(anchors, values)`` views for block-row ``i``."""

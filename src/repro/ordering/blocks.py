@@ -44,28 +44,25 @@ class BlockPartition:
     def n_blocks(self) -> int:
         return self.block_grid.n_points
 
+    def _local_ids(self) -> np.ndarray:
+        """Block-local id offsets, lexicographic within a block (x
+        fastest)."""
+        local = StructuredGrid(self.block_dims).coords_array()
+        return local @ np.asarray(self.grid.strides, dtype=np.int64)
+
     def block_point_ids(self, block_id: int) -> np.ndarray:
         """Grid point ids of one block, lexicographic within the block."""
         bc = self.block_grid.coord(block_id)
-        base = [c * b for c, b in zip(bc, self.block_dims)]
-        # Enumerate block-local coordinates in lexicographic order
-        # (x fastest) and map to global ids.
-        local = np.arange(self.points_per_block)
-        ids = np.zeros(self.points_per_block, dtype=np.int64)
-        rem = local
-        for axis, bdim in enumerate(self.block_dims):
-            coord = base[axis] + rem % bdim
-            ids += coord * self.grid.strides[axis]
-            rem = rem // bdim
-        return ids
+        base = sum(c * b * s for c, b, s in
+                   zip(bc, self.block_dims, self.grid.strides))
+        return base + self._local_ids()
 
     def all_block_point_ids(self) -> np.ndarray:
         """``(n_blocks, points_per_block)`` id table, block id order."""
-        out = np.empty((self.n_blocks, self.points_per_block),
-                       dtype=np.int64)
-        for b in range(self.n_blocks):
-            out[b] = self.block_point_ids(b)
-        return out
+        corner = (np.asarray(self.block_dims, dtype=np.int64)
+                  * np.asarray(self.grid.strides, dtype=np.int64))
+        base = self.block_grid.coords_array() @ corner
+        return base[:, None] + self._local_ids()[None, :]
 
 
 def partition_grid(grid: StructuredGrid, block_dims) -> BlockPartition:

@@ -88,7 +88,6 @@ def collect_bench_runtime(nx: int = 8, stencil: str = "27pt",
         symgs_dbsr_counts,
     )
     from repro.kernels.spmv import spmv
-    from repro.kernels.sptrsv_csr import split_triangular
     from repro.multigrid.hierarchy import build_hierarchy
     from repro.multigrid.smoothers import make_smoother
     from repro.multigrid.vcycle import MGPreconditioner
@@ -113,9 +112,7 @@ def collect_bench_runtime(nx: int = 8, stencil: str = "27pt",
         with session.phase("convert"):
             Ap = vb.apply_matrix(problem.matrix)
             dbsr = DBSRMatrix.from_csr(Ap, bsize)
-            L, D, U = split_triangular(Ap)
-            Ld = DBSRMatrix.from_csr(L, bsize)
-            Ud = DBSRMatrix.from_csr(U, bsize)
+            Ld, D, Ud = dbsr.split_triangular(Ap)
             # The level schedule compile_plan attaches, so the
             # sequential and backend timings run the served sweeps.
             levels = build_block_levels(dbsr)

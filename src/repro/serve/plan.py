@@ -173,9 +173,13 @@ class SolvePlan:
     dbsr:
         Full operator in DBSR.
     lower, upper:
-        Strictly triangular DBSR factors.
+        Strictly triangular DBSR factors: tile masks of :attr:`dbsr`
+        (:meth:`DBSRMatrix.split_triangular`). Each tile lies on one
+        diagonal (§III-B), so the full operator's tiles of negative and
+        positive diagonal are exactly the triangles' tiles.
     diag:
-        Diagonal of the permuted operator.
+        Diagonal of the permuted operator, read from the diagonal tiles
+        of :attr:`dbsr`.
     backend:
         The *resolved* :class:`~repro.backends.KernelBackend` instance
         every :meth:`execute` dispatches through (its ``name`` may
@@ -361,7 +365,10 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
     Pipeline: autotune ``bsize`` (unless pinned by ``config.bsize`` or
     a persisted ``bsize_hint``) → AUTO block partition → vectorized BMC
     coloring + permutation → assembly → DBSR conversion → triangular
-    split.
+    split. The operator is converted once: every DBSR tile lies on a
+    single diagonal (§III-B), so the lower and upper factors and the
+    diagonal are tile masks of the full operator, bit-identical to
+    converting the CSR triangles.
 
     Parameters
     ----------
@@ -371,7 +378,6 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
         the autotune sweep. Ignored when ``config.bsize`` is set.
     """
     from repro.backends import resolve_backend
-    from repro.kernels.sptrsv_csr import split_triangular
 
     config = config if config is not None else PlanConfig()
     stencil = _resolve_stencil(stencil)
@@ -389,9 +395,7 @@ def compile_plan(grid: StructuredGrid, stencil: Stencil | str,
             grid, stencil, config, bsize_hint)
         Ap = ordering.apply_matrix(A)
         dbsr = DBSRMatrix.from_csr(Ap, bsize)
-        L, D, U = split_triangular(Ap)
-        Ld = DBSRMatrix.from_csr(L, bsize)
-        Ud = DBSRMatrix.from_csr(U, bsize)
+        Ld, D, Ud = dbsr.split_triangular(Ap)
         # One level schedule of the full operator's windows drives the
         # lower, upper and SYMGS sweeps (a triangle's windows are a
         # subset of the full operator's); all three divide by D.

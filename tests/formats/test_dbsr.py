@@ -182,3 +182,165 @@ def test_dia_ptr_matches_row_loop_on_random_tilings():
         saw_repeat |= bool(np.any(np.bincount(row[hit],
                                               minlength=brow) > 1))
     assert saw_missing and saw_repeat
+
+
+# Triangles as tile masks ----------------------------------------------
+
+def _assert_dbsr_bitwise(got, want):
+    for name in ("blk_ptr", "blk_ind", "blk_offset"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.values.dtype == want.values.dtype
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.nnz == want.nnz and got.shape == want.shape
+
+
+def _reordered_operator(stencil, nx, bsize):
+    from repro.grids.problems import poisson_problem
+    from repro.ordering.blocks import auto_block_dims
+    from repro.ordering.coloring import n_colors
+    from repro.ordering.vbmc import build_vbmc
+
+    p = poisson_problem((nx,) * 3, stencil)
+    dims = auto_block_dims(p.grid, 2, bsize=bsize,
+                           n_colors=n_colors(p.grid, p.stencil))
+    return build_vbmc(p.grid, p.stencil, dims, bsize).apply_matrix(p.matrix)
+
+
+@pytest.mark.parametrize("stencil", ["7pt", "27pt"])
+@pytest.mark.parametrize("bsize", [1, 8, 32, 64])
+def test_split_triangular_equals_converted_csr_triangles(stencil, bsize):
+    """The full operator's tiles of negative/positive diagonal are the
+    CSR triangles' tiles, byte for byte, and the diagonal tiles hold D."""
+    from repro.kernels.sptrsv_csr import split_triangular
+
+    Ap = _reordered_operator(stencil, 8, bsize)
+    L, D, U = split_triangular(Ap)
+    lower, diag, upper = DBSRMatrix.from_csr(Ap, bsize).split_triangular(Ap)
+    _assert_dbsr_bitwise(lower, DBSRMatrix.from_csr(L, bsize))
+    _assert_dbsr_bitwise(upper, DBSRMatrix.from_csr(U, bsize))
+    assert diag.dtype == D.dtype and diag.tobytes() == D.tobytes()
+
+
+def test_split_triangular_missing_diagonal_and_stored_zeros():
+    """Row 2 stores no diagonal entry; each triangle stores one explicit
+    zero, which tiles cannot tell from padding, so the triangles' nnz
+    come from the source CSR."""
+    from repro.kernels.sptrsv_csr import split_triangular
+
+    dense = np.array([[4.0, 0.0, 1.0, 0.0],
+                      [2.0, 5.0, 0.0, 3.0],
+                      [1.0, 0.0, 0.0, 7.0],
+                      [0.0, 6.0, 1.0, 8.0]])
+    stored = dense != 0
+    stored[1, 2] = True   # explicit zero, upper triangle
+    stored[3, 0] = True   # explicit zero, lower triangle
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    csr = CSRMatrix(indptr, cols, dense[rows, cols], (4, 4))
+    L, D, U = split_triangular(csr)
+    for bsize in (1, 2, 4):
+        dbsr = DBSRMatrix.from_csr(csr, bsize)
+        lower, diag, upper = dbsr.split_triangular(csr)
+        assert diag[2] == 0 and diag.tobytes() == D.tobytes()
+        _assert_dbsr_bitwise(lower, DBSRMatrix.from_csr(L, bsize))
+        _assert_dbsr_bitwise(upper, DBSRMatrix.from_csr(U, bsize))
+
+
+def test_split_triangular_zero_without_diagonal_tile():
+    """A block-row with no diagonal tile reads 0, as CSR diagonal() does."""
+    from repro.kernels.sptrsv_csr import split_triangular
+
+    csr = CSRMatrix([0, 1, 2, 3, 4], [2, 3, 0, 1],
+                    [1.0, 2.0, 3.0, 4.0], (4, 4))
+    _, D, _ = split_triangular(csr)
+    _, diag, _ = DBSRMatrix.from_csr(csr, 2).split_triangular(csr)
+    assert diag.tobytes() == D.tobytes() == np.zeros(4).tobytes()
+
+
+# Packed-key tile sort -------------------------------------------------
+
+def _from_csr_lexsort(csr, bsize):
+    """Reference conversion with the three-key lexsort the packed int64
+    key replaced."""
+    rows = np.repeat(np.arange(csr.n_rows, dtype=np.int64),
+                     np.diff(csr.indptr))
+    cols = csr.indices.astype(np.int64)
+    lane = rows % bsize
+    browi = rows // bsize
+    anchor = cols - lane
+    colblk = cols // bsize
+    order = np.lexsort((colblk, anchor, browi))
+    browi, anchor, colblk = browi[order], anchor[order], colblk[order]
+    lane, vals = lane[order], csr.data[order]
+    new_tile = np.ones(len(lane), dtype=bool)
+    new_tile[1:] = ((browi[1:] != browi[:-1]) | (anchor[1:] != anchor[:-1])
+                    | (colblk[1:] != colblk[:-1]))
+    tile_id = np.cumsum(new_tile) - 1
+    values = np.zeros((int(new_tile.sum()), bsize), dtype=vals.dtype)
+    values[tile_id, lane] = vals
+    blk_ind = colblk[new_tile]
+    blk_offset = anchor[new_tile] - blk_ind * bsize
+    brow = csr.n_rows // bsize
+    blk_ptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(browi[new_tile], minlength=brow))])
+    return DBSRMatrix(blk_ptr, blk_ind, blk_offset, values, csr.shape,
+                      nnz_hint=csr.nnz)
+
+
+def _random_csr(rng, n_rows, n_cols, density):
+    """Random pattern with whole empty rows and unsorted duplicates-free
+    columns."""
+    mask = rng.random((n_rows, n_cols)) < density
+    mask[rng.random(n_rows) < 0.25] = False
+    rows, cols = np.nonzero(mask)
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    return CSRMatrix(indptr, cols, rng.standard_normal(len(rows)),
+                     (n_rows, n_cols))
+
+
+def test_packed_sort_matches_lexsort_reference():
+    rng = np.random.default_rng(27)
+    saw = dict(negative=False, straddle=False, empty_row=False)
+    for trial in range(120):
+        bsize = trial % 8 + 1
+        brow = int(rng.integers(1, 7))
+        n_cols = int(rng.integers(1, 6 * bsize + 2))
+        csr = _random_csr(rng, brow * bsize, n_cols,
+                          float(rng.uniform(0.05, 0.6)))
+        got = DBSRMatrix.from_csr(csr, bsize)
+        _assert_dbsr_bitwise(got, _from_csr_lexsort(csr, bsize))
+        anchors = got.anchors
+        saw["negative"] |= bool(np.any(anchors < 0))
+        # Two tiles on one diagonal of one block-row: its lanes
+        # straddled a block-column boundary.
+        row = np.repeat(np.arange(got.brow), np.diff(got.blk_ptr))
+        key = row * (n_cols + 2 * bsize) + anchors
+        saw["straddle"] |= len(np.unique(key)) < len(key)
+        saw["empty_row"] |= bool(np.any(np.diff(csr.indptr) == 0))
+    assert all(saw.values()), saw
+
+
+def test_packed_key_bound_is_checked_before_any_allocation():
+    """The int64 bound follows from the shape alone: stubs with no
+    arrays are refused past it, and a two-row CSR is converted at the
+    widest shape the key holds and refused one column past it."""
+    from types import SimpleNamespace
+
+    for bsize, n_rows, n_cols in ((1, 2 ** 31, 2 ** 31 - 2),
+                                  (8, 2 ** 34, 2 ** 32),
+                                  (64, 2 ** 40, 2 ** 40)):
+        assert (n_rows // bsize) * (n_cols + 2 * bsize) * 2 >= 2 ** 63
+        stub = SimpleNamespace(n_rows=n_rows, n_cols=n_cols)
+        with pytest.raises(ValueError, match="packed int64 tile key"):
+            DBSRMatrix.from_csr(stub, bsize)
+    # Two block-rows of bsize 1: (n_cols + 2) * 2 * 2 <= 2**63 - 1.
+    widest = 2 ** 61 - 3
+    empty = np.zeros(0, dtype=np.int64)
+    got = DBSRMatrix.from_csr(
+        CSRMatrix([0, 0, 0], empty, np.zeros(0), (2, widest)), 1)
+    assert got.shape == (2, widest) and len(got.blk_ind) == 0
+    with pytest.raises(ValueError, match="packed int64 tile key"):
+        DBSRMatrix.from_csr(
+            CSRMatrix([0, 0, 0], empty, np.zeros(0), (2, widest + 1)), 1)

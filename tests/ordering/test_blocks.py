@@ -42,6 +42,30 @@ def test_block_point_ids_offset_block():
     assert list(ids) == [10, 11, 14, 15]
 
 
+@pytest.mark.parametrize("dims, block_dims", [
+    ((12, 8), (3, 4)),
+    ((6, 10), (6, 2)),
+    ((8, 6, 10), (2, 3, 5)),
+    ((4, 12, 6), (4, 2, 3)),
+])
+def test_all_block_point_ids_stacks_block_point_ids(dims, block_dims):
+    """The vectorized id table equals one ``block_point_ids`` row per
+    block, and each row matches the points' coordinates."""
+    g = StructuredGrid(dims)
+    part = partition_grid(g, block_dims)
+    table = part.all_block_point_ids()
+    rows = [part.block_point_ids(b) for b in range(part.n_blocks)]
+    assert table.dtype == np.int64
+    assert np.array_equal(table, np.stack(rows))
+    for b in (0, part.n_blocks // 2, part.n_blocks - 1):
+        corner = [c * e for c, e in
+                  zip(part.block_grid.coord(b), block_dims)]
+        local = StructuredGrid(block_dims)
+        want = [g.index([c + o for c, o in zip(corner, local.coord(i))])
+                for i in range(local.n_points)]
+        assert list(table[b]) == want
+
+
 def test_indivisible_rejected():
     with pytest.raises(ValueError):
         partition_grid(StructuredGrid((6, 6)), (4, 4))

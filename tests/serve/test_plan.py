@@ -170,3 +170,21 @@ def test_bad_op_and_bad_rhs_rejected(plan):
         plan.execute("nope", np.zeros(plan.n))
     with pytest.raises(ValueError):
         plan.execute("lower", np.zeros(plan.n + 1))
+
+
+def test_cold_compile_converts_the_operator_once(grid, monkeypatch):
+    """The triangles are tile masks of the full operator: a cold
+    compile runs exactly one DBSR conversion."""
+    from repro.formats.dbsr import DBSRMatrix
+
+    convert = DBSRMatrix.from_csr.__func__
+    calls = []
+
+    def counting(cls, csr, bsize):
+        calls.append(csr.shape)
+        return convert(cls, csr, bsize)
+
+    monkeypatch.setattr(DBSRMatrix, "from_csr", classmethod(counting))
+    plan = compile_plan(grid, "7pt", PlanConfig(bsize=8, n_workers=2))
+    assert calls == [plan.matrix.shape]
+    assert plan.lower.n_tiles + plan.upper.n_tiles < plan.dbsr.n_tiles
