@@ -183,8 +183,8 @@ class ServiceTimeEstimator:
         compile cost when the structure is ``cold`` in every shard
         cache, and queue wait modeled as the backlog spread over the
         shard pool. ``warm_refresh`` marks a warm ILU structure whose
-        value digest changed: it is charged the (much cheaper) repack
-        EWMA instead of the cold-compile one.
+        coefficient bytes changed: it is charged the (much cheaper)
+        repack EWMA instead of the cold-compile one.
         """
         model = self._model(fingerprint, grid, stencil, config, op, k)
         live = self.latency(fingerprint, op)

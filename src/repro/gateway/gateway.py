@@ -45,6 +45,7 @@ from repro.observe.metrics import (LATENCY_EDGES, WIDTH_EDGES,
                                    MetricsRegistry)
 from repro.resilience.errors import (NON_RECOVERABLE_ERRORS,
                                      DeadlineExceeded)
+from repro.serve.ilu_plan import same_values
 from repro.serve.plan import PlanConfig, _resolve_stencil
 from repro.serve.service import SolveService, _request_key
 from repro.utils.validation import check_positive
@@ -216,10 +217,6 @@ class SolveGateway:
         self._dispatcher: asyncio.Task | None = None
         self._tasks: set = set()
         self._warm: set = set()  # fingerprints with queued/past work
-        # Last accepted ILU value digest per fingerprint: a warm
-        # structure arriving with a *different* digest takes the
-        # value-only repack path, priced by the refresh EWMA.
-        self._value_digests: dict[str, str] = {}
         self._accepted = self.metrics.counter(
             "gateway.accepted", "requests admitted")
         self._rejected = self.metrics.counter(
@@ -281,8 +278,10 @@ class SolveGateway:
         :class:`GatewayClosed` — all *before* any engine work.
 
         ``values``/``value_digest`` (``op="ilu_apply"`` only) carry the
-        coefficient snapshot: a warm structure with a changed digest is
-        charged the repack EWMA, not the cold-compile one.
+        coefficient snapshot: values whose bytes differ from a resident
+        plan's ``values_src`` are charged the repack EWMA, not the
+        cold-compile one. Admission hashes nothing; the shard's cache
+        digests a snapshot only when it repacks.
 
         Chunks hold views of ``rhs``, read when each chunk executes:
         leave ``rhs`` unmodified until the ticket has resolved.
@@ -294,9 +293,8 @@ class SolveGateway:
         rhs = np.asarray(rhs)
         single = rhs.ndim == 1
         k = 1 if single else rhs.shape[1]
-        fingerprint, values, vd = _request_key(grid, stencil, config, op,
-                                               values)
-        value_digest = vd or value_digest
+        fingerprint, values = _request_key(grid, stencil, config, op,
+                                           values)
         request_id = next(self._ids)
         with trace.span("gateway.admit", tenant=tenant, op=op, k=k,
                         fingerprint=fingerprint[:12]):
@@ -312,11 +310,11 @@ class SolveGateway:
                     raise BrownoutShed(
                         tenant, self.brownout.retry_after(wait),
                         stage=self.brownout.stage, queue_wait=wait)
-            cold = (fingerprint not in self._warm
-                    and not self.pool.has_plan(fingerprint))
-            warm_refresh = (not cold and value_digest is not None
-                            and self._value_digests.get(fingerprint)
-                            not in (None, value_digest))
+            resident = self.pool.peek_plan(fingerprint)
+            cold = resident is None and fingerprint not in self._warm
+            warm_refresh = (values is not None and resident is not None
+                            and not same_values(values,
+                                                resident.values_src))
             estimate = self.estimator.estimate(
                 grid, stencil, config, op, k, fingerprint, cold=cold,
                 backlog_chunks=self.scheduler.depth
@@ -334,8 +332,8 @@ class SolveGateway:
                     f"({estimate['source']}) exceeds the {deadline:g}s "
                     f"deadline", tenant=tenant, reason="deadline",
                     estimate=estimate)
-            # With values in hand the digest is not forwarded: the cache
-            # digests them itself and is the one consistency check.
+            # With values in hand a declared digest is not forwarded:
+            # the values decide, and the cache labels what it repacks.
             ticket = GatewayTicket(
                 request_id, tenant, op, k, fingerprint,
                 deadline=deadline, estimate=estimate, single=single,
@@ -356,8 +354,6 @@ class SolveGateway:
                 self._reject(tenant, "gateway.reject", reason="quota")
                 raise
         self._warm.add(fingerprint)
-        if value_digest is not None:
-            self._value_digests[fingerprint] = value_digest
         self._accepted.inc()
         self._tenant_counter(tenant, "accepted").inc()
         self._width.observe(k)

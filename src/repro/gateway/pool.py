@@ -112,10 +112,11 @@ class GatewayShard:
         metrics = self.cache_metrics()
         return {} if metrics is None else metrics.values("cache.")
 
-    def has_plan(self, fingerprint: str) -> bool:
+    def peek_plan(self, fingerprint: str):
+        """This shard's resident plan of a structure, or ``None``
+        (counter-free, see :meth:`PlanCache.peek`)."""
         cache = getattr(self.service, "cache", None)
-        return (cache is not None
-                and cache.peek(fingerprint) is not None)
+        return None if cache is None else cache.peek(fingerprint)
 
     def close(self) -> None:
         self.service.close()
@@ -296,9 +297,14 @@ class ElasticShardPool:
     def n_draining(self) -> int:
         return sum(1 for s in self._shards if s.draining)
 
-    def has_plan(self, fingerprint: str) -> bool:
-        """True when any shard's cache already holds this structure."""
-        return any(s.has_plan(fingerprint) for s in self._shards)
+    def peek_plan(self, fingerprint: str):
+        """The first resident plan of this structure in any shard's
+        cache, or ``None``; touches no hit/miss counter."""
+        for shard in self._shards:
+            plan = shard.peek_plan(fingerprint)
+            if plan is not None:
+                return plan
+        return None
 
     def _retire_cache(self, shard: GatewayShard) -> None:
         metrics = shard.cache_metrics()

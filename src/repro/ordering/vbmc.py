@@ -140,21 +140,44 @@ class VBMCOrdering:
         gets a unit diagonal so triangular solves and ILU remain
         well-posed, and couples to nothing so it never perturbs real
         unknowns.
+
+        Built directly: new row ``r`` gathers old row ``new_to_old[r]``,
+        relabels its columns through ``old_to_new`` and sorts them.
+        Values pass through ``+ 0`` as a canonical :class:`COOMatrix`
+        merge does (``-0.0`` is stored as ``+0.0``), so the result is
+        bitwise the COO route's; a matrix with duplicate entries takes
+        that route, which sums them.
         """
         require(csr.shape == (self.n_orig, self.n_orig),
                 "matrix size mismatch")
-        rows = np.repeat(np.arange(self.n_orig), np.diff(csr.indptr))
-        new_rows = self.old_to_new[rows]
-        new_cols = self.old_to_new[csr.indices]
-        virtual = np.flatnonzero(self.new_to_old < 0)
-        all_rows = np.concatenate([new_rows, virtual])
-        all_cols = np.concatenate([new_cols, virtual])
-        all_vals = np.concatenate([
-            csr.data, np.ones(len(virtual), dtype=csr.data.dtype)
-        ])
-        coo = COOMatrix(all_rows, all_cols, all_vals,
-                        (self.n_padded, self.n_padded))
-        return CSRMatrix.from_coo(coo)
+        n = self.n_padded
+        real = self.new_to_old >= 0
+        old_rows = self.new_to_old[real]
+        counts = np.ones(n, dtype=np.int64)
+        counts[real] = np.diff(csr.indptr)[old_rows]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        # Source entry of every slot: a run of the old row's entries, or
+        # for a virtual row one past the end, where its unit diagonal is
+        # appended below.
+        shift = np.full(n, csr.nnz, dtype=np.int64)
+        shift[real] = csr.indptr[old_rows]
+        shift -= indptr[:-1]
+        src = np.arange(indptr[-1], dtype=np.int64) \
+            + np.repeat(shift, counts)
+        virtual = np.flatnonzero(~real)
+        cols = np.append(self.old_to_new[csr.indices], 0)[src]
+        cols[indptr[virtual]] = virtual
+        data = np.append(csr.data, np.ones(1, dtype=csr.data.dtype))[src]
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+        keys = rows * n + cols
+        # Rows arrive in order, each a short unsorted run, which the
+        # stable sort (timsort) handles faster than the default.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            return CSRMatrix.from_coo(COOMatrix(rows, cols, data, (n, n)))
+        return CSRMatrix(indptr, cols[order], data[order] + 0, (n, n))
 
     def validate(self) -> bool:
         """Check group independence: no two blocks in the same group are

@@ -292,12 +292,12 @@ class PlanCache:
             return fingerprint in self._plans
 
     # Single flight ------------------------------------------------------
-    def _decide(self, fp: str, digest: str | None = None,
+    def _decide(self, fp: str, values=None,
                 waited: bool = False) -> tuple:
         """The one locked decision of a lookup: ``(what, plan, flight)``.
 
-        ``what`` is ``"serve"`` (a resident plan whose value digest
-        matches ``digest``, if given; counts a hit), ``"wait"`` (a
+        ``what`` is ``"serve"`` (a resident plan factorized from the
+        same bytes as ``values``, if given; counts a hit), ``"wait"`` (a
         flight is in the air), ``"repack"`` (resident, but factorized
         from other values; nothing counted yet) or ``"lead"`` (a new
         flight is registered; counts a miss).
@@ -305,8 +305,9 @@ class PlanCache:
         with self._lock:
             plan = self._plans.get(fp)
             flight = self._inflight.get(fp)
-            if plan is not None \
-                    and (digest is None or digest == plan.value_digest):
+            if plan is not None and (
+                    values is None
+                    or ilu_plan.same_values(values, plan.values_src)):
                 self._plans.move_to_end(fp)
                 self._hits.inc()
                 what = "serve"
@@ -420,20 +421,25 @@ class PlanCache:
         """Return ``(ilu_plan, was_hit)``; structure hits may repack.
 
         The split fingerprint resolves here: the *structure hash* keys
-        the lookup, the *value digest* decides what a hit means.
+        the lookup, the coefficient *bytes* decide what a hit means.
 
-        * Digest matches (or the caller sent no values) — serve the
-          cached factors as-is.
-        * ``values`` provided with a different digest — the structure
-          is unchanged, so this is still a hit, but the numeric factors
+        * ``values`` hold the same bytes as the resident plan's
+          ``values_src`` (or the caller sent no values) — serve the
+          cached factors as-is. The comparison
+          (:func:`~repro.serve.ilu_plan.same_values`) costs no hash.
+        * ``values`` provided with other bytes — the structure is
+          unchanged, so this is still a hit, but the numeric factors
           are refreshed through the cheap :meth:`refresh_values` repack
-          (permutation/tiling/autotune all reused). The hit is counted
-          once the repack completes; a plan evicted or invalidated
-          before the repack starts sends the lookup round again.
+          (permutation/tiling/autotune all reused), labelled with the
+          one ``value_digest`` this branch computes. The hit is
+          counted once the repack completes; a plan evicted or
+          invalidated before the repack starts sends the lookup round
+          again.
         * ``expect_digest`` declared without values and the cached plan
           was factorized from something else — raise
           :class:`~repro.resilience.errors.StaleValuesError`; the
           service must never silently solve with old coefficients.
+          Declared together with values, it must be their digest.
         """
         config = config if config is not None else PlanConfig()
         fp = ilu_plan.ilu_structural_fingerprint(grid, stencil, config)
@@ -441,17 +447,20 @@ class PlanCache:
         if values is not None:
             values = np.asarray(values,
                                 dtype=config.np_dtype).reshape(-1)
-            vd = ilu_plan.value_digest(values)
-            require(expect_digest is None or expect_digest == vd,
-                    "expect_digest contradicts the provided values")
+            if expect_digest is not None:
+                vd = ilu_plan.value_digest(values)
+                require(expect_digest == vd,
+                        "expect_digest contradicts the provided values")
         waited = False
         while True:
-            what, plan, flight = self._decide(fp, vd, waited)
+            what, plan, flight = self._decide(fp, values, waited)
             if what == "wait":
                 flight.wait()
                 waited = True
                 continue
             if what == "repack":
+                if vd is None:
+                    vd = ilu_plan.value_digest(values)
                 try:
                     plan, _ = self._refresh(fp, values, vd)
                 except KeyError:
@@ -522,7 +531,7 @@ class PlanCache:
             flight.wait()
         fresh, seconds = self._lead(
             fingerprint, flight,
-            lambda: ilu_plan.repack_ilu_plan(current, values))
+            lambda: ilu_plan.repack_ilu_plan(current, values, vd))
         with self._lock:
             self._refreshes.inc()
             self._refresh_seconds.inc(seconds)

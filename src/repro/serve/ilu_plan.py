@@ -16,8 +16,9 @@ The new twist over :class:`SolvePlan` is the **split fingerprint**:
   the same geometry in one :class:`~repro.serve.cache.PlanCache`) —
   keys the cache;
 * the *value digest* — :func:`value_digest` over the raw coefficient
-  bytes — seals *which* numeric snapshot the factors were computed
-  from.
+  bytes — labels *which* numeric snapshot the factors were computed
+  from. Whether a request's snapshot is that one is decided by its
+  bytes (:func:`same_values`), so only a repack or compile hashes.
 
 Time-dependent coefficients on a fixed structure hit the cheap path:
 :func:`repack_ilu_plan` reuses the stored permutation, tiling and
@@ -85,11 +86,26 @@ def ilu_structural_fingerprint(grid: StructuredGrid,
 def value_digest(values: np.ndarray) -> str:
     """SHA-256 over a coefficient array's raw bytes.
 
+    It labels the snapshot a compile or repack factorized; whether a
+    request hits that snapshot is decided by :func:`same_values`.
     Callers normalize dtype first (the serve path stores coefficients
     in the plan config's dtype), so equal snapshots always hash equal.
     """
     arr = np.ascontiguousarray(values)
     return hashlib.sha256(arr.view(np.uint8)).hexdigest()
+
+
+def same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two coefficient snapshots hold the same bytes.
+
+    Compares unsigned-integer views, never floats with ``==``: ``-0.0``
+    and ``+0.0``, or two NaN payloads, differ here as they do under
+    :func:`value_digest`.
+    """
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    word = np.dtype(f"u{a.dtype.itemsize}")
+    return bool(np.array_equal(a.view(word), b.view(word)))
 
 
 @dataclass
@@ -105,7 +121,9 @@ class ILUPlan:
         the factors were computed from.
     values_src:
         Unpermuted assembly-order coefficients (the repack input; also
-        what healing recompiles from).
+        what healing recompiles from). Read-only, so the bytes a cache
+        hit compares against (:func:`same_values`) cannot drift from
+        the ``value_digest`` that labels them.
     matrix:
         Permuted + padded operator in CSR with the current values (the
         CSR fallback rung and residual guards read this).
@@ -384,6 +402,7 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
             require(values_src.shape[0] == A.data.shape[0],
                     f"values must carry {A.data.shape[0]} coefficients "
                     f"(assembly order), got {values_src.shape[0]}")
+        values_src.flags.writeable = False
         digest = value_digest(values_src)
 
         csr_scatter, dbsr_scatter, Ap_tag, dbsr_tag = \
@@ -433,7 +452,8 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
         return plan
 
 
-def repack_ilu_plan(plan: ILUPlan, values: np.ndarray) -> ILUPlan:
+def repack_ilu_plan(plan: ILUPlan, values: np.ndarray,
+                    digest: str) -> ILUPlan:
     """Value-only refresh: reuse the structure, re-factorize the numbers.
 
     Skips autotune, coloring, assembly and format conversion entirely —
@@ -442,6 +462,9 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray) -> ILUPlan:
     solves are **bitwise identical** to
     ``compile_ilu_plan(..., values=values)`` with the same resolved
     ``bsize`` (the ``ilu.repack.amortized`` gate of ``repro bench all``).
+
+    ``digest``, the :func:`value_digest` of ``values`` in the plan's
+    dtype, labels the new factors; the caller computes it once.
     """
     np_dtype = plan.config.np_dtype
     values_src = np.asarray(values, dtype=np_dtype).reshape(-1).copy()
@@ -449,10 +472,10 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray) -> ILUPlan:
             f"values shape {values_src.shape} != structure's "
             f"{plan.values_src.shape} (structural drift needs a "
             f"cold compile, not a repack)")
+    values_src.flags.writeable = False
     with trace.span("serve.refresh", kind="ilu",
                     fingerprint=plan.fingerprint[:12]) as sp:
         t0 = time.perf_counter()
-        digest = value_digest(values_src)
         matrix, factors = _build_numeric(_skeleton_of(plan),
                                          values_src, np_dtype,
                                          plan.schedule)

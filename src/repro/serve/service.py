@@ -68,8 +68,8 @@ SERVICE_OPS = PLAN_OPS + ("ilu_apply",)
 
 def _request_key(grid: StructuredGrid, stencil, config: PlanConfig,
                  op: str, values) -> tuple:
-    """``(fingerprint, values, value_digest)`` of one request; ILU
-    ``values`` come back normalized to the config dtype.
+    """``(fingerprint, values)`` of one request; ILU ``values`` come
+    back normalized to the config dtype, unhashed.
 
     Raises :class:`RequestError` for an op outside :data:`SERVICE_OPS`,
     so gateway admission refuses it before any shard work.
@@ -77,12 +77,11 @@ def _request_key(grid: StructuredGrid, stencil, config: PlanConfig,
     if op not in SERVICE_OPS:
         raise RequestError(f"unknown op {op!r}; known: {SERVICE_OPS}")
     if op != "ilu_apply":
-        return structural_fingerprint(grid, stencil, config), values, None
+        return structural_fingerprint(grid, stencil, config), values
     fp = ilu_plan.ilu_structural_fingerprint(grid, stencil, config)
-    if values is None:
-        return fp, None, None
-    values = np.asarray(values, dtype=config.np_dtype).reshape(-1)
-    return fp, values, ilu_plan.value_digest(values)
+    if values is not None:
+        values = np.asarray(values, dtype=config.np_dtype).reshape(-1)
+    return fp, values
 
 
 class Backpressure(RuntimeError):
@@ -251,8 +250,11 @@ class SolveService:
             raise RequestError(f"deadline must be > 0, got {deadline}")
         (rhs,) = self._check_request(grid, op, values, value_digest,
                                      [rhs])
-        fp, values, vd = _request_key(grid, stencil, config, op, values)
-        if vd is not None:
+        fp, values = _request_key(grid, stencil, config, op, values)
+        if values is not None:
+            # Drain coalesces ILU requests by digest, so the queue path
+            # labels every snapshot at submission.
+            vd = ilu_plan.value_digest(values)
             if value_digest is not None and value_digest != vd:
                 raise RequestError(
                     "value_digest contradicts the provided values")

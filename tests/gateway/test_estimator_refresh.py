@@ -160,3 +160,47 @@ def test_refresh_ewma_fed_from_shard_stats():
     stats = asyncio.run(run())
     assert stats["refresh_ewma_seconds"] is not None
     assert stats["refresh_ewma_seconds"] > 0.0
+
+
+def test_admission_prices_refresh_by_bytes(monkeypatch):
+    """``warm_refresh`` is true for a rotated snapshot and false for an
+    identical one in a fresh array, decided against the resident
+    plan's ``values_src`` with no value digest at admission."""
+    from repro.serve import ilu_plan
+
+    async def run():
+        async with SolveGateway(config=CONFIG, min_shards=1,
+                                max_shards=1) as gw:
+            first = await gw.submit(GRID, "27pt", _rhs(0),
+                                    op="ilu_apply")
+            await first.result()
+            plan = gw.pool.peek_plan(first.fingerprint)
+            rng = np.random.default_rng(5)
+            rotated = plan.values_src * (1.0 + 0.05 * rng.uniform(
+                -1.0, 1.0, plan.values_src.shape))
+
+            priced, digests = [], []
+            real_estimate = gw.estimator.estimate
+            real_digest = ilu_plan.value_digest
+
+            def estimate(*args, **kwargs):
+                priced.append(kwargs["warm_refresh"])
+                return real_estimate(*args, **kwargs)
+
+            def digest(values):
+                digests.append(1)
+                return real_digest(values)
+
+            monkeypatch.setattr(gw.estimator, "estimate", estimate)
+            monkeypatch.setattr(ilu_plan, "value_digest", digest)
+            for values in (plan.values_src.copy(), rotated,
+                           rotated.copy()):
+                ticket = await gw.submit(GRID, "27pt", _rhs(1),
+                                         op="ilu_apply", values=values)
+                await ticket.result()
+            return priced, digests
+
+    priced, digests = asyncio.run(run())
+    assert priced == [False, True, False]
+    # One label, for the one repack.
+    assert len(digests) == 1

@@ -194,7 +194,7 @@ def test_shard_execute_not_needed_for_pool_logic():
     # GatewayShard over a FakeService still reports stats/compiles.
     shard = GatewayShard(0, FakeService())
     assert shard.cache_tallies() == {}
-    assert shard.has_plan("deadbeef") is False
+    assert shard.peek_plan("deadbeef") is None
     assert shard.stats()["index"] == 0
 
 

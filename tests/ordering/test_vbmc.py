@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix
 from repro.formats.dbsr import DBSRMatrix
+from repro.grids.assembly import assemble_csr
 from repro.grids.grid import StructuredGrid
-from repro.grids.stencils import box9_2d, star7_3d
+from repro.grids.stencils import box9_2d, box27_3d, star7_3d
 from repro.ordering.vbmc import build_vbmc
 
 
@@ -83,6 +86,59 @@ def test_apply_matrix_symmetric_permutation(problem_2d, vbmc_2d, rng):
     # (P A P^T)(P x) == P (A x) on real entries.
     y_new = Ap.matvec(vb.extend(x))
     assert np.allclose(vb.restrict(y_new), A.matvec(x))
+
+
+def _coo_route(vb, csr):
+    """The symmetric permutation through COO canonicalization."""
+    rows = np.repeat(np.arange(vb.n_orig), np.diff(csr.indptr))
+    virtual = np.flatnonzero(vb.new_to_old < 0)
+    coo = COOMatrix(
+        np.concatenate([vb.old_to_new[rows], virtual]),
+        np.concatenate([vb.old_to_new[csr.indices], virtual]),
+        np.concatenate([csr.data,
+                        np.ones(len(virtual), dtype=csr.data.dtype)]),
+        (vb.n_padded, vb.n_padded))
+    return CSRMatrix.from_coo(coo)
+
+
+def _assert_bitwise(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("stencil", [star7_3d(), box27_3d()],
+                         ids=["7pt", "27pt"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_apply_matrix_bitwise_equals_coo_route(stencil, dtype):
+    grid = StructuredGrid((6, 6, 6))
+    vb = build_vbmc(grid, stencil, (2, 2, 2), 4)
+    assert vb.n_padded > vb.n_orig  # virtual rows present
+    A = assemble_csr(grid, stencil, dtype=dtype)
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal(A.nnz).astype(dtype)
+    # Explicit zeros of both signs, and NaNs of two payloads.
+    data[::7] = 0.0
+    data[3::7] = -0.0
+    data[5::11] = np.nan
+    word = data.view(np.uint64 if dtype == np.float64 else np.uint32)
+    word[6::11] = word[5] | 1
+    A = CSRMatrix(A.indptr, A.indices, data, A.shape)
+    _assert_bitwise(vb.apply_matrix(A), _coo_route(vb, A))
+
+
+def test_apply_matrix_sums_duplicates_like_coo():
+    grid = StructuredGrid((3, 3))
+    vb = build_vbmc(grid, box9_2d(), (1, 1), 4)
+    # Row 0 stores column 1 twice; the rest is a unit diagonal.
+    indptr = np.r_[0, np.arange(3, vb.n_orig + 3)]
+    indices = np.r_[0, 1, 1, np.arange(1, vb.n_orig)]
+    data = np.r_[2.0, -1.0, -0.5, np.ones(vb.n_orig - 1)]
+    A = CSRMatrix(indptr, indices, data, (vb.n_orig, vb.n_orig))
+    Ap = vb.apply_matrix(A)
+    _assert_bitwise(Ap, _coo_route(vb, A))
+    assert Ap.nnz == A.nnz - 1 + (vb.n_padded - vb.n_orig)
 
 
 def test_virtual_rows_identity(problem_2d, vbmc_2d):

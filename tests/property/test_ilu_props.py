@@ -108,7 +108,11 @@ def test_repack_bitwise_equals_cold_compile(snap):
     is indistinguishable, bit for bit, from compiling cold with the
     same snapshot."""
     from repro.grids.grid import StructuredGrid
-    from repro.serve.ilu_plan import compile_ilu_plan, repack_ilu_plan
+    from repro.serve.ilu_plan import (
+        compile_ilu_plan,
+        repack_ilu_plan,
+        value_digest,
+    )
     from repro.serve.plan import PlanConfig
 
     nx, stencil, bsize, seed, scale = snap
@@ -118,7 +122,7 @@ def test_repack_bitwise_equals_cold_compile(snap):
     rng = np.random.default_rng(seed)
     v2 = plan.values_src * (
         1.0 + scale * rng.uniform(-1.0, 1.0, plan.values_src.shape))
-    warm = repack_ilu_plan(plan, v2)
+    warm = repack_ilu_plan(plan, v2, value_digest(v2))
     cold = compile_ilu_plan(grid, stencil, config, values=v2)
     assert warm.value_digest == cold.value_digest
     assert np.array_equal(warm.factors.matrix.values,

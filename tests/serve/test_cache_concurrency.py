@@ -300,13 +300,14 @@ class TestIluStress:
         builds = {"compile": 0, "repack": 0}
         count_lock = threading.Lock()
 
-        def build(kind, fp, values):
+        def build(kind, fp, values, digest=None):
             with count_lock:
                 builds[kind] += 1
             return SimpleNamespace(
                 kind="ilu", fingerprint=fp, config=config,
-                value_digest=ilu_plan.value_digest(values),
-                autotuned=False, bsize=1)
+                value_digest=(ilu_plan.value_digest(values)
+                              if digest is None else digest),
+                values_src=values, autotuned=False, bsize=1)
 
         monkeypatch.setattr(
             ilu_plan, "compile_ilu_plan",
@@ -315,8 +316,8 @@ class TestIluStress:
                 grid, stencil, config), values))
         monkeypatch.setattr(
             ilu_plan, "repack_ilu_plan",
-            lambda plan, values: build("repack", plan.fingerprint,
-                                       values))
+            lambda plan, values, digest: build(
+                "repack", plan.fingerprint, values, digest))
         values = [np.full(4, float(i)) for i in range(3)]
         fps = [ilu_plan.ilu_structural_fingerprint(g, "5pt", config)
                for g in GRIDS[:2]]

@@ -59,8 +59,10 @@ ILU_FPS = [ilu_plan.ilu_structural_fingerprint(g, "5pt", CONFIG)
            for g in ILU]
 VALUES = [np.full(4, 1.0), np.full(4, 2.0)]
 DIGESTS = [ilu_plan.value_digest(v) for v in VALUES]
-#: Value digest of an ILU plan compiled without values.
+#: Value digest and coefficients of an ILU plan compiled without
+#: values: bytes that neither entry of ``VALUES`` holds.
 CANONICAL = "canonical"
+CANONICAL_VALUES = np.full(4, 0.5)
 #: ``get_or_compile_ilu`` request shapes: (values index, expect_digest).
 ILU_REQUESTS = [(None, None), (0, None), (1, None),
                 (None, CANONICAL), (None, DIGESTS[0])]
@@ -279,15 +281,15 @@ class PlanCacheMachine(RuleBasedStateMachine):
             patch.start()
 
     # Stubs (run on worker threads) -------------------------------------
-    def _build(self, kind, fp, digest):
+    def _build(self, kind, fp, digest, values=None):
         started = self.clock
         if self._park(("stub", kind)) == "fail":
             raise BuildFailed(kind)
         self.built[kind] += 1
         return SimpleNamespace(
-            fingerprint=fp, value_digest=digest, started=started,
-            kind="tri" if digest is None else "ilu", config=CONFIG,
-            autotuned=False, bsize=1)
+            fingerprint=fp, value_digest=digest, values_src=values,
+            started=started, kind="tri" if digest is None else "ilu",
+            config=CONFIG, autotuned=False, bsize=1)
 
     def _compile_stub(self, grid, stencil, config, bsize_hint=None):
         return self._build("compile",
@@ -296,14 +298,17 @@ class PlanCacheMachine(RuleBasedStateMachine):
 
     def _compile_ilu_stub(self, grid, stencil, config, values=None,
                           bsize_hint=None):
-        return self._build(
-            "compile",
-            ilu_plan.ilu_structural_fingerprint(grid, stencil, config),
-            CANONICAL if values is None else ilu_plan.value_digest(values))
+        fp = ilu_plan.ilu_structural_fingerprint(grid, stencil, config)
+        if values is None:
+            return self._build("compile", fp, CANONICAL,
+                               CANONICAL_VALUES)
+        return self._build("compile", fp, ilu_plan.value_digest(values),
+                           values)
 
-    def _repack_stub(self, plan, values):
-        return self._build("repack", plan.fingerprint,
-                           ilu_plan.value_digest(values))
+    def _repack_stub(self, plan, values, digest):
+        # The cache hands over the digest it computed for the repack.
+        assert digest == ilu_plan.value_digest(values)
+        return self._build("repack", plan.fingerprint, digest, values)
 
     # Handoffs ----------------------------------------------------------
     def _park(self, where):

@@ -94,6 +94,107 @@ def test_refresh_values_rejects_non_ilu_plans():
         cache.refresh_values(tri.fingerprint, np.ones(4))
 
 
+# Bytes decide a hit; the digest labels a repack ---------------------------
+
+def _count_digests(monkeypatch):
+    from repro.serve import ilu_plan as ilu_mod
+
+    calls = []
+    real = ilu_mod.value_digest
+
+    def spy(values):
+        calls.append(1)
+        return real(values)
+
+    monkeypatch.setattr(ilu_mod, "value_digest", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_equal_snapshot_in_a_fresh_array_hits_without_hashing(
+        monkeypatch, dtype):
+    config = PlanConfig(bsize=4, dtype=dtype)
+    cache = PlanCache(capacity=4)
+    plan, _ = cache.get_or_compile_ilu(GRID, "27pt", config)
+    calls = _count_digests(monkeypatch)
+    # A fresh float64 array: float32 configs normalize it first.
+    fresh = np.array(plan.values_src, dtype=np.float64)
+    served, hit = cache.get_or_compile_ilu(GRID, "27pt", config,
+                                           values=fresh)
+    assert hit and served is plan and calls == []
+    served, hit = cache.get_or_compile_ilu(
+        GRID, "27pt", config, values=_perturbed(plan, seed=3))
+    assert hit and served.refreshed and len(calls) == 1
+    assert served.values_src.dtype == config.np_dtype
+    assert served.value_digest == cache.peek(plan.fingerprint) \
+        .value_digest
+    assert cache.stats()["refreshes"] == 1
+
+
+def test_float32_snapshot_one_ulp_apart_repacks():
+    config = PlanConfig(bsize=4, dtype="f32")
+    cache = PlanCache(capacity=4)
+    plan, _ = cache.get_or_compile_ilu(GRID, "27pt", config)
+    v2 = plan.values_src.copy()
+    v2[0] = np.nextafter(v2[0], np.float32(np.inf))
+    served, hit = cache.get_or_compile_ilu(GRID, "27pt", config,
+                                           values=v2)
+    assert hit and served.refreshed
+    assert np.array_equal(served.values_src, v2)
+
+
+def test_signed_zero_snapshots_are_different():
+    """``-0.0 == +0.0`` as floats, but not as snapshots: the cache
+    repacks, exactly as two different SHA-256 labels would say."""
+    base = PlanCache(capacity=1).get_or_compile_ilu(
+        GRID, "27pt", CONFIG)[0].values_src
+    diag = np.flatnonzero(base == base.max())
+    off = np.setdiff1d(np.arange(base.size), diag)[0]
+    plus = base.copy()
+    plus[off] = 0.0
+    minus = plus.copy()
+    minus[off] = -0.0
+    cache = PlanCache(capacity=4)
+    plan, _ = cache.get_or_compile_ilu(GRID, "27pt", CONFIG, values=plus)
+    served, hit = cache.get_or_compile_ilu(GRID, "27pt", CONFIG,
+                                           values=minus)
+    assert hit and served.refreshed and served is not plan
+    assert served.value_digest != plan.value_digest
+    assert np.signbit(served.values_src[off])
+    assert cache.stats()["refreshes"] == 1
+
+
+def test_nan_payloads_are_different_snapshots(monkeypatch):
+    """Two NaNs with different payloads repack (a stubbed repack: the
+    real one refuses non-finite factors)."""
+    from repro.serve import ilu_plan as ilu_mod
+
+    repacks = []
+
+    def repack(plan, values, digest):
+        repacks.append(digest)
+        return ilu_mod.ILUPlan(**{**vars(plan), "values_src": values,
+                                  "value_digest": digest})
+
+    cache = PlanCache(capacity=4)
+    plan, _ = cache.get_or_compile_ilu(GRID, "27pt", CONFIG)
+    monkeypatch.setattr(ilu_mod, "repack_ilu_plan", repack)
+    quiet = plan.values_src.copy()
+    quiet.view(np.uint64)[0] = 0x7FF8000000000000
+    payload = quiet.copy()
+    payload.view(np.uint64)[0] = 0x7FF8000000000001
+    assert np.isnan(quiet[0]) and np.isnan(payload[0])
+    first, _ = cache.get_or_compile_ilu(GRID, "27pt", CONFIG,
+                                        values=quiet)
+    again, hit = cache.get_or_compile_ilu(GRID, "27pt", CONFIG,
+                                          values=quiet.copy())
+    assert hit and again is first and len(repacks) == 1
+    second, hit = cache.get_or_compile_ilu(GRID, "27pt", CONFIG,
+                                           values=payload)
+    assert hit and second is not first and len(repacks) == 2
+    assert repacks[0] != repacks[1]
+
+
 # Bugfix 2: verify-on-hit ---------------------------------------------------
 
 def test_declared_digest_mismatch_raises_typed_error():
@@ -159,10 +260,10 @@ def test_invalidate_during_refresh_drops_stale_put():
 
     real_repack = ilu_mod.repack_ilu_plan
 
-    def slow_repack(p, values):
+    def slow_repack(p, values, digest):
         in_repack.set()
         assert release.wait(10)
-        return real_repack(p, values)
+        return real_repack(p, values, digest)
 
     results = {}
 

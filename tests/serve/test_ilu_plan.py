@@ -25,6 +25,7 @@ from repro.serve.ilu_plan import (
     compile_ilu_plan,
     ilu_structural_fingerprint,
     repack_ilu_plan,
+    same_values,
     value_digest,
 )
 from repro.serve.plan import PlanConfig, structural_fingerprint
@@ -60,6 +61,32 @@ def test_value_digest_seals_the_snapshot():
     assert plan.value_digest == value_digest(plan.values_src)
     v2 = _perturbed(plan)
     assert value_digest(v2) != plan.value_digest
+
+
+def test_values_src_is_read_only():
+    """The bytes a cache hit compares cannot drift from the digest
+    that labels them: an in-place write raises, after a cold compile
+    and after a repack alike."""
+    plan = compile_ilu_plan(GRID, "27pt", CONFIG)
+    v2 = _perturbed(plan)
+    warm = repack_ilu_plan(plan, v2, value_digest(v2))
+    for p in (plan, warm):
+        with pytest.raises(ValueError):
+            p.values_src[0] = 0.0
+        assert p.value_digest == value_digest(p.values_src)
+
+
+def test_same_values_compares_bytes():
+    a = np.array([1.0, 0.0, np.nan])
+    assert same_values(a, a.copy())
+    minus = a.copy()
+    minus[1] = -0.0
+    assert not same_values(a, minus)
+    payload = a.copy()
+    payload.view(np.uint64)[2] += 1
+    assert np.isnan(payload[2]) and not same_values(a, payload)
+    assert not same_values(a, a.astype(np.float32))
+    assert not same_values(a, a[:2])
 
 
 def test_values_must_match_assembly_order_length():
@@ -115,7 +142,7 @@ def test_execute_dispatches_only_ilu_apply():
 def test_repack_bitwise_equals_cold_compile():
     plan = compile_ilu_plan(GRID, "27pt", CONFIG)
     v2 = _perturbed(plan, seed=3)
-    warm = repack_ilu_plan(plan, v2)
+    warm = repack_ilu_plan(plan, v2, value_digest(v2))
     cold = compile_ilu_plan(GRID, "27pt", CONFIG, values=v2)
     assert np.array_equal(warm.factors.matrix.values,
                           cold.factors.matrix.values)
@@ -129,7 +156,7 @@ def test_repack_bitwise_equals_cold_compile():
 def test_repack_bitwise_on_padded_grid():
     plan = compile_ilu_plan(PADDED_GRID, "27pt", PADDED_CONFIG)
     v2 = _perturbed(plan, seed=8)
-    warm = repack_ilu_plan(plan, v2)
+    warm = repack_ilu_plan(plan, v2, value_digest(v2))
     cold = compile_ilu_plan(PADDED_GRID, "27pt", PADDED_CONFIG,
                             values=v2)
     assert np.array_equal(warm.factors.matrix.values,
@@ -138,7 +165,8 @@ def test_repack_bitwise_on_padded_grid():
 
 def test_repack_reuses_structure_objects():
     plan = compile_ilu_plan(GRID, "27pt", CONFIG)
-    warm = repack_ilu_plan(plan, _perturbed(plan, seed=1))
+    v2 = _perturbed(plan, seed=1)
+    warm = repack_ilu_plan(plan, v2, value_digest(v2))
     assert warm.ordering is plan.ordering
     assert warm.csr_scatter is plan.csr_scatter
     assert warm.dbsr_scatter is plan.dbsr_scatter
@@ -150,7 +178,7 @@ def test_repack_reuses_structure_objects():
 def test_repack_rejects_structural_drift():
     plan = compile_ilu_plan(GRID, "27pt", CONFIG)
     with pytest.raises(Exception):
-        repack_ilu_plan(plan, np.ones(len(plan.values_src) + 1))
+        repack_ilu_plan(plan, np.ones(len(plan.values_src) + 1), "")
 
 
 # Schedule replay -----------------------------------------------------------

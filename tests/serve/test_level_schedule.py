@@ -41,7 +41,11 @@ from repro.multigrid.hierarchy import build_hierarchy, hierarchy_levels
 from repro.multigrid.smoothers import make_smoother
 from repro.serve import batch
 from repro.serve import ilu_plan as ilu_plan_module
-from repro.serve.ilu_plan import compile_ilu_plan, repack_ilu_plan
+from repro.serve.ilu_plan import (
+    compile_ilu_plan,
+    repack_ilu_plan,
+    value_digest,
+)
 from repro.serve.plan import PlanConfig, compile_plan
 from repro.simd.engine import VectorEngine
 
@@ -392,7 +396,7 @@ def test_repack_keeps_the_schedule_object():
     grid = StructuredGrid((6, 6, 6))
     plan = compile_ilu_plan(grid, "27pt", _config(8))
     values = plan.values_src * 1.5
-    fresh = repack_ilu_plan(plan, values)
+    fresh = repack_ilu_plan(plan, values, value_digest(values))
     assert fresh.factors.matrix.schedule is plan.factors.matrix.schedule
     # New values, new stacks: the repack never reuses the old ones.
     stacks = fresh.factors.matrix.stacks
@@ -601,7 +605,7 @@ def test_repack_sweeps_read_the_new_values(multi_row, monkeypatch):
     values = plan.values_src * 1.25
     values[src] = -0.0
     values[src[0]] = np.inf
-    fresh = repack_ilu_plan(plan, values)
+    fresh = repack_ilu_plan(plan, values, value_digest(values))
     assert fresh.factors.matrix.schedule is plan.factors.matrix.schedule
     assert np.isinf(fresh.factors.matrix.values[t]).any()
     cold = compile_ilu_plan(plan.grid, "27pt", plan.config, values=values)
