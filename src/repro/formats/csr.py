@@ -6,6 +6,8 @@ HPCG variant, and the Fig. 11 storage comparison all use it).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.formats.base import INDEX_DTYPE, MemoryReport, SparseMatrix
@@ -109,6 +111,22 @@ class CSRMatrix(SparseMatrix):
             self.indptr.copy(), self.indices.copy(),
             self.data.astype(dtype), self.shape,
         )
+
+    def with_data(self, data: np.ndarray) -> "CSRMatrix":
+        """This matrix's pattern with new values, sharing what it can.
+
+        ``indptr`` and ``indices`` are this matrix's own arrays (already
+        validated and row-sorted, so nothing is re-checked) and ``data``,
+        one value per stored entry in this matrix's order, is adopted
+        without a copy: the structure-preserving counterpart of the
+        constructor, which never aliases its inputs.
+        """
+        data = check_1d(np.asarray(data), "data")
+        require(len(data) == len(self.indices),
+                "indices/data length mismatch")
+        out = copy.copy(self)
+        out.data = data
+        return out
 
     def row(self, i: int) -> tuple:
         """Return ``(cols, vals)`` views of row ``i``."""

@@ -45,9 +45,9 @@ from repro.observe.metrics import (LATENCY_EDGES, WIDTH_EDGES,
                                    MetricsRegistry)
 from repro.resilience.errors import (NON_RECOVERABLE_ERRORS,
                                      DeadlineExceeded)
-from repro.serve.ilu_plan import same_values
+from repro.serve import ilu_plan
 from repro.serve.plan import PlanConfig, _resolve_stencil
-from repro.serve.service import SolveService, _request_key
+from repro.serve.service import RequestError, SolveService, _request_key
 from repro.utils.validation import check_positive
 
 
@@ -280,8 +280,10 @@ class SolveGateway:
         ``values``/``value_digest`` (``op="ilu_apply"`` only) carry the
         coefficient snapshot: values whose bytes differ from a resident
         plan's ``values_src`` are charged the repack EWMA, not the
-        cold-compile one. Admission hashes nothing; the shard's cache
-        digests a snapshot only when it repacks.
+        cold-compile one. Admission hashes only a request that declares
+        both, and raises :class:`~repro.serve.service.RequestError` when
+        the digest contradicts the values; the shard's cache digests a
+        snapshot only when it repacks.
 
         Chunks hold views of ``rhs``, read when each chunk executes:
         leave ``rhs`` unmodified until the ticket has resolved.
@@ -295,6 +297,10 @@ class SolveGateway:
         k = 1 if single else rhs.shape[1]
         fingerprint, values = _request_key(grid, stencil, config, op,
                                            values)
+        if values is not None and value_digest is not None \
+                and value_digest != ilu_plan.value_digest(values):
+            raise RequestError(
+                "value_digest contradicts the provided values")
         request_id = next(self._ids)
         with trace.span("gateway.admit", tenant=tenant, op=op, k=k,
                         fingerprint=fingerprint[:12]):
@@ -313,8 +319,8 @@ class SolveGateway:
             resident = self.pool.peek_plan(fingerprint)
             cold = resident is None and fingerprint not in self._warm
             warm_refresh = (values is not None and resident is not None
-                            and not same_values(values,
-                                                resident.values_src))
+                            and not ilu_plan.same_values(
+                                values, resident.values_src))
             estimate = self.estimator.estimate(
                 grid, stencil, config, op, k, fingerprint, cold=cold,
                 backlog_chunks=self.scheduler.depth

@@ -323,8 +323,24 @@ def build_ilu0_schedule(matrix: DBSRMatrix) -> ILU0Schedule:
     )
 
 
-def ilu0_refactorize_dbsr(matrix: DBSRMatrix,
-                          schedule: ILU0Schedule) -> DBSRILUFactors:
+def padded_buffer(n_tiles: int, bsize: int, dtype) -> tuple:
+    """The flat value buffer :func:`ilu0_refactorize_dbsr` replays in.
+
+    Returns ``(vflat, lanes)``: ``vflat`` holds ``n_tiles`` tiles
+    between one zero tile on each side, so shifted loads never index
+    out of bounds (the "interfering data" of Fig. 4 reads zeros at the
+    extremes), and ``lanes`` is the flat, tile-major view of its
+    interior for the caller to fill.
+    """
+    vflat = np.empty((n_tiles + 2) * bsize, dtype=dtype)
+    vflat[:bsize] = 0
+    vflat[-bsize:] = 0
+    return vflat, vflat[bsize:-bsize]
+
+
+def ilu0_refactorize_dbsr(matrix: DBSRMatrix, schedule: ILU0Schedule,
+                          vflat: np.ndarray | None = None
+                          ) -> DBSRILUFactors:
     """Replay a prebuilt schedule over fresh values (Algorithm 4).
 
     One batched divide and one batched update per stage. Bitwise-
@@ -333,12 +349,21 @@ def ilu0_refactorize_dbsr(matrix: DBSRMatrix,
     with another sign bit (numpy picks which NaN operand a multiply
     returns by SIMD position). It is the serving tier's only numeric
     factorization: cold compiles and value-only repacks both replay.
+
+    ``vflat``, a :func:`padded_buffer` whose interior already holds the
+    values, is factored in place; ``matrix`` then contributes only its
+    skeleton (the serving tier scatters each snapshot straight into
+    the buffer). Without it the replay copies ``matrix.values`` into a
+    new buffer. The factors' values view the buffer's interior, and
+    their ``blk_ptr``/``blk_ind``/``blk_offset`` and ``dia_ptr`` are
+    ``matrix``'s own arrays.
     """
     bs = matrix.bsize
-    vflat = np.zeros((matrix.n_tiles + 2) * bs,
-                     dtype=matrix.values.dtype)
+    if vflat is None:
+        vflat, lanes = padded_buffer(matrix.n_tiles, bs,
+                                     matrix.values.dtype)
+        lanes[...] = matrix.values.reshape(-1)
     tiles = vflat[bs:bs + matrix.n_tiles * bs].reshape(-1, bs)
-    tiles[...] = matrix.values
     win = sliding_window_view(vflat, bs)
 
     p, d, q, m, s = (schedule.p, schedule.d, schedule.q, schedule.m,
@@ -368,14 +393,14 @@ def ilu0_refactorize_dbsr(matrix: DBSRMatrix,
             np.subtract(ac, pr, out=ac)
             tiles[q[lo:hi]] = ac
 
-    values = tiles.copy()
-    factored = DBSRMatrix(
-        matrix.blk_ptr.copy(), matrix.blk_ind.copy(),
-        matrix.blk_offset.copy(), values, matrix.shape,
-        nnz_hint=matrix.nnz,
-    )
-    return DBSRILUFactors(matrix=factored,
-                          dia_ptr=matrix.dia_ptr.copy())
+    dia_ptr = matrix.dia_ptr
+    factored = DBSRMatrix(matrix.blk_ptr, matrix.blk_ind,
+                          matrix.blk_offset, tiles, matrix.shape,
+                          nnz_hint=matrix.nnz)
+    # Same skeleton, same diagonal tiles: seed the cache so a repack
+    # that takes these factors as its skeleton never recomputes it.
+    factored._dia_ptr = dia_ptr
+    return DBSRILUFactors(matrix=factored, dia_ptr=dia_ptr)
 
 
 def ilu0_apply_dbsr(factors: DBSRILUFactors,

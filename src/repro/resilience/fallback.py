@@ -421,11 +421,11 @@ class FallbackChain:
                                  plan.n_padded)
             validate_diag(plan.factors.diag_vector(), "ilu_diag")
             validate_dbsr(plan.factors.matrix, "ilu_factors")
-            scope = ("ordering.old_to_new", "ilu_diag", "ilu_factors",
-                     "ilu_dia_ptr")
+            scope = ("ordering.old_to_new", "ilu_diag", "ilu_pattern",
+                     "ilu_factors", "ilu_dia_ptr")
             if rung != "dbsr":
                 validate_csr(plan.matrix, "matrix")
-                scope += ("matrix",)
+                scope += ("matrix.pattern", "matrix")
             if self.integrity:
                 check_integrity(plan, artifacts=scope)
             return

@@ -14,7 +14,10 @@ artifact and a kernel launch. Two levels:
 * **Integrity** — SHA-256 digests over every artifact's raw bytes,
   sealed at compile time (:func:`seal_plan`). A digest mismatch
   catches *any* single-bit corruption, including in-range index
-  rewrites and mantissa bit-flips that are structurally silent.
+  rewrites and mantissa bit-flips that are structurally silent. An ILU
+  repack shares its parent's structural arrays by identity and
+  inherits their digests, so it hashes only the bytes it made: the
+  operator's data, the factor values and the pivots.
 
 All failures raise :class:`~repro.resilience.errors.PlanValidationError`
 naming the artifact (and, for structural checks, the first offending
@@ -154,15 +157,20 @@ def _plan_artifacts(plan) -> dict:
     permuted CSR operator, the factored DBSR skeleton + values, the
     diagonal pivots, and the value scatter maps (a corrupted scatter
     map would silently misplace every future repack's coefficients).
+    Their structure is sealed apart from their values
+    (``matrix.pattern`` beside ``matrix``, ``ilu_pattern`` beside
+    ``ilu_factors``): a value-only repack shares every structural
+    array with its parent, so :func:`seal_plan` digests only the
+    values.
     """
     if getattr(plan, "kind", "") == "ilu":
         f = plan.factors.matrix
         return {
             "ordering.old_to_new": (plan.ordering.old_to_new,),
-            "matrix": (plan.matrix.indptr, plan.matrix.indices,
-                       plan.matrix.data),
-            "ilu_factors": (f.blk_ptr, f.blk_ind, f.blk_offset,
-                            f.values),
+            "matrix.pattern": (plan.matrix.indptr, plan.matrix.indices),
+            "matrix": (plan.matrix.data,),
+            "ilu_pattern": (f.blk_ptr, f.blk_ind, f.blk_offset),
+            "ilu_factors": (f.values,),
             "ilu_dia_ptr": (plan.factors.dia_ptr,),
             "ilu_diag": (plan.factors.diag_vector(),),
             "scatter": (plan.csr_scatter, plan.dbsr_scatter),
@@ -181,16 +189,32 @@ def _plan_artifacts(plan) -> dict:
     }
 
 
-def seal_plan(plan) -> dict:
+def seal_plan(plan, parent=None) -> dict:
     """Record per-artifact SHA-256 digests on ``plan.integrity``.
 
     Called by :func:`repro.serve.plan.compile_plan` after compile-time
     validation; :func:`check_integrity` later detects any byte-level
     drift of the sealed artifacts.
+
+    ``parent``, the sealed plan a value-only repack was built from,
+    lends its digest to every artifact whose arrays are all the
+    parent's own objects (``is``, never equality): those bytes were
+    digested when the parent was sealed, and a later corruption of them
+    still mismatches the inherited digest. Every other artifact is
+    digested afresh.
     """
-    plan.integrity = {name: _digest(*arrays)
-                      for name, arrays in _plan_artifacts(plan).items()}
-    return plan.integrity
+    inherited = getattr(parent, "integrity", None) or {}
+    before = _plan_artifacts(parent) if inherited else {}
+    sealed = {}
+    for name, arrays in _plan_artifacts(plan).items():
+        prev = before.get(name, ())
+        if name in inherited and len(prev) == len(arrays) \
+                and all(a is b for a, b in zip(arrays, prev)):
+            sealed[name] = inherited[name]
+        else:
+            sealed[name] = _digest(*arrays)
+    plan.integrity = sealed
+    return sealed
 
 
 def check_integrity(plan, artifacts=None) -> None:

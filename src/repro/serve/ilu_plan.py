@@ -50,6 +50,7 @@ from repro.ilu.ilu0_dbsr import (  # noqa: F401
     build_ilu0_schedule,
     ilu0_factorize_dbsr,
     ilu0_refactorize_dbsr,
+    padded_buffer,
 )
 from repro.observe import trace
 from repro.resilience import hooks
@@ -297,63 +298,58 @@ def _derive_scatter_maps(ordering, A: CSRMatrix, bsize: int):
     return csr_scatter, dbsr_scatter, Ap_tag, dbsr_tag
 
 
-def _scatter_csr_data(csr_scatter: np.ndarray, values_src: np.ndarray,
-                      dtype) -> np.ndarray:
-    data = np.ones(csr_scatter.shape[0], dtype=dtype)
-    real = csr_scatter >= 0
-    data[real] = values_src[csr_scatter[real]]
-    return data
+def _extended(values_src: np.ndarray) -> np.ndarray:
+    """``values_src`` followed by the two slots the scatter sentinels
+    read from the end: ``_VIRTUAL`` (-2) reads 1.0, ``_PAD`` (-1)
+    reads 0.0. Built once per snapshot; both scatters take from it."""
+    ext = np.empty(values_src.shape[0] + 2, dtype=values_src.dtype)
+    ext[:-2] = values_src
+    ext[_VIRTUAL] = 1.0
+    ext[_PAD] = 0.0
+    return ext
 
 
-def _scatter_dbsr_values(dbsr_scatter: np.ndarray,
-                         values_src: np.ndarray, bsize: int,
-                         dtype) -> np.ndarray:
-    flat = np.zeros(dbsr_scatter.shape[0], dtype=dtype)
-    real = dbsr_scatter >= 0
-    flat[real] = values_src[dbsr_scatter[real]]
-    flat[dbsr_scatter == _VIRTUAL] = 1.0
-    return flat.reshape(-1, bsize)
+def _scatter_csr_data(csr_scatter: np.ndarray,
+                      ext: np.ndarray) -> np.ndarray:
+    """The permuted CSR operator's data: one take from :func:`_extended`."""
+    return np.take(ext, csr_scatter)
 
 
-def _build_numeric(plan_skeleton: dict, values_src: np.ndarray,
-                   dtype, schedule) -> tuple:
+def _scatter_dbsr_values(dbsr_scatter: np.ndarray, ext: np.ndarray,
+                         bsize: int) -> np.ndarray:
+    """The DBSR lanes in one take from :func:`_extended`, straight into
+    the interior of a :func:`~repro.ilu.ilu0_dbsr.padded_buffer`, which
+    is returned for :func:`~repro.ilu.ilu0_dbsr.ilu0_refactorize_dbsr`
+    to factor in place."""
+    vflat, lanes = padded_buffer(dbsr_scatter.shape[0] // bsize, bsize,
+                                 ext.dtype)
+    # With ``out``, the default ``mode="raise"`` takes into a temporary
+    # and copies it over: a second fresh megabyte per repack, whose page
+    # faults cost more than the take. ``"wrap"`` reads the sentinels
+    # alike, and the map's indices lie in [-2, n) by construction (an
+    # in-place corruption of it is what its sealed digest catches).
+    np.take(ext, dbsr_scatter, out=lanes, mode="wrap")
+    return vflat
+
+
+def _build_numeric(pattern: CSRMatrix, skeleton: DBSRMatrix,
+                   csr_scatter: np.ndarray, dbsr_scatter: np.ndarray,
+                   values_src: np.ndarray, schedule) -> tuple:
     """Scatter one value snapshot into (CSR operator, ILU factors).
 
-    The numeric factorization replays the structure's
-    :class:`~repro.ilu.ilu0_dbsr.ILU0Schedule` — the one ILU body of
-    cold compiles and value-only repacks alike, which is what makes a
-    repack bitwise-identical to a cold compile.
+    The operator shares ``pattern``'s ``indptr``/``indices`` and the
+    factors share ``skeleton``'s ``blk_*`` arrays and ``dia_ptr``, by
+    identity: a repack passes its parent plan's, so it copies no
+    structure and :func:`~repro.resilience.guardrails.seal_plan`
+    inherits their digests. The numeric factorization replays the
+    structure's :class:`~repro.ilu.ilu0_dbsr.ILU0Schedule` — the one
+    ILU body of cold compiles and value-only repacks alike, which is
+    what makes a repack bitwise-identical to a cold compile.
     """
-    csr_scatter = plan_skeleton["csr_scatter"]
-    dbsr_scatter = plan_skeleton["dbsr_scatter"]
-    data = _scatter_csr_data(csr_scatter, values_src, dtype)
-    matrix = CSRMatrix(plan_skeleton["indptr"].copy(),
-                       plan_skeleton["indices"], data,
-                       plan_skeleton["shape"])
-    values = _scatter_dbsr_values(dbsr_scatter, values_src,
-                                  plan_skeleton["bsize"], dtype)
-    dbsr = DBSRMatrix(plan_skeleton["blk_ptr"].copy(),
-                      plan_skeleton["blk_ind"].copy(),
-                      plan_skeleton["blk_offset"].copy(), values,
-                      plan_skeleton["shape"],
-                      nnz_hint=plan_skeleton["nnz"])
-    return matrix, ilu0_refactorize_dbsr(dbsr, schedule)
-
-
-def _skeleton_of(plan: ILUPlan) -> dict:
-    m = plan.factors.matrix
-    return {
-        "csr_scatter": plan.csr_scatter,
-        "dbsr_scatter": plan.dbsr_scatter,
-        "indptr": plan.matrix.indptr,
-        "indices": plan.matrix.indices,
-        "shape": plan.matrix.shape,
-        "bsize": plan.bsize,
-        "blk_ptr": m.blk_ptr,
-        "blk_ind": m.blk_ind,
-        "blk_offset": m.blk_offset,
-        "nnz": m.nnz,
-    }
+    ext = _extended(values_src)
+    matrix = pattern.with_data(_scatter_csr_data(csr_scatter, ext))
+    vflat = _scatter_dbsr_values(dbsr_scatter, ext, skeleton.bsize)
+    return matrix, ilu0_refactorize_dbsr(skeleton, schedule, vflat)
 
 
 # Compilation ---------------------------------------------------------------
@@ -407,20 +403,9 @@ def compile_ilu_plan(grid: StructuredGrid, stencil,
 
         csr_scatter, dbsr_scatter, Ap_tag, dbsr_tag = \
             _derive_scatter_maps(ordering, A, bsize)
-        skeleton = {
-            "csr_scatter": csr_scatter,
-            "dbsr_scatter": dbsr_scatter,
-            "indptr": Ap_tag.indptr,
-            "indices": Ap_tag.indices,
-            "shape": Ap_tag.shape,
-            "bsize": bsize,
-            "blk_ptr": dbsr_tag.blk_ptr,
-            "blk_ind": dbsr_tag.blk_ind,
-            "blk_offset": dbsr_tag.blk_offset,
-            "nnz": dbsr_tag.nnz,
-        }
         schedule = build_ilu0_schedule(dbsr_tag)
-        matrix, factors = _build_numeric(skeleton, values_src, np_dtype,
+        matrix, factors = _build_numeric(Ap_tag, dbsr_tag, csr_scatter,
+                                         dbsr_scatter, values_src,
                                          schedule)
         schedule_ilu_sweeps(factors.matrix, factors.dia_ptr)
 
@@ -476,8 +461,10 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray,
     with trace.span("serve.refresh", kind="ilu",
                     fingerprint=plan.fingerprint[:12]) as sp:
         t0 = time.perf_counter()
-        matrix, factors = _build_numeric(_skeleton_of(plan),
-                                         values_src, np_dtype,
+        matrix, factors = _build_numeric(plan.matrix,
+                                         plan.factors.matrix,
+                                         plan.csr_scatter,
+                                         plan.dbsr_scatter, values_src,
                                          plan.schedule)
         # Same skeleton, so the same level schedule, by identity; new
         # values, so new stacks.
@@ -510,7 +497,7 @@ def repack_ilu_plan(plan: ILUPlan, values: np.ndarray,
         hooks.fire("serve.refresh", plan=fresh,
                    fingerprint=fresh.fingerprint)
         validate_plan(fresh)
-        seal_plan(fresh)
+        seal_plan(fresh, parent=plan)
         return fresh
 
 

@@ -253,7 +253,11 @@ class SolveService:
         fp, values = _request_key(grid, stencil, config, op, values)
         if values is not None:
             # Drain coalesces ILU requests by digest, so the queue path
-            # labels every snapshot at submission.
+            # labels every snapshot at submission. The queue keeps a
+            # read-only copy, so the label stays true of the bytes the
+            # drain looks up, and the drain need not hash them again.
+            values = values.copy()
+            values.flags.writeable = False
             vd = ilu_plan.value_digest(values)
             if value_digest is not None and value_digest != vd:
                 raise RequestError(
@@ -402,9 +406,13 @@ class SolveService:
             # One cache transaction per request: the first may compile,
             # coalesced followers count (and are served) as hits — the
             # per-request hit rate is what the serve bench reports.
+            # A digest the queue made itself from a request's values is
+            # not declared to the cache: the values decide.
             try:
                 lookups = [self._lookup(e.grid, e.stencil, e.config, op,
-                                        e.values, e.value_digest)
+                                        e.values,
+                                        e.value_digest if e.values is None
+                                        else None)
                            for e in entries]
             except StaleValuesError as exc:
                 # This group declared a value snapshot the cache cannot

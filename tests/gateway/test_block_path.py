@@ -167,3 +167,31 @@ def test_ilu_hit_and_repack_digest_counts(monkeypatch):
     assert repack == 1
     cache = gw.pool.cache_tallies()
     assert cache["refreshes"] == 1 and cache["compiles"] == 1
+
+
+def test_contradicting_digest_is_refused_at_admission(monkeypatch):
+    """Declared together with values, a digest must be theirs: the
+    gateway refuses a contradiction as the service does, and hashes
+    only requests that declare both."""
+    v1 = _values(1)
+    vd1 = ilu_plan_mod.value_digest(v1)
+
+    async def run():
+        async with SolveGateway(config=CONFIG, min_shards=1,
+                                max_shards=1) as gw:
+            with pytest.raises(service_mod.RequestError):
+                await gw.submit(GRID, "27pt", _rhs(0), op="ilu_apply",
+                                values=v1, value_digest="0" * 64)
+            digests = {}
+            _counting(monkeypatch, ilu_plan_mod, "value_digest", digests)
+            await gw.solve(GRID, "27pt", _rhs(0), op="ilu_apply",
+                           values=v1, value_digest=vd1)
+            declared = digests.pop("value_digest", 0)
+            await gw.solve(GRID, "27pt", _rhs(1), op="ilu_apply",
+                           values=v1)
+            return declared, digests.pop("value_digest", 0)
+
+    declared, hit = asyncio.run(run())
+    # The admission check and the cold compile's label.
+    assert declared == 2
+    assert hit == 0

@@ -28,7 +28,11 @@ from repro.ilu.ilu0_dbsr import (
 )
 from repro.resilience.errors import PlanValidationError
 from repro.resilience.guardrails import validate_plan
-from repro.serve.ilu_plan import _scatter_dbsr_values, compile_ilu_plan
+from repro.serve.ilu_plan import (
+    _extended,
+    _scatter_dbsr_values,
+    compile_ilu_plan,
+)
 from repro.serve.plan import PlanConfig
 
 BSIZES = (1, 2, 4, 8, 16, 32)
@@ -44,8 +48,9 @@ def _plan(stencil: str, nx: int, bsize: int):
 def _unfactored(plan, values_src: np.ndarray) -> DBSRMatrix:
     """The plan's DBSR skeleton carrying one unfactored snapshot."""
     skel = plan.factors.matrix
-    values = _scatter_dbsr_values(plan.dbsr_scatter, values_src,
-                                  plan.bsize, skel.values.dtype)
+    bs = plan.bsize
+    values = _scatter_dbsr_values(plan.dbsr_scatter, _extended(values_src),
+                                  bs)[bs:-bs].reshape(-1, bs)
     return DBSRMatrix(skel.blk_ptr.copy(), skel.blk_ind.copy(),
                       skel.blk_offset.copy(), values, skel.shape,
                       nnz_hint=skel.nnz)

@@ -173,6 +173,13 @@ def test_repack_reuses_structure_objects():
     assert warm.schedule is plan.schedule
     assert warm.bsize == plan.bsize
     assert warm.fingerprint == plan.fingerprint
+    # The structure is shared, not copied: the seal inherits its digests.
+    assert warm.matrix.indptr is plan.matrix.indptr
+    assert warm.matrix.indices is plan.matrix.indices
+    for name in ("blk_ptr", "blk_ind", "blk_offset", "dia_ptr"):
+        assert getattr(warm.factors.matrix, name) \
+            is getattr(plan.factors.matrix, name), name
+    assert warm.factors.dia_ptr is plan.factors.dia_ptr
 
 
 def test_repack_rejects_structural_drift():
@@ -190,11 +197,12 @@ def test_schedule_replay_bitwise_equals_full_factorization(grid,
     plan = compile_ilu_plan(grid, "27pt", config)
     skel = plan.factors.matrix
     # Rebuild an *unfactored* twin through the stored scatter map.
-    from repro.serve.ilu_plan import _scatter_dbsr_values
+    from repro.serve.ilu_plan import _extended, _scatter_dbsr_values
 
     v2 = _perturbed(plan, seed=13)
-    values = _scatter_dbsr_values(plan.dbsr_scatter, v2, plan.bsize,
-                                  skel.values.dtype)
+    bs = plan.bsize
+    values = _scatter_dbsr_values(plan.dbsr_scatter, _extended(v2),
+                                  bs)[bs:-bs].reshape(-1, bs)
     from repro.formats.dbsr import DBSRMatrix
 
     dbsr = DBSRMatrix(skel.blk_ptr.copy(), skel.blk_ind.copy(),
@@ -217,6 +225,76 @@ def test_cold_compile_carries_a_schedule():
         == schedule.n_stages + 1
     assert schedule.div_ptr[-1] == schedule.n_ops
     assert schedule.upd_ptr[-1] == len(schedule.q)
+
+
+# One-take value scatter ----------------------------------------------------
+
+def _masked_csr_data(csr_scatter, values_src, dtype):
+    """The masked CSR scatter the single take replaced (reference)."""
+    data = np.ones(csr_scatter.shape[0], dtype=dtype)
+    real = csr_scatter >= 0
+    data[real] = values_src[csr_scatter[real]]
+    return data
+
+
+def _masked_dbsr_values(dbsr_scatter, values_src, bsize, dtype):
+    """The masked DBSR scatter the single take replaced (reference)."""
+    from repro.serve.ilu_plan import _VIRTUAL
+
+    flat = np.zeros(dbsr_scatter.shape[0], dtype=dtype)
+    real = dbsr_scatter >= 0
+    flat[real] = values_src[dbsr_scatter[real]]
+    flat[dbsr_scatter == _VIRTUAL] = 1.0
+    return flat.reshape(-1, bsize)
+
+
+def _bits(a):
+    return a.view(f"u{a.dtype.itemsize}")
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_single_take_scatter_bitwise_equals_masked_scatter(dtype):
+    from repro.serve.ilu_plan import (
+        _PAD,
+        _VIRTUAL,
+        _extended,
+        _scatter_csr_data,
+        _scatter_dbsr_values,
+    )
+
+    config = PlanConfig(bsize=8, dtype=dtype)
+    plan = compile_ilu_plan(PADDED_GRID, "27pt", config)
+    # Virtual rows and pad lanes both occur on this padded structure.
+    assert np.any(plan.csr_scatter == _VIRTUAL)
+    assert np.any(plan.dbsr_scatter == _VIRTUAL)
+    assert np.any(plan.dbsr_scatter == _PAD)
+    np_dtype = config.np_dtype
+    values = _perturbed(plan, seed=21).astype(np_dtype)
+    word = np.dtype(f"u{values.dtype.itemsize}").type
+    quiet = (0x7FF8000000000001, 0xFFF8000000000002) if dtype == "f64" \
+        else (0x7FC00001, 0xFFC00002)
+    _bits(values)[:6] = [_bits(np.array([0.0], np_dtype))[0],
+                         _bits(np.array([-0.0], np_dtype))[0],
+                         word(quiet[0]), word(quiet[1]),
+                         word(quiet[0]), word(quiet[1])]
+    bs = plan.bsize
+    ext = _extended(values)
+    csr = _scatter_csr_data(plan.csr_scatter, ext)
+    vflat = _scatter_dbsr_values(plan.dbsr_scatter, ext, bs)
+    ref_csr = _masked_csr_data(plan.csr_scatter, values, np_dtype)
+    ref_dbsr = _masked_dbsr_values(plan.dbsr_scatter, values, bs,
+                                   np_dtype)
+    assert csr.dtype == ref_csr.dtype == vflat.dtype == np_dtype
+    assert np.array_equal(_bits(csr), _bits(ref_csr))
+    assert np.array_equal(_bits(vflat[bs:-bs].reshape(-1, bs)),
+                          _bits(ref_dbsr))
+    # The replay's zero borders.
+    assert not np.any(_bits(vflat[:bs])) and not np.any(_bits(vflat[-bs:]))
+    # Every special value reached both operators.
+    for first in range(6):
+        src = np.flatnonzero(plan.csr_scatter == first)
+        assert len(src) and np.flatnonzero(plan.dbsr_scatter == first).size
+        assert np.all(_bits(csr[src]) == _bits(values[first:first + 1]))
 
 
 # Metadata ------------------------------------------------------------------

@@ -135,6 +135,49 @@ def test_contradictory_value_digest_rejected(service):
                        value_digest="0" * 64)
 
 
+def test_queue_hit_hashes_each_request_once(service, monkeypatch):
+    """The queue labels a snapshot at submission; the drain looks it up
+    by its bytes and does not hash it again to check its own label."""
+    import repro.serve.ilu_plan as ilu_plan_mod
+
+    rng = np.random.default_rng(9)
+    warm = service.submit(GRID, "27pt", rng.standard_normal(N),
+                          op="ilu_apply")
+    service.drain()
+    values = _perturbed(service.cache.get(warm.fingerprint), seed=2)
+    service.submit(GRID, "27pt", rng.standard_normal(N), op="ilu_apply",
+                   values=values)
+    service.drain()  # the repack to ``values``
+    calls = []
+    real = ilu_plan_mod.value_digest
+    monkeypatch.setattr(ilu_plan_mod, "value_digest",
+                        lambda v: calls.append(1) or real(v))
+    t = service.submit(GRID, "27pt", rng.standard_normal(N),
+                       op="ilu_apply", values=values.copy())
+    service.drain()
+    assert t.metrics["cache_hit"]
+    assert len(calls) == 1
+
+
+def test_queue_keeps_its_own_snapshot(service):
+    """A caller reusing its coefficient buffer between submit and drain
+    changes neither the snapshot served nor its label."""
+    from repro.serve.ilu_plan import value_digest
+
+    rng = np.random.default_rng(10)
+    warm = service.submit(GRID, "27pt", rng.standard_normal(N),
+                          op="ilu_apply")
+    service.drain()
+    values = _perturbed(service.cache.get(warm.fingerprint), seed=3)
+    expect = value_digest(values)
+    t = service.submit(GRID, "27pt", rng.standard_normal(N),
+                       op="ilu_apply", values=values)
+    values *= 2.0
+    service.drain()
+    assert t.result(timeout=0) is not None
+    assert service.cache.get(t.fingerprint).value_digest == expect
+
+
 def test_ilu_metrics_report_counts(service):
     rng = np.random.default_rng(8)
     t = service.submit(GRID, "27pt", rng.standard_normal(N),
