@@ -30,23 +30,28 @@ order — slot ``s`` holds the ``s``-th tile of every row that has one,
 rows sorted by descending tile count — so the batched kernels of
 :mod:`repro.serve.batch` update a level with one contiguous-slice
 operation per slot while each row still takes its tiles in storage
-order. Levels that :func:`reduce_pays` accepts at ``k = 1`` also get a
-padded ``(slots, rows)`` tile and window index, built vectorized with
-the layout, whose missing slots point at tile ``n_tiles`` and window
-0; the kernels solve such a level with one axis-0 reduction over the
-padded products, reading window 0 from the zero pad. A level of one
-row gets the same index, unpadded ``(tiles, 1)`` and free of the zero
-tile, and reduces at every ``k``. A :class:`LevelSchedule` bundles the
-levels with the layouts of one matrix and rides on it as
-:attr:`DBSRMatrix.schedule`.
+order. Levels that :func:`reduce_pays` accepts at ``k = 1`` also get,
+built vectorized with the layout, the indexes of one flat step: a
+``(slots + 1, rows)`` tile index whose start slot 0 and missing slots
+point at tile ``n_tiles``, the ``(slots + 1, rows, bsize)`` lane index
+of the padded-buffer rows each slot reads (a tile's window lanes, or
+the zero pad ``Xp[0:bsize]`` for tile ``n_tiles``), and the ``(rows,
+bsize)`` index of the rows' own lanes. The kernels solve such a level
+with one take over the lane index, one multiply, one axis-0 reduction
+and one store through the row index. A level of one row gets the same
+indexes, with no missing slot, and reduces at every ``k``. A
+:class:`LevelSchedule` bundles the levels with the layouts of one
+matrix and rides on it as :attr:`DBSRMatrix.schedule`; the flat-step
+indexes are read-only and shared by every value set of the skeleton.
 
 Values are fixed while a plan or smoother lives, so a level's operands
 are laid out once per value set, not once per call: a
 :class:`ValueStacks` on :attr:`DBSRMatrix.stacks` holds every reduced
-level's read-only value stack, the zero tile baked into its padded
-slots, and every level's diagonal block. A value-only ILU repack
-shares the layouts and builds fresh stacks. Slot-loop levels (the
-bsize-64 structures) read the values in place.
+level's read-only ``(slots + 1, rows, bsize, 1)`` value stack, the
+zero tile baked into its start and padded slots, and every level's
+diagonal block. A value-only ILU repack shares the layouts and their
+indexes and builds fresh stacks. Slot-loop levels (the bsize-64
+structures) read the values in place.
 """
 
 from __future__ import annotations
@@ -133,8 +138,8 @@ def build_block_levels(matrix: DBSRMatrix) -> BlockLevels:
 #: counted, times ``bsize * k``), for which :func:`reduce_pays` hands a
 #: level of two or more rows to the padded reduction. Fitted from
 #: whole-sweep timings of the served kernels (``docs/backends.md``);
-#: below 128, so bsize-64 levels keep the slot loop and carry no padded
-#: index.
+#: below 128, so bsize-64 levels keep the slot loop and carry no
+#: flat-step index.
 REDUCE_MAX_ELEMS = 96
 
 
@@ -147,7 +152,7 @@ def reduce_pays(rows, bsize: int, k: int):
     dispatch but pays for every padded tile (``rows`` per slot). It
     wins while a slot update is small enough to be dispatch-bound. The
     work grows with ``k``, so a level rejected at ``k = 1`` is rejected
-    at every ``k`` (and gets no padded index).
+    at every ``k`` (and gets no flat-step index).
 
     A one-row level has nothing to pad: the reduction replaces the row
     body's two dispatches per tile with a fixed few, at every ``k``.
@@ -159,30 +164,39 @@ class LevelBatch:
     """One level of a scheduled layout, laid out for one sweep.
 
     ``rows`` are sorted by descending tile count and ``rows1`` is
-    ``rows + 1`` (their block index in the padded buffer). ``tiles``
-    and ``windows`` (tile anchors shifted by ``bsize``: window starts
-    in the padded buffer) list the level's tiles slot-major: slot ``s``
-    holds the ``s``-th tile of ``rows[:slots[s]]``, right after the
-    tiles of slots ``0 .. s - 1``.
+    ``rows + 1`` (their block index in the padded buffer); ``span`` is
+    the slice of the layout's :attr:`TileLayout.rows` they fill.
+    ``tiles`` and ``windows`` (tile anchors shifted by ``bsize``:
+    window starts in the padded buffer) list the level's tiles
+    slot-major: slot ``s`` holds the ``s``-th tile of
+    ``rows[:slots[s]]``, right after the tiles of slots ``0 .. s - 1``.
 
     ``padded`` is ``None`` unless :func:`reduce_pays` accepts the level
-    at ``k = 1``; then it is the pair of ``(slots, rows)`` arrays
-    ``(tiles, windows)`` of the whole level, where a row's missing slots
-    hold tile ``n_tiles`` (the zero tile of the level's value stack)
-    and window 0 (the zero pad ``Xp[0:bsize]``). A one-row level's
-    index is ``(tiles, 1)`` and never names the zero tile.
+    at ``k = 1``; then it is the read-only triple ``(tiles, lanes,
+    flat)`` that runs the level as one flat step. ``tiles`` is the
+    ``(slots + 1, rows)`` tile index: slot 0 is the start slot, and
+    slot ``s + 1`` holds each row's ``s``-th tile. The start slot and
+    a row's missing slots hold tile ``n_tiles``, the zero tile of the
+    level's value stack. ``lanes`` is the ``(slots + 1, rows, bsize)``
+    index of the buffer rows each slot reads: a tile's window lanes,
+    or the zero pad ``Xp[0:bsize]`` for tile ``n_tiles``. ``flat`` is
+    the ``(rows, bsize)`` index of the rows' own lanes, ``rows1 *
+    bsize + lane``. A one-row level has no missing slot, so only its
+    start slot names the zero tile.
     """
 
-    __slots__ = ("rows", "rows1", "tiles", "windows", "slots", "padded")
+    __slots__ = ("rows", "rows1", "tiles", "windows", "slots", "padded",
+                 "span")
 
     def __init__(self, rows: np.ndarray, tiles: np.ndarray,
-                 windows: np.ndarray, slots: tuple, padded):
+                 windows: np.ndarray, slots: tuple, padded, span: slice):
         self.rows = rows
         self.rows1 = rows + 1
         self.tiles = tiles
         self.windows = windows
         self.slots = slots
         self.padded = padded
+        self.span = span
 
 
 class TileLayout:
@@ -190,8 +204,11 @@ class TileLayout:
 
     Block-row ``i`` owns tiles ``lo[i]:hi[i]``. :attr:`steps` walks the
     levels in order, one :class:`LevelBatch` each; :attr:`rows` and
-    :attr:`ptiles` concatenate the steps' rows and padded tile indexes
-    in that order, so a value set's stacks take one gather each. Without
+    :attr:`ptiles` concatenate the steps' rows and reduction tile
+    indexes (start slots included) in that order, so a value set's
+    stacks take one gather each, and a call gathers its right-hand side
+    in :attr:`rows` order once. The steps' lane and row indexes are
+    built in the same vectorized pass. Without
     levels the one step is the tuple of every block-row, run through
     the per-row body in that order; :attr:`lo`, :attr:`hi` and
     :attr:`anchors` are then Python-int lists for that body (``None``
@@ -238,18 +255,26 @@ class TileLayout:
         m2 = m.reshape(n_levels, width)
         n_slots = (m2 > 0).sum(axis=1)
         pads = reduce_pays(n_rows, bsize, 1)
-        # (slots, rows) index of the levels the reduction takes: tile
-        # (p, s) of level L sits at poff[L] + s * rows_L + rank[p]; a
-        # one-row level's is its tiles in order, with no padding.
-        psize = np.where(pads, n_slots * n_rows, 0)
+        # (slots + 1, rows) index of the levels the reduction takes:
+        # slot 0 is the start slot, and tile (p, s) of level L sits at
+        # poff[L] + (s + 1) * rows_L + rank[p].
+        psize = np.where(pads, (n_slots + 1) * n_rows, 0)
         poff = np.cumsum(psize) - psize
         hit = pads[lv_p]
-        at = poff[lv_p[hit]] + slot[hit] * n_rows[lv_p[hit]] \
+        at = poff[lv_p[hit]] + (slot[hit] + 1) * n_rows[lv_p[hit]] \
             + rank[pos[hit]]
         ptiles = np.full(int(psize.sum()), len(anchors), dtype=np.intp)
         pwindows = np.zeros(len(ptiles), dtype=np.intp)
         ptiles[at] = ids[hit]
         pwindows[at] = anchors[ids[hit]]
+        lane = np.arange(bsize, dtype=np.intp)
+        # Flat indexes into the padded buffer's rows: every slot's
+        # window lanes, and the lanes of the reduced rows themselves.
+        plane = pwindows[:, None] + lane
+        prow = rows[pads[lv[order]]]
+        pflat = (prow[:, None] + 1) * bsize + lane
+        for a in (ptiles, plane, pflat):
+            a.flags.writeable = False
         self.rows, self.ptiles = rows, ptiles
         tptr = start[::width].tolist() + [len(pos)]
         m_l = m2.tolist()
@@ -257,18 +282,22 @@ class TileLayout:
         n_slots, pads = n_slots.tolist(), pads.tolist()
         poff = poff.tolist()
         steps = []
+        f0 = 0
         for L in range(n_levels):
             r0, r1 = lp[L], lp[L + 1]
             t0, t1 = tptr[L], tptr[L + 1]
             S = n_slots[L]
             padded = None
             if pads[L]:
-                p0, p1 = poff[L], poff[L] + S * (r1 - r0)
-                padded = (ptiles[p0:p1].reshape(S, r1 - r0),
-                          pwindows[p0:p1].reshape(S, r1 - r0))
+                p0, p1 = poff[L], poff[L] + (S + 1) * (r1 - r0)
+                f1 = f0 + r1 - r0
+                padded = (ptiles[p0:p1].reshape(S + 1, r1 - r0),
+                          plane[p0:p1].reshape(S + 1, r1 - r0, bsize),
+                          pflat[f0:f1])
+                f0 = f1
             steps.append(LevelBatch(rows[r0:r1], tiles[t0:t1],
                                     windows[t0:t1], tuple(m_l[L][:S]),
-                                    padded))
+                                    padded, slice(r0, r1)))
         self.steps = tuple(steps)
 
 
@@ -292,13 +321,14 @@ class SweepStacks:
     """One sweep's per-level operands for one value set.
 
     :attr:`steps` pairs each step of :attr:`layout` with ``(vals,
-    diag)``: the level's ``(slots, rows, bsize, 1)`` value stack, the
-    zero tile in its padded slots, where it has a reduction index
-    (slot-loop levels read the values in place), and the ``(rows,
-    bsize, 1)`` block of its divisors, taken from ``blocks`` (``bsize``
-    per block-row; ``None``: the sweep divides by nothing). Each kind
-    is one read-only gather over the layout's concatenated index, cut
-    into views; an unscheduled layout's one step gets neither.
+    diag)``: the level's ``(slots + 1, rows, bsize, 1)`` value stack,
+    the zero tile in its start slot and padded slots, where it has a
+    reduction index (slot-loop levels read the values in place), and
+    the ``(rows, bsize, 1)`` block of its divisors, taken from
+    ``blocks`` (``bsize`` per block-row; ``None``: the sweep divides by
+    nothing). Each kind is one read-only gather over the layout's
+    concatenated index, cut into views; an unscheduled layout's one
+    step gets neither.
     """
 
     def __init__(self, layout: TileLayout, values: np.ndarray,
@@ -342,38 +372,60 @@ class ValueStacks:
 
     The kernels use the stacks only while they :meth:`hold` the call's
     arrays, so a matrix copied with new values, a call with another
-    diagonal, or an array edited in place (a fault injector's bit flip)
-    builds stacks for that call; a new value set gets new stacks.
+    diagonal, or an array edited in place (a fault injector's bit flip
+    or NaN) builds stacks for that call; a new value set gets new
+    stacks. Where no stack copies any value (no reduced level, no
+    ILU divisors), every level reads ``values`` in place and only its
+    identity is checked.
     """
 
     def __init__(self, matrix: DBSRMatrix, diag: np.ndarray | None = None,
                  dia_ptr: np.ndarray | None = None):
         sched, values = matrix.schedule, matrix.values
         self.values, self.diag = values, diag
-        self.fingerprints = (_fingerprint(values), _fingerprint(diag))
         self.full = self.below = self.above = None
         if sched.full is not None:
             self.full = SweepStacks(sched.full, values, diag)
         if sched.below is not None:
             self.below = SweepStacks(sched.below, values)
             self.above = SweepStacks(sched.above, values, values[dia_ptr])
+        self.copies_values = dia_ptr is not None or any(
+            lay is not None and len(lay.ptiles)
+            for lay in (sched.full, sched.below, sched.above))
+        self.fingerprints = self._fingerprints(values, diag)
+
+    def _fingerprints(self, values, diag) -> tuple:
+        return (_fingerprint(values) if self.copies_values else None,
+                _fingerprint(diag))
 
     def hold(self, values: np.ndarray, diag: np.ndarray | None) -> bool:
         """Whether these stacks were built from the very arrays
-        ``values`` and ``diag``, with the contents they hold now."""
+        ``values`` and ``diag``, with the contents they hold now, as
+        far as :func:`_fingerprint` can tell."""
         return (values is self.values and diag is self.diag
-                and self.fingerprints == (_fingerprint(values),
-                                          _fingerprint(diag)))
+                and self.fingerprints == self._fingerprints(values, diag))
 
 
-def _fingerprint(a: np.ndarray | None) -> int | None:
-    """XOR of ``a``'s words (``None`` for ``None``), one read of the
-    array: an edit of any one element changes it."""
+def _fingerprint(a: np.ndarray | None):
+    """Wrapping ``uint64`` sums of ``a``'s words (``None`` for
+    ``None``): one sum over the words, and, for 8-byte words, one over
+    the words read 4 bytes off, whose low halves are the words' high
+    halves. Words of 4 bytes or fewer sum exactly, with no wrap.
+
+    It changes on any one-word edit, and on any edit that writes one
+    new value over fewer than ``2**32`` equal words (two sign flips of
+    two equal coefficients, or four ``inf`` over four ``-1.0``, which
+    an XOR or a single wrapping sum miss). Words that only trade places
+    may leave it unchanged.
+    """
     if a is None:
         return None
     flat = np.ascontiguousarray(a).reshape(-1)
-    word = 8 if flat.itemsize % 8 == 0 else flat.itemsize
-    return int(np.bitwise_xor.reduce(flat.view(f"u{word}")))
+    raw, size = flat.view(np.uint8), flat.itemsize
+    if size % 8:
+        return int(np.add.reduce(raw.view(f"u{size}"), dtype=np.uint64))
+    return (int(np.add.reduce(raw.view(np.uint64))),
+            int(np.add.reduce(raw[4:-4].view(np.uint64))))
 
 
 def schedule_sweeps(matrix: DBSRMatrix, levels: BlockLevels,

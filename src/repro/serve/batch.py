@@ -23,20 +23,25 @@ buffer, so every tile window ``Xp[a:a + bsize]`` is one contiguous
 ``(bsize, k)`` block and each tile's values broadcast across the ``k``
 columns as ``values[t][:, None]``. A matrix that carries a block-row
 level schedule (:mod:`repro.formats.dbsr_levels`, attached when a plan
-or smoother is built) is swept level by level. A level of two or more
-rows gathers its tiles' whole contiguous windows at once, one window
-per tile (``sliding_window_view(Xp, bsize, axis=0)[anchors]``, by
-fancy indexing: ``np.take`` there would first copy the whole buffer).
-Where :func:`~repro.formats.dbsr_levels.reduce_pays` judges the level
-dispatch-bound (every one-row level, at every ``k``), the level's
-value stack times its padded windows fills a ``(slots + 1, rows,
-bsize, k)`` buffer — a missing tile is the stack's zero tile times the
-zero pad ``Xp[0:bsize]`` — and one axis-0 reduction solves the level:
-``np.subtract.reduce`` with ``B`` as slot −1 for the sweeps,
-``np.add.reduce`` with an explicit ``+0`` slot −1 for SYMGS's row sum.
-Other levels update their rows with one contiguous-slice operation per
-tile slot (:func:`_fold_level` holds both bodies). The value stacks
-and the levels' diagonal blocks are built once per value set
+or smoother is built) is swept level by level. Where
+:func:`~repro.formats.dbsr_levels.reduce_pays` judges a level
+dispatch-bound (every one-row level, at every ``k``), the level runs
+as one flat step through indexes its layout precomputed: one
+``Xp.take`` over the ``(slots + 1, rows, bsize)`` lane index gathers
+every slot's windows into a ``(slots + 1, rows, bsize, k)`` block, one
+multiply by the level's value stack forms the products (slot 0 and a
+row's missing slots are the stack's zero tile times the zero pad
+``Xp[0:bsize]``, ``+0``), one axis-0 reduction folds them —
+``np.subtract.reduce`` with ``B`` written into slot 0 for the sweeps,
+``np.add.reduce`` from the ``+0`` of slot 0 for SYMGS's row sum — and
+the rows are stored through the flat ``(rows, bsize)`` row index
+(SYMGS: take, add, store). ``B`` is gathered once per call, in the
+layout's row order, and each step slices its rows. Other levels update
+their rows with one contiguous-slice operation per tile slot
+(:func:`_fold_level`), gathering each tile's window from a
+``sliding_window_view`` by fancy indexing (``np.take`` there would
+first copy the whole buffer). The value stacks and the levels'
+diagonal blocks are built once per value set
 (:class:`~repro.formats.dbsr_levels.ValueStacks` on
 :attr:`DBSRMatrix.stacks`); a call whose values or diagonal they do not
 hold builds its own. Matrices without a schedule run the per-row body.
@@ -129,47 +134,58 @@ def _full_stacks(matrix: DBSRMatrix, diag) -> SweepStacks:
     return SweepStacks(layout, matrix.values, diag)
 
 
-def _level_views(Xp: np.ndarray, B: np.ndarray, bs: int) -> tuple:
-    """Block-row views ``(X3, windows, B3)`` of the sweep buffers:
-    ``X3[i + 1]`` is padded block-row ``i``, ``windows[a]`` the
-    ``(bsize, k)`` window starting at padded slot ``a``."""
-    k = Xp.shape[1]
-    windows = sliding_window_view(Xp, bs, axis=0).transpose(0, 2, 1)
-    brow = Xp.shape[0] // bs - 2
-    return (Xp.reshape(brow + 2, bs, k), windows,
-            B.reshape(brow, bs, k))
+def _windows(Xp: np.ndarray, bs: int) -> np.ndarray:
+    """``windows[a]`` is the ``(bsize, k)`` window of the padded buffer
+    ``Xp`` starting at slot ``a``."""
+    return sliding_window_view(Xp, bs, axis=0).transpose(0, 2, 1)
+
+
+def _layout_rhs(lay: TileLayout, B3: np.ndarray):
+    """``B``'s ``(brow, bsize, k)`` blocks in ``lay``'s row order, which
+    each flat step slices by its ``span``; ``None`` where ``lay`` has no
+    reduced level."""
+    if lay.rows is None or not len(lay.ptiles):
+        return None
+    return B3.take(lay.rows, axis=0)
+
+
+def _flat_fold(op, stack: np.ndarray, Xp: np.ndarray, level: LevelBatch,
+               first, one: bool) -> np.ndarray:
+    """Fold a reduced level's tile products with ``op`` over axis 0, in
+    storage order: ``op(op(first, p0), p1) ...``, each product
+    ``vals[t] * window`` as in the row body.
+
+    One take over the level's lane index gathers every slot's windows
+    into a ``(slots + 1, rows, bsize, k)`` block, and one multiply by
+    the level's value ``stack`` forms the products. The start slot and
+    a row's missing slots multiply the stack's zero tile by the zero
+    pad: ``+0``, which leaves every partial result's bits alone and is
+    SYMGS's explicit ``+0`` start. ``first`` (``None``: keep that
+    ``+0``) replaces the start slot. ``one``: the fold is of one
+    element, which ``op.reduce`` would run as one contiguous loop (np.add
+    sums that pairwise); ``accumulate`` keeps the storage order.
+    """
+    g = Xp.take(level.padded[1], axis=0)
+    np.multiply(stack, g, out=g)
+    if first is not None:
+        g[0] = first
+    if one:
+        return op.accumulate(g, axis=0)[-1]
+    return op.reduce(g, axis=0)
 
 
 def _fold_level(op, first, windows: np.ndarray, vals: np.ndarray,
-                stack, level: LevelBatch, k: int) -> np.ndarray:
+                level: LevelBatch) -> np.ndarray:
     """Fold every row's tile products into ``first`` (a fresh
     ``(rows, bsize, k)`` block, or ``None`` for an explicit ``+0``
-    start) with ``op``, in storage order: ``op(op(first, p0), p1)
-    ...``, each product ``vals[t] * window`` as in the row body.
-
-    Where :func:`~repro.formats.dbsr_levels.reduce_pays` picks the
-    level, ``first`` and the products of the level's value ``stack``
-    with its padded windows fill a ``(slots + 1, rows, bsize, k)``
-    buffer and one ``op.reduce`` over axis 0 folds them; a padded
-    product is the stack's zero tile times the zero pad, ``+0``, which
-    leaves every partial result's bits alone. Otherwise each tile slot
-    updates the rows that own one with one contiguous-slice ``op``.
-    The window gathers use fancy indexing: ``np.take`` on the
-    ``sliding_window_view`` would first copy the whole buffer.
+    start) with ``op``, in storage order, one contiguous-slice ``op``
+    per tile slot over the rows that own one. The window gather uses
+    fancy indexing: ``np.take`` on the ``sliding_window_view`` would
+    first copy the whole buffer.
     """
-    rows, bs = len(level.rows), windows.shape[1]
-    if reduce_pays(rows, bs, k):
-        buf = np.empty((len(stack) + 1, rows, bs, k), windows.dtype)
-        buf[0] = 0.0 if first is None else first
-        np.multiply(stack, windows[level.padded[1]], out=buf[1:])
-        if rows * bs * k == 1:
-            # One row of bsize 1 at k = 1: a reduction to one element
-            # is one contiguous loop, which np.add sums pairwise;
-            # accumulate keeps the storage order.
-            return op.accumulate(buf, axis=0)[-1]
-        return op.reduce(buf, axis=0)
     if first is None:
-        first = np.zeros((rows, bs, k), windows.dtype)
+        first = np.zeros((len(level.rows),) + windows.shape[1:],
+                         windows.dtype)
     if level.slots:
         prod = windows[level.windows]
         np.multiply(vals[level.tiles], prod, out=prod)
@@ -186,26 +202,38 @@ def _sweep(vals: np.ndarray, stacks: SweepStacks, B: np.ndarray,
     solution.
 
     ``vals`` is ``values[:, :, None]``. A level batch is solved at
-    once: :func:`_fold_level` subtracts every row's tiles from its
-    ``B`` block in storage order, and the level's diagonal block, if
-    ``stacks`` has one, divides. An unscheduled layout's one step,
+    once: its tiles are subtracted from each row's ``B`` block in
+    storage order (:func:`_flat_fold` where the level reduces at this
+    ``k``, else :func:`_fold_level`), and the level's diagonal block,
+    if ``stacks`` has one, divides. An unscheduled layout's one step,
     every row in order, takes the row body, which divides by the
     ``(n, 1)`` column ``diag`` unless it is ``None``.
     """
     n, k = B.shape
     bs = vals.shape[1]
     Xp = np.zeros((n + 2 * bs, k), dtype=np.result_type(vals, B))
-    X3, windows, B3 = _level_views(Xp, B, bs)
+    X3, B3 = Xp.reshape(-1, bs, k), B.reshape(-1, bs, k)
     lay = stacks.layout
+    Bl, windows, one = _layout_rhs(lay, B3), None, bs * k == 1
     for step, stack, dblock in (stacks.steps if forward
                                 else reversed(stacks.steps)):
         if type(step) is tuple:
             sweep_block_rows(Xp, vals, lay.anchors, lay.lo, lay.hi, B,
                              diag, step if forward else reversed(step))
             continue
+        rows = len(step.rows)
+        if stack is not None and reduce_pays(rows, bs, k):
+            acc = _flat_fold(np.subtract, stack, Xp, step, Bl[step.span],
+                             one and rows == 1)
+            if dblock is not None:
+                acc /= dblock
+            Xp[step.padded[2]] = acc
+            continue
+        if windows is None:
+            windows = _windows(Xp, bs)
         acc = _fold_level(np.subtract,
                           B3[step.rows].astype(Xp.dtype, copy=False),
-                          windows, vals, stack, step, k)
+                          windows, vals, step)
         if dblock is not None:
             acc /= dblock
         X3[step.rows1] = acc
@@ -307,7 +335,8 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
     stacks = _full_stacks(matrix, diag)
     lay = stacks.layout
     vals = matrix.values[:, :, None]
-    X3, windows, B3 = _level_views(Xp, B, bs)
+    X3, B3 = Xp.reshape(-1, bs, k), B.reshape(-1, bs, k)
+    Bl, windows, one = _layout_rhs(lay, B3), None, bs * k == 1
     for forward in (True, False):
         for step, stack, dblock in (stacks.steps if forward
                                     else reversed(stacks.steps)):
@@ -319,8 +348,18 @@ def symgs_dbsr_multi(matrix: DBSRMatrix, diag: np.ndarray,
             # from the first product keeps a -0 that +0 + (-0) turns
             # into +0 (add.reduce starts from its identity only while
             # ``initial`` keeps its default).
-            rowsum = _fold_level(np.add, None, windows, vals, stack, step,
-                                 k)
+            rows = len(step.rows)
+            if stack is not None and reduce_pays(rows, bs, k):
+                rowsum = _flat_fold(np.add, stack, Xp, step, None,
+                                    one and rows == 1)
+                flat = step.padded[2]
+                x = Xp.take(flat, axis=0)
+                x += (Bl[step.span] - rowsum) / dblock
+                Xp[flat] = x
+                continue
+            if windows is None:
+                windows = _windows(Xp, bs)
+            rowsum = _fold_level(np.add, None, windows, vals, step)
             X3[step.rows1] += (B3[step.rows] - rowsum) / dblock
     X[:] = Xp[bs:bs + n]
     return X

@@ -10,15 +10,19 @@ Four things are pinned here:
   payloads count) of the batched kernels against ``numpy-counted`` for
   ``lower``, ``upper``, ``symgs`` and ``ilu_apply``, on a structure
   with multi-row levels and on one whose levels are all single rows,
-  through the padded reduction, the slot loop and the unpadded one-row
-  reduction;
-* the per-level rule that picks between them, and the reduction
-  index it reads;
-* a value-only ILU repack keeps the very same schedule object and gets
-  new value stacks;
+  through the padded flat step, the slot loop and the one-row flat
+  step, and on ``hpcg-mg``'s and ``ilu-drift``'s structures with NaN,
+  +-Inf and -0 in ``X`` and ``B``;
+* the per-level rule that picks between them, and the flat-step
+  indexes a reduced level reads (tile, lane and row index), built once
+  with the layout;
+* a value-only ILU repack keeps the very same schedule object and its
+  indexes, and gets new value stacks;
 * the stacks: read-only, each level's operands, used by every served
   call, and never by a call whose values or diagonal they do not hold
-  (another diagonal, a copy with new values, an in-place edit).
+  (another diagonal, a copy with new values, an in-place edit, faults
+  on equal coefficients), as far as the values fingerprint's contract
+  reaches.
 """
 
 import copy
@@ -29,9 +33,11 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.formats import dbsr_levels
 from repro.formats.dbsr_levels import (
     REDUCE_MAX_ELEMS,
     LevelBatch,
+    _fingerprint,
     reduce_pays,
 )
 from repro.grids.grid import StructuredGrid
@@ -189,25 +195,44 @@ def test_layouts_take_each_tile_once_in_row_order(multi_row):
 
 
 def _check_padded(matrix, step, lo):
-    """Slot ``s`` of row ``r`` holds the row's ``s``-th tile and window,
-    or the zero tile ``n_tiles`` and the zero pad's window 0."""
+    """Slot 0 of every row is the start slot, and slot ``s + 1`` of row
+    ``r`` holds the row's ``s``-th tile, or the zero tile
+    ``n_tiles``; the lane and row indexes follow."""
     rule = reduce_pays(len(step.rows), matrix.bsize, 1)
     if step.padded is None:
         assert not rule
         return
     assert rule
-    ptiles, pwindows = step.padded
-    assert ptiles.shape == pwindows.shape == (len(step.slots),
-                                              len(step.rows))
+    ptiles = step.padded[0]
+    assert ptiles.shape == (len(step.slots) + 1, len(step.rows))
+    assert np.all(ptiles[0] == matrix.n_tiles)
     for r, row in enumerate(step.rows):
         for s in range(len(step.slots)):
             if r < step.slots[s]:
-                assert ptiles[s, r] == lo[row] + s
-                assert pwindows[s, r] == (matrix.anchors[lo[row] + s]
-                                          + matrix.bsize)
+                assert ptiles[s + 1, r] == lo[row] + s
             else:
-                assert ptiles[s, r] == matrix.n_tiles
-                assert pwindows[s, r] == 0
+                assert ptiles[s + 1, r] == matrix.n_tiles
+    _check_flat_index(matrix, step)
+
+
+def _check_flat_index(matrix, step):
+    """The lane index reads each slot's window, the zero pad for tile
+    ``n_tiles``; the row index is ``rows1 * bsize + lane``; all three
+    arrays are read-only."""
+    bs = matrix.bsize
+    ptiles, lanes, flat = step.padded
+    lane = np.arange(bs)
+    assert lanes.shape == ptiles.shape + (bs,)
+    window = np.where(ptiles < matrix.n_tiles,
+                      matrix.anchors[np.minimum(ptiles, matrix.n_tiles - 1)]
+                      + bs, 0)
+    assert np.array_equal(lanes, window[:, :, None] + lane)
+    # Slot 0 reads the zero pad Xp[0:bsize] in every row.
+    assert np.array_equal(lanes[0], np.broadcast_to(lane, lanes[0].shape))
+    assert np.array_equal(flat, step.rows1[:, None] * bs + lane)
+    for a in step.padded:
+        assert a.dtype == np.intp
+        assert not a.flags.writeable
 
 
 def _batches(layout):
@@ -256,16 +281,16 @@ def _one_row_levels(layout, lo, hi):
 
 
 def _check_one_row_index(matrix, one, lo):
-    """Each one-row level reduces over its row's tiles in storage order,
-    an unpadded ``(tiles, 1)`` index that never names tile
-    ``n_tiles``."""
+    """Each one-row level reduces over its row's tiles in storage order:
+    a ``(tiles + 1, 1)`` index that names tile ``n_tiles`` only in its
+    start slot."""
     for i, tiles, step in one:
-        ptiles, pwindows = step.padded
-        assert ptiles.shape == pwindows.shape == (tiles, 1)
-        assert np.array_equal(ptiles[:, 0], np.arange(lo[i], lo[i] + tiles))
-        assert np.array_equal(pwindows[:, 0],
-                              matrix.anchors[ptiles[:, 0]] + matrix.bsize)
-        assert np.all(ptiles < matrix.n_tiles)
+        ptiles = step.padded[0]
+        assert ptiles.shape == (tiles + 1, 1)
+        assert ptiles[0, 0] == matrix.n_tiles
+        assert np.array_equal(ptiles[1:, 0],
+                              np.arange(lo[i], lo[i] + tiles))
+        _check_flat_index(matrix, step)
 
 
 def test_one_row_levels_of_hpcg_smoothers_reduce(hpcg_smoothers):
@@ -535,8 +560,9 @@ def _sweep_stacks(plan, ilu):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_row_levels_gather_from_vals_when_no_zero_tile(wide_one_row):
     # No multi-row level of a bsize-64 structure reduces, so only its
-    # one-row levels carry a value stack, and a one-row index never
-    # names the zero tile: each such stack is exactly its row's tiles.
+    # one-row levels carry a value stack, and a one-row index names the
+    # zero tile only in its start slot: each such stack is the zero
+    # tile, then exactly its row's tiles.
     plan, ilu = wide_one_row
     k = 8
     n_one = 0
@@ -547,9 +573,10 @@ def test_one_row_levels_gather_from_vals_when_no_zero_tile(wide_one_row):
                 assert stack is None
                 continue
             n_one += 1
-            ptiles = step.padded[0][:, 0]
+            ptiles = step.padded[0][1:, 0]
             assert np.all(ptiles < matrix.n_tiles)
-            assert _bits_equal(stack[:, 0, :, 0], matrix.values[ptiles])
+            assert _bits_equal(stack[1:, 0, :, 0], matrix.values[ptiles])
+            assert _bits_equal(stack[0], np.zeros_like(stack[0]))
     assert n_one
     _assert_sweeps_bitwise(plan, ilu, _rhs(plan.n_padded, k))
 
@@ -717,14 +744,18 @@ def test_sweeps_with_another_diag_bitwise(multi_row, k):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_in_place_edits_reach_the_sweeps():
+@pytest.mark.parametrize("k", [1, 3])
+def test_in_place_edits_reach_the_sweeps(k):
     # A value or diagonal entry edited in place, as a fault injector's
     # bit flip does, no longer matches the stacks: every sweep must
-    # read the edit, so a residual check can still see it.
+    # read the edit, so a residual check can still see it. The edited
+    # tiles sit in levels that reduce at k = 1, so at k = 1 the stacks
+    # themselves would serve the stale values; the ILU tile's first
+    # two coefficients are equal, and both are tripled.
     grid = StructuredGrid((12, 12, 12))
     plan = compile_plan(grid, "27pt", _config(8))
     ilu = compile_ilu_plan(grid, "27pt", _config(8))
-    B = _rhs(plan.n_padded, 3)
+    B = _rhs(plan.n_padded, k)
     fast = get_backend("numpy-fast")
     before = fast.run(plan, "lower", B.copy())
     for m in (plan.dbsr, plan.lower, plan.upper, ilu.factors.matrix):
@@ -733,3 +764,226 @@ def test_in_place_edits_reach_the_sweeps():
     plan.diag[plan.n_padded // 2] *= -2.0
     assert not _bits_equal(fast.run(plan, "lower", B.copy()), before)
     _assert_sweeps_bitwise(plan, ilu, B)
+
+
+def _stacked_equal_pair(matrix, layout, k):
+    """Flat indexes into ``matrix.values`` of two equal, non-zero
+    coefficients of tiles that a level reducing at ``k`` stacks."""
+    tiles = np.concatenate([
+        step.padded[0].ravel() for step in _batches(layout)
+        if step.padded is not None
+        and reduce_pays(len(step.rows), matrix.bsize, k)])
+    tiles = np.unique(tiles[tiles < matrix.n_tiles])
+    bs = matrix.bsize
+    flat = (tiles[:, None] * bs + np.arange(bs)).ravel()
+    vals = matrix.values.reshape(-1)[flat]
+    for v in vals[vals != 0]:
+        hit = flat[vals == v]
+        if len(hit) >= 2:
+            return hit[:2]
+    raise AssertionError("no equal pair of stacked coefficients")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["nan_value", "inf_value"])
+def test_faults_on_equal_coefficients_reach_every_sweep(kind):
+    # Two nan_value (or inf_value) faults on two equal coefficients
+    # change both words the same way, which an XOR of the words cannot
+    # see. Every served sweep must still read them at k = 1, where the
+    # faulted tiles' levels run from their value stacks.
+    grid = StructuredGrid((12, 12, 12))
+    plan = compile_plan(grid, "27pt", _config(8))
+    ilu = compile_ilu_plan(grid, "27pt", _config(8))
+    B = _rhs(plan.n_padded, 1)
+    fast = get_backend("numpy-fast")
+    counted = get_backend("numpy-counted")
+    ops = [(plan, "lower"), (plan, "upper"), (plan, "symgs"),
+           (ilu, "ilu_apply")]
+    before = {op: fast.run(p, op, B.copy()) for p, op in ops}
+    bad = np.nan if kind == "nan_value" else np.inf
+    m = ilu.factors.matrix
+    for matrix, layout in ((plan.dbsr, plan.dbsr.schedule.full),
+                           (plan.lower, plan.lower.schedule.full),
+                           (plan.upper, plan.upper.schedule.full),
+                           (m, m.schedule.below), (m, m.schedule.above)):
+        pair = _stacked_equal_pair(matrix, layout, 1)
+        matrix.values.reshape(-1)[pair] = bad
+    for p, op in ops:
+        got = fast.run(p, op, B.copy())
+        assert not _bits_equal(got, before[op]), op
+        assert _bits_equal(got, counted.run(p, op, B.copy())), op
+
+
+def _same_change(a, idx, new):
+    out = a.copy()
+    out.reshape(-1)[idx] = new
+    return out
+
+
+def test_fingerprint_sees_one_word_and_equal_word_edits():
+    a = -np.ones(4096)
+    a[::7] = 26.0
+    a[5] = 0.25
+    base = _fingerprint(a)
+    ones = np.flatnonzero(a == -1.0)
+    edits = [
+        _same_change(a, [5], 0.5),                    # one word
+        _same_change(a, [9], np.nextafter(-1.0, 0)),  # one low bit
+        _same_change(a, ones[:2], np.nan),            # two NaN faults
+        _same_change(a, ones[:2], np.inf),
+        _same_change(a, ones[:2], 1.0),               # two sign flips
+        _same_change(a, ones[:4], np.inf),            # four Inf faults
+        _same_change(a, ones[:2], -3.0),              # equal words x3
+        _same_change(a, ones[:64], -0.0),
+    ]
+    for i, edited in enumerate(edits):
+        assert _fingerprint(edited) != base, i
+    # 4-byte words sum exactly.
+    b = a.astype(np.float32)
+    assert _fingerprint(_same_change(b, ones[:2], 1.0)) != _fingerprint(b)
+    assert _fingerprint(_same_change(b, ones[:4], np.inf)) \
+        != _fingerprint(b)
+    assert _fingerprint(None) is None
+    assert _fingerprint(a[:1]) != _fingerprint(-a[:1])
+
+
+def test_values_fingerprint_only_where_stacks_copy_values(wide_levels,
+                                                          multi_row):
+    # tri-large-k8's operator has no reduced level, so every level reads
+    # its values in place: hold checks their identity, never their
+    # words, and keeps the diagonal's fingerprint.
+    st = wide_levels.dbsr.stacks
+    assert not st.copies_values
+    assert st.fingerprints[0] is None
+    assert st.fingerprints[1] is not None
+    assert st.hold(wide_levels.dbsr.values, wide_levels.diag)
+    assert not st.hold(wide_levels.dbsr.values.copy(), wide_levels.diag)
+    # Reduced levels, and an ILU application's divisors, copy values.
+    plan, ilu = multi_row
+    assert plan.dbsr.stacks.copies_values
+    assert ilu.factors.matrix.stacks.copies_values
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_served_sweeps_build_no_index(multi_row, hpcg_smoothers,
+                                      monkeypatch):
+    # The lane and row indexes are built with the layout, at set-up:
+    # no served call builds a layout or a level of its own.
+    plan, ilu = multi_row
+    built = []
+    for cls in (dbsr_levels.TileLayout, dbsr_levels.LevelBatch):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _cls=cls):
+            built.append(_cls.__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    fast = get_backend("numpy-fast")
+    for k in (1, 3):
+        B = _rhs(plan.n_padded, k)
+        for op in ("lower", "upper", "symgs"):
+            fast.run(plan, op, B.copy())
+        fast.run(ilu, "ilu_apply", B.copy())
+    sm = hpcg_smoothers[0]
+    n = sm.dbsr.n_rows
+    symgs_dbsr(sm.dbsr, sm.diag, np.zeros(n), np.ones(n))
+    assert built == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_repack_shares_flat_indexes_and_rebuilds_only_stacks(monkeypatch):
+    grid = StructuredGrid((6, 6, 6))
+    plan = compile_ilu_plan(grid, "27pt", _config(8))
+    layouts, stacks = [], []
+    init = dbsr_levels.TileLayout.__init__
+    monkeypatch.setattr(dbsr_levels.TileLayout, "__init__",
+                        lambda self, *a: layouts.append(a) or init(self, *a))
+    sweep_init = dbsr_levels.SweepStacks.__init__
+    monkeypatch.setattr(
+        dbsr_levels.SweepStacks, "__init__",
+        lambda self, *a: stacks.append(a[0]) or sweep_init(self, *a))
+    values = plan.values_src * 1.5
+    fresh = repack_ilu_plan(plan, values, value_digest(values))
+    old_m, new_m = plan.factors.matrix, fresh.factors.matrix
+    assert layouts == []
+    assert stacks == [old_m.schedule.below, old_m.schedule.above]
+    n_flat = 0
+    for name in ("below", "above"):
+        old, new = getattr(old_m.stacks, name), getattr(new_m.stacks, name)
+        assert new.layout is old.layout
+        for (s_old, v_old, _), (s_new, v_new, _) in zip(old.steps,
+                                                        new.steps):
+            assert s_new is s_old
+            if s_old.padded is None:
+                continue
+            n_flat += 1
+            # The very index arrays; a fresh value stack.
+            assert all(a is b for a, b in zip(s_new.padded, s_old.padded))
+            assert v_new is not v_old
+            assert not np.shares_memory(v_new, v_old)
+    assert n_flat
+
+
+def _special(n, k, seed):
+    """An ``(n, k)`` block with NaN (payload kept), +-Inf and -0 in
+    every column, each at a few rows, so the rest stays finite."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, k))
+    A[rng.choice(n, n // 5, replace=False)] = -0.0
+    for j in range(k):
+        rows = rng.choice(n, 3, replace=False)
+        A[rows, j] = (PAYLOAD_NAN, np.inf, -np.inf)
+    return A
+
+
+@pytest.fixture(scope="module")
+def flat_structures(hpcg_smoothers):
+    """The three ``hpcg-mg`` smoothers with plans on their grids
+    (27pt, nx 12, 6 and 3, bsize 8), and ``ilu-drift``'s 27pt nx=16
+    ILU skeleton at bsize 32."""
+    plans = [(sm, compile_plan(StructuredGrid((nx,) * 3), "27pt",
+                               _config(8)),
+              compile_ilu_plan(StructuredGrid((nx,) * 3), "27pt",
+                               _config(8)))
+             for sm, nx in zip(hpcg_smoothers, (12, 6, 3))]
+    drift = compile_ilu_plan(StructuredGrid((16, 16, 16)), "27pt",
+                             _config(32))
+    return plans, drift
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_flat_steps_bitwise_equal_counted(flat_structures, k):
+    # Every flat step (gather, multiply, fold, divide, store) keeps the
+    # row body's bits, with NaN, +-Inf and -0 in X and B, at every k.
+    plans, drift = flat_structures
+    fast = get_backend("numpy-fast")
+    counted = get_backend("numpy-counted")
+    n_flat = 0
+    for seed, (sm, plan, ilu) in enumerate(plans):
+        m = sm.dbsr
+        B = _special(m.n_rows, k, seed)
+        X0 = _special(m.n_rows, k, seed + 10)
+        got = batch.symgs_dbsr_multi(m, sm.diag, X0.copy(), B)
+        want = batch.symgs_dbsr_multi_counted(m, sm.diag, X0.copy(), B,
+                                              VectorEngine(m.bsize))
+        assert _bits_equal(got, want), ("smoother", seed)
+        B = _special(plan.n_padded, k, seed + 20)
+        for p, op in ((plan, "lower"), (plan, "upper"), (plan, "symgs"),
+                      (ilu, "ilu_apply")):
+            assert _bits_equal(fast.run(p, op, B.copy()),
+                               counted.run(p, op, B.copy())), (op, seed)
+        n_flat += sum(s.padded is not None
+                      and reduce_pays(len(s.rows), m.bsize, k)
+                      for s in _batches(m.schedule.full))
+    # The drifting ILU structure reduces its two-row levels at k = 1.
+    assert drift.bsize == 32
+    B = _special(drift.n_padded, k, 30)
+    assert _bits_equal(fast.run(drift, "ilu_apply", B.copy()),
+                       counted.run(drift, "ilu_apply", B.copy()))
+    below = drift.factors.matrix.schedule.below
+    n_flat += sum(s.padded is not None
+                  and reduce_pays(len(s.rows), drift.bsize, k)
+                  for s in _batches(below))
+    assert n_flat
